@@ -129,13 +129,7 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else scenario.seed
     try:
-        outcome = run_pipeline_once(
-            spec,
-            scenario,
-            seed=seed,
-            batch_size=batch,
-            concurrent_splits=args.concurrent,
-        )
+        outcome = run_pipeline_once(spec, scenario, seed=seed, batch_size=batch)
     except PipelineRunError as exc:
         exc.engine.trace.write_jsonl(out / "trace.jsonl")  # partial trace
         print(f"run failed: {exc}", file=sys.stderr)
@@ -265,11 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.add_argument(
-        "--concurrent",
-        action="store_true",
-        help="run split sub-pipelines on worker threads",
-    )
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("compare", help="sequential vs parallel pipelines")

@@ -12,13 +12,19 @@ Execution strategy is pluggable: :class:`WebStoreRunner` drives the
 simulated store arrival-by-arrival, while :class:`ScriptedRunner`
 replays precomputed statistical outcomes tick-by-tick so control-flow
 behavior can be checked against an independent interpreter.
+
+The sub-pipelines of a split run in parallel in the traffic, not in
+threads: they share one arrival stream, each arrival is routed to one
+segment, and each chunk of arrivals is drained sub-pipeline by
+sub-pipeline on the calling thread. Every draw is counter-based and each
+sub-pipeline owns its tests' state, so results and summaries do not
+depend on the drain order; only the order of trace events does.
 """
 
 from __future__ import annotations
 
 import json
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -38,7 +44,7 @@ from .conditions import evaluate_condition
 from .stats import (
     DEFAULT_BATCH_SIZE,
     StatResult,
-    check_boundaries,
+    next_boundary,
     run_stat_test,
 )
 from .webstore import WebStore
@@ -106,11 +112,9 @@ class TraceEvent:
 class ExecutionTrace:
     def __init__(self):
         self.events: list[TraceEvent] = []
-        self._lock = threading.Lock()
 
     def append(self, event: TraceEvent) -> None:
-        with self._lock:
-            self.events.append(event)
+        self.events.append(event)
 
     def __iter__(self):
         return iter(self.events)
@@ -124,13 +128,6 @@ class ExecutionTrace:
                 handle.write(event.to_json() + "\n")
 
 
-@dataclass(frozen=True)
-class DeploymentAction:
-    kind: str  # deploy_variants | configure_routing | restore_initial
-    #          | deploy_split_component | notify_complete
-    payload: dict
-
-
 class KnowledgeInstance:
     """Per-(sub-)pipeline runtime state inside the knowledge repository."""
 
@@ -140,7 +137,6 @@ class KnowledgeInstance:
         self.routing_config = routing_config
         self.accumulators: dict = {}
         self.results: dict[str, StatResult] = {}
-        self.planned_actions: list[DeploymentAction] = []
 
     def record_result(self, test_name: str, result: StatResult) -> None:
         if test_name in self.results:
@@ -152,27 +148,24 @@ class KnowledgeInstance:
 
 
 class KnowledgeRepository:
-    """Holds knowledge instances; creation/removal are atomic."""
+    """Holds knowledge instances; an id is unique while its instance lives."""
 
     def __init__(self):
         self._instances: dict[str, KnowledgeInstance] = {}
-        self._lock = threading.Lock()
 
     def add_instance(
         self, instance_id: str, routing_config: tuple | None = None
     ) -> KnowledgeInstance:
-        with self._lock:
-            if instance_id in self._instances:
-                raise InstanceCollisionError(
-                    f"knowledge instance {instance_id!r} already live"
-                )
-            instance = KnowledgeInstance(instance_id, routing_config)
-            self._instances[instance_id] = instance
-            return instance
+        if instance_id in self._instances:
+            raise InstanceCollisionError(
+                f"knowledge instance {instance_id!r} already live"
+            )
+        instance = KnowledgeInstance(instance_id, routing_config)
+        self._instances[instance_id] = instance
+        return instance
 
     def remove_instance(self, instance_id: str) -> None:
-        with self._lock:
-            self._instances.pop(instance_id, None)
+        self._instances.pop(instance_id, None)
 
     def get(self, instance_id: str) -> KnowledgeInstance:
         return self._instances[instance_id]
@@ -220,7 +213,6 @@ class SplitRunStats:
     dispatched: dict[str, int]
     unrouted: int
     sub_stream_totals: dict[str, int]
-    user_ids: dict[str, set] = field(default_factory=dict)
 
     def fractions(self) -> dict[str, float]:
         if self.stream_total <= 0:
@@ -263,7 +255,7 @@ class SubPipelineProgram:
         instance = self.engine.knowledge.get(self.instance_id)
         instance.record_result(test.name, result)
         self.engine._store_accumulators(instance, test)
-        self.engine._restore(self.instance_id, test)
+        self.engine.runner.restore(self.instance_id, test)
         target, rule = next_element(self.sub.trans_rules, result, test.name)
         self.engine._trace(
             self.instance_id,
@@ -406,23 +398,19 @@ class _SegmentFeed:
 class WebStoreRunner:
     """Arrival-driven execution against the simulated web-store."""
 
+    CHUNK = 4096  # arrivals drawn per split step; population rows per predict
+    STARVATION_LIMIT = 20_000_000  # idle arrivals before a split is starved
+
     def __init__(
         self,
         store: WebStore,
         batch_size: int = DEFAULT_BATCH_SIZE,
         split_models: dict[str, clf.LinearModel] | None = None,
-        chunk: int = 4096,
-        concurrent_splits: bool = False,
-        starvation_limit: int = 20_000_000,
     ):
         self.store = store
         self.batch_size = batch_size
         self.split_models = dict(split_models or {})
-        self.chunk = chunk
-        self.concurrent_splits = concurrent_splits
-        self.starvation_limit = starvation_limit
         self.requests_total = 0
-        self._lock = threading.Lock()
 
     # -- deployment hooks -----------------------------------------------------
 
@@ -471,87 +459,93 @@ class WebStoreRunner:
         )
 
     def run_test(self, instance_id: str, test: ABTestSpec, on_batch) -> StatResult:
-        last = None
-        for boundary in check_boundaries(test.exp_length, self.batch_size):
-            need = boundary - self.store.probe(test.name).requests
-            users = self.store.arrivals.next(need)
+        routed = self.store.probe(test.name).requests
+        while True:
+            boundary = next_boundary(routed, test.exp_length, self.batch_size)
+            users = self.store.arrivals.next(boundary - routed)
             self.store.serve_chunk(test.name, users)
-            self.requests_total += need
-            last = self._evaluate(test)
-            on_batch(last)
-            if last.significant:
-                break
-        return last
+            self.requests_total += boundary - routed
+            routed = boundary
+            result = self._evaluate(test)
+            on_batch(result)
+            if _terminal(result, test):
+                return result
+
+    def _routing_table(
+        self, split: PopulationSplitSpec, programs: list[SubPipelineProgram]
+    ) -> np.ndarray:
+        """Index of each population user's sub-pipeline; len(programs) if unrouted.
+
+        The population is predicted in CHUNK-row blocks: one call on all
+        of it would hold a float64 copy of every feature row at once.
+        """
+        model = self.ensure_split_model(split)
+        features = self.store.population.features
+        classes = np.concatenate(
+            [
+                model.predict(features[start : start + self.CHUNK])
+                for start in range(0, features.shape[0], self.CHUNK)
+            ]
+        )
+        by_id = {p.instance_id: i for i, p in enumerate(programs)}
+        table = np.full(classes.shape[0], len(programs), dtype=np.intp)
+        for cls in np.unique(classes):
+            sub_id = clf.route_class(split, int(cls))
+            if sub_id is not None:
+                table[classes == cls] = by_id[sub_id]
+        counts = np.bincount(table, minlength=len(programs) + 1)
+        empty = [p.instance_id for i, p in enumerate(programs) if not counts[i]]
+        if empty:
+            raise OrchestratorError(
+                f"split {split.name!r}: the model routes no user of the"
+                f" population to sub-pipeline(s) {empty}"
+            )
+        return table
 
     def run_split(
         self, split: PopulationSplitSpec, programs: list[SubPipelineProgram]
     ) -> SplitRunStats:
-        model = self.ensure_split_model(split)
+        table = self._routing_table(split, programs)
         base = self.requests_total
-        by_id = {p.instance_id: i for i, p in enumerate(programs)}
-        class_target: dict[int, int] = {}
         feeds = [_SegmentFeed() for _ in programs]
         dispatched = np.zeros(len(programs) + 1, dtype=np.int64)  # last = unrouted
-        user_ids: dict[str, set] = {p.instance_id: set() for p in programs}
         completion_pos: dict[str, int] = {}
         stream_pos = base
         idle_arrivals = 0
 
-        def drain(index: int) -> int:
+        def drain(program: SubPipelineProgram, feed: _SegmentFeed) -> int:
             """Serve buffered traffic for one sub-pipeline up to boundaries."""
-            program, feed = programs[index], feeds[index]
             batches = 0
-            while not program.done and program.current_test is not None:
+            while not program.done:
                 test = program.current_test
                 routed = self.store.probe(test.name).requests
-                boundary = self._next_boundary(test, routed)
-                need = boundary - routed
+                need = next_boundary(routed, test.exp_length, self.batch_size) - routed
                 if feed.count < need:
                     break
                 users, indices = feed.take(need)
                 self.store.serve_chunk(test.name, users)
                 batches += 1
                 position = int(indices[-1]) + 1
-                result = self._evaluate(test)
-                with self._lock:
-                    self.requests_total = max(self.requests_total, position)
-                    program.on_batch(result)
-                    if program.done:
-                        completion_pos[program.instance_id] = position
+                self.requests_total = max(self.requests_total, position)
+                program.on_batch(self._evaluate(test))
                 if program.done:
+                    completion_pos[program.instance_id] = position
                     feed.clear()
-                    break
             return batches
 
         while any(not p.done for p in programs):
-            users = self.store.arrivals.next(self.chunk)
+            users = self.store.arrivals.next(self.CHUNK)
             n = users.shape[0]
             chunk_base = stream_pos
             indices = chunk_base + np.arange(n, dtype=np.int64)
-            classes = model.predict(self.store.population.features[users])
-            targets = np.empty(n, dtype=np.int64)
-            for cls in np.unique(classes):
-                cls = int(cls)
-                if cls not in class_target:
-                    sub_id = clf.route_class(split, cls)
-                    class_target[cls] = by_id.get(sub_id, -1) if sub_id else -1
-                targets[classes == cls] = class_target[cls]
-
-            to_serve = []
+            targets = table[users]
+            batches_served = 0
             for i, program in enumerate(programs):
-                mask = targets == i
-                if not mask.any():
-                    continue
-                user_ids[program.instance_id].update(users[mask].tolist())
                 if program.done:
                     continue
+                mask = targets == i
                 feeds[i].push(users[mask], indices[mask])
-                to_serve.append(i)
-
-            if self.concurrent_splits and len(to_serve) > 1:
-                batches_served = self._drain_concurrently(drain, to_serve)
-            else:
-                batches_served = sum(drain(i) for i in to_serve)
+                batches_served += drain(program, feeds[i])
 
             if all(p.done for p in programs):
                 final_pos = max(completion_pos.values())
@@ -564,17 +558,13 @@ class WebStoreRunner:
                 effective = targets
                 stream_pos = chunk_base + n
                 idle_arrivals = 0 if batches_served else idle_arrivals + n
-                if idle_arrivals > self.starvation_limit:
+                if idle_arrivals > self.STARVATION_LIMIT:
                     raise OrchestratorError(
                         f"split {split.name!r} starved: no sub-pipeline"
                         f" progress in {idle_arrivals} arrivals"
                     )
             self.requests_total = stream_pos
-            counts = np.bincount(
-                np.where(effective < 0, len(programs), effective),
-                minlength=len(programs) + 1,
-            )
-            dispatched += counts
+            dispatched += np.bincount(effective, minlength=len(programs) + 1)
 
         return SplitRunStats(
             stream_total=stream_pos - base,
@@ -586,40 +576,7 @@ class WebStoreRunner:
                 p.instance_id: completion_pos[p.instance_id] - base
                 for p in programs
             },
-            user_ids=user_ids,
         )
-
-    def _next_boundary(self, test: ABTestSpec, routed: int) -> int:
-        for boundary in check_boundaries(test.exp_length, self.batch_size):
-            if boundary > routed:
-                return boundary
-        raise ContractViolationError(
-            f"test {test.name!r} served beyond its experiment length"
-        )
-
-    @staticmethod
-    def _drain_concurrently(drain, indexes: list[int]) -> int:
-        """Run per-sub-pipeline drains in parallel threads within a chunk.
-
-        Safe because every stochastic draw is counter-based and each
-        sub-pipeline exclusively owns its tests' state; shared trace and
-        knowledge writes are lock-protected. Per-sub-pipeline results are
-        identical to serial execution by construction.
-        """
-        served = [0] * len(indexes)
-
-        def work(slot: int, index: int) -> None:
-            served[slot] = drain(index)
-
-        threads = [
-            threading.Thread(target=work, args=(slot, index))
-            for slot, index in enumerate(indexes)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        return sum(served)
 
 
 # ---------------------------------------------------------------------------
@@ -680,51 +637,12 @@ class PipelineEngine:
             },
         )
 
-    # -- deployment plumbing --------------------------------------------------
-
-    def _plan(self, instance: KnowledgeInstance, actions: list[DeploymentAction]):
-        instance.planned_actions.extend(actions)
-
-    def _execute_actions(self, instance: KnowledgeInstance) -> None:
-        while instance.planned_actions:
-            action = instance.planned_actions.pop(0)
-            self._execute_action(instance, action)
-
-    def _execute_action(self, instance: KnowledgeInstance, action: DeploymentAction):
-        if action.kind == "deploy_variants":
-            test = self.spec.test(action.payload["test"])
-            self.runner.deploy(instance.instance_id, test)
-        elif action.kind == "restore_initial":
-            test = self.spec.test(action.payload["test"])
-            self.runner.restore(instance.instance_id, test)
-        elif action.kind == "configure_routing":
-            pass  # routing follows the deployment in the simulated store
-        elif action.kind == "deploy_split_component":
-            self.runner.deploy_split(self.spec.split(action.payload["split"]))
-        elif action.kind == "notify_complete":
-            pass  # surfaced as the final trace event
-        else:
-            raise OrchestratorError(f"unknown action kind {action.kind!r}")
+    # -- deployment -------------------------------------------------------------
 
     def _deploy(self, instance_id: str, test: ABTestSpec) -> None:
-        instance = self.knowledge.get(instance_id)
-        self._plan(
-            instance,
-            [
-                DeploymentAction("deploy_variants", {"test": test.name}),
-                DeploymentAction("configure_routing", {"test": test.name}),
-            ],
-        )
-        self._execute_actions(instance)
-        instance.current_test = test.name
+        self.runner.deploy(instance_id, test)
+        self.knowledge.get(instance_id).current_test = test.name
         self._trace(instance_id, EVENT_DEPLOY, {"test": test.name})
-
-    def _restore(self, instance_id: str, test: ABTestSpec) -> None:
-        instance = self.knowledge.get(instance_id)
-        self._plan(
-            instance, [DeploymentAction("restore_initial", {"test": test.name})]
-        )
-        self._execute_actions(instance)
 
     def _store_accumulators(self, instance: KnowledgeInstance, test: ABTestSpec):
         refs = getattr(self.runner, "accumulator_refs", None)
@@ -779,7 +697,7 @@ class PipelineEngine:
             self.root_instance.record_result(test.name, result)
             self.results[test.name] = result
             self._store_accumulators(self.root_instance, test)
-            self._restore(root_id, test)
+            self.runner.restore(root_id, test)
             target, rule = next_element(self.spec.trans_rules, result, test.name)
             self._trace(
                 root_id,
@@ -792,11 +710,6 @@ class PipelineEngine:
             )
             current = target
         self.root_instance.current_test = "end"
-        self._plan(
-            self.root_instance,
-            [DeploymentAction("notify_complete", {"pipeline": root_id})],
-        )
-        self._execute_actions(self.root_instance)
         self._trace(root_id, EVENT_END, {"notified": True})
         self.knowledge.remove_instance(root_id)
         return self.trace, dict(self.results)
@@ -825,11 +738,7 @@ class PipelineEngine:
                 "sub_pipelines": [s.subpl_id for s in split.sub_pipelines],
             },
         )
-        self._plan(
-            self.root_instance,
-            [DeploymentAction("deploy_split_component", {"split": split.name})],
-        )
-        self._execute_actions(self.root_instance)
+        self.runner.deploy_split(split)
         programs = [SubPipelineProgram(self, sub) for sub in split.sub_pipelines]
         for program in programs:
             program.start()

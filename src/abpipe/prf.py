@@ -2,8 +2,8 @@
 
 Every stochastic decision in the web-store (variant assignment, metric
 draws) is a pure function of (scenario seed, stream label, counter).
-This is what makes serialized and concurrent executions of parallel
-sub-pipelines produce identical results: no draw depends on global RNG
+This is what makes the results of a split independent of the order in
+which its sub-pipelines are drained: no draw depends on global RNG
 state or on the interleaving of other streams.
 
 The generator is splitmix64 applied to a keyed counter. Quality is more

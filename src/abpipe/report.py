@@ -60,7 +60,6 @@ def run_pipeline_once(
     scenario: ScenarioConfig,
     seed: int,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    concurrent_splits: bool = False,
     catalog: dict[str, str] | None = None,
 ) -> RunOutcome:
     """Execute a pipeline once, deterministically for the given seed.
@@ -79,12 +78,7 @@ def run_pipeline_once(
         model = clf.train(features, labels, clf.Hyperparams(seed=config.seed))
         models[split.split_component.image_name] = model
         train_ms = model.train_time_ms
-    runner = WebStoreRunner(
-        store,
-        batch_size=batch_size,
-        split_models=models,
-        concurrent_splits=concurrent_splits,
-    )
+    runner = WebStoreRunner(store, batch_size=batch_size, split_models=models)
     engine = PipelineEngine(spec, runner, catalog=store.catalog)
     try:
         engine.run()

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -359,18 +359,20 @@ def run_stat_test(
 # sequential monitoring
 
 
-def check_boundaries(exp_length: int, batch_size: int) -> Iterator[int]:
-    """Request counts at which the hypothesis is evaluated.
+def next_boundary(requests: int, exp_length: int, batch_size: int) -> int:
+    """First request count after ``requests`` at which to evaluate.
 
-    Multiples of the batch size, with the experiment cap appended when
-    it does not land on a boundary.
+    Check boundaries are the multiples of the batch size, with the
+    experiment cap appended when it does not land on one.
     """
     if batch_size < 1:
         raise StatsError(f"batch_size must be >= 1, got {batch_size}")
-    at = 0
-    while at < exp_length:
-        at = min(at + batch_size, exp_length)
-        yield at
+    if requests >= exp_length:
+        raise StatsError(
+            f"no check boundary after {requests} requests:"
+            f" experiment length is {exp_length}"
+        )
+    return min((requests // batch_size + 1) * batch_size, exp_length)
 
 
 class SequentialMonitor:
@@ -383,8 +385,6 @@ class SequentialMonitor:
     """
 
     def __init__(self, spec, batch_size: int = DEFAULT_BATCH_SIZE):
-        if batch_size < 1:
-            raise StatsError(f"batch_size must be >= 1, got {batch_size}")
         self.spec = spec
         self.batch_size = batch_size
         metric = spec.hypothesis.metric
@@ -393,8 +393,7 @@ class SequentialMonitor:
         self.requests = 0
         self.results: list[StatResult] = []
         self.done = False
-        self._boundaries = check_boundaries(spec.exp_length, batch_size)
-        self._next_check = next(self._boundaries)
+        self._next_check = next_boundary(0, spec.exp_length, batch_size)
 
     @property
     def final_result(self) -> StatResult | None:
@@ -441,7 +440,9 @@ class SequentialMonitor:
         if result.significant or self.requests >= self.spec.exp_length:
             self.done = True
         else:
-            self._next_check = next(self._boundaries)
+            self._next_check = next_boundary(
+                self.requests, self.spec.exp_length, self.batch_size
+            )
         return result
 
 

@@ -4,8 +4,9 @@ The store plays the role of the "A/B-testing-enabled" managed system:
 variants are deployed onto named components, a routing table sends users
 to the active test, request counters and per-variant metric accumulators
 are exposed through probes, and every behavioral draw is a counter-based
-hash of (scenario seed, stream, counter) so reruns and any interleaving
-of concurrent sub-pipelines produce identical numbers.
+hash of (scenario seed, stream, counter) so reruns, and any order in
+which the sub-pipelines of a split are drained, produce identical
+numbers.
 
 Users are synthetic: a latent purchaser/non-purchaser class drawn at the
 configured prevalence, binary feature vectors correlated with the class
@@ -17,7 +18,6 @@ the latent class).
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 import numpy as np
@@ -250,7 +250,7 @@ class ArrivalStream:
 
     Push-back lets a consumer return arrivals it drew but did not serve
     (e.g. the tail of a chunk after a split completed), keeping the
-    consumed prefix identical across chunk sizes and execution modes.
+    consumed prefix identical across chunk sizes.
     """
 
     def __init__(self, config: ScenarioConfig, population_size: int):
@@ -275,9 +275,9 @@ class ArrivalStream:
             parts.append(self._rng.integers(0, self._size, size=remaining))
         return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
-    def push_back(self, user_ids: np.ndarray) -> None:
-        if user_ids.shape[0]:
-            self._buffer.insert(0, user_ids)
+    def push_back(self, users: np.ndarray) -> None:
+        if users.shape[0]:
+            self._buffer.insert(0, users)
 
 
 class WebStore:
@@ -298,7 +298,6 @@ class WebStore:
         self._epochs: dict[str, int] = {}
         self._split_services: set[str] = set()
         self.deployment_log: list[dict] = []
-        self._lock = threading.Lock()
 
     # -- deployment ---------------------------------------------------------
 
@@ -311,79 +310,75 @@ class WebStore:
             ) from None
 
     def deploy_ab_test(self, spec: ABTestSpec) -> None:
-        with self._lock:
-            comp_a = self.component_of(spec.variant_a)
-            comp_b = self.component_of(spec.variant_b)
-            for metric in spec.ab_metrics:
-                if not self.config.metric_known(metric):
-                    raise UnknownMetricError(
-                        f"test {spec.name!r} collects unknown metric {metric!r}"
-                    )
-            if spec.name in self._active:
-                return  # re-executing the same deployment action is a no-op
-            for comp in {comp_a, comp_b}:
-                holder = self._active_components.get(comp)
-                if holder is not None:
-                    raise DeploymentConflictError(
-                        f"component {comp!r} already held by {holder!r}"
-                    )
-            epoch = self._epochs.get(spec.name, 0)
-            self._epochs[spec.name] = epoch + 1
-            record = _ActiveTest(spec, (comp_a, comp_b), self.config.seed, epoch)
-            self._active[spec.name] = record
-            self._finished.pop(spec.name, None)
-            for comp in {comp_a, comp_b}:
-                self._active_components[comp] = spec.name
-            self.deployment_log.append(
-                {
-                    "kind": "deploy_variants",
-                    "name": spec.name,
-                    "latency_ms": self.config.deployment_latency_ms,
-                }
-            )
+        comp_a = self.component_of(spec.variant_a)
+        comp_b = self.component_of(spec.variant_b)
+        for metric in spec.ab_metrics:
+            if not self.config.metric_known(metric):
+                raise UnknownMetricError(
+                    f"test {spec.name!r} collects unknown metric {metric!r}"
+                )
+        if spec.name in self._active:
+            return  # re-executing the same deployment action is a no-op
+        for comp in {comp_a, comp_b}:
+            holder = self._active_components.get(comp)
+            if holder is not None:
+                raise DeploymentConflictError(
+                    f"component {comp!r} already held by {holder!r}"
+                )
+        epoch = self._epochs.get(spec.name, 0)
+        self._epochs[spec.name] = epoch + 1
+        record = _ActiveTest(spec, (comp_a, comp_b), self.config.seed, epoch)
+        self._active[spec.name] = record
+        self._finished.pop(spec.name, None)
+        for comp in {comp_a, comp_b}:
+            self._active_components[comp] = spec.name
+        self.deployment_log.append(
+            {
+                "kind": "deploy_variants",
+                "name": spec.name,
+                "latency_ms": self.config.deployment_latency_ms,
+            }
+        )
 
     def restore_initial(self, test_name: str) -> None:
-        with self._lock:
-            record = self._active.pop(test_name, None)
-            if record is None:
-                if test_name in self._finished:
-                    return  # already restored; idempotent
-                raise UnknownTestError(f"test {test_name!r} was never deployed")
-            for comp in set(record.components):
-                self._active_components.pop(comp, None)
-            self._finished[test_name] = record
-            self.deployment_log.append(
-                {
-                    "kind": "restore_initial",
-                    "name": test_name,
-                    "latency_ms": self.config.deployment_latency_ms,
-                }
-            )
+        record = self._active.pop(test_name, None)
+        if record is None:
+            if test_name in self._finished:
+                return  # already restored; idempotent
+            raise UnknownTestError(f"test {test_name!r} was never deployed")
+        for comp in set(record.components):
+            self._active_components.pop(comp, None)
+        self._finished[test_name] = record
+        self.deployment_log.append(
+            {
+                "kind": "restore_initial",
+                "name": test_name,
+                "latency_ms": self.config.deployment_latency_ms,
+            }
+        )
 
     def deploy_split_component(self, split: PopulationSplitSpec) -> None:
-        with self._lock:
-            service = split.split_component.service_name
-            if service in self._split_services:
-                return  # idempotent re-execution
-            self._split_services.add(service)
-            self.deployment_log.append(
-                {
-                    "kind": "deploy_split_component",
-                    "name": service,
-                    "latency_ms": self.config.deployment_latency_ms,
-                }
-            )
+        service = split.split_component.service_name
+        if service in self._split_services:
+            return  # idempotent re-execution
+        self._split_services.add(service)
+        self.deployment_log.append(
+            {
+                "kind": "deploy_split_component",
+                "name": service,
+                "latency_ms": self.config.deployment_latency_ms,
+            }
+        )
 
     def undeploy_split_component(self, split: PopulationSplitSpec) -> None:
-        with self._lock:
-            self._split_services.discard(split.split_component.service_name)
-            self.deployment_log.append(
-                {
-                    "kind": "undeploy_split_component",
-                    "name": split.split_component.service_name,
-                    "latency_ms": self.config.deployment_latency_ms,
-                }
-            )
+        self._split_services.discard(split.split_component.service_name)
+        self.deployment_log.append(
+            {
+                "kind": "undeploy_split_component",
+                "name": split.split_component.service_name,
+                "latency_ms": self.config.deployment_latency_ms,
+            }
+        )
 
     @property
     def active_tests(self) -> list[str]:
@@ -391,7 +386,7 @@ class WebStore:
 
     # -- serving ------------------------------------------------------------
 
-    def serve_chunk(self, test_name: str, user_ids: np.ndarray) -> dict:
+    def serve_chunk(self, test_name: str, users: np.ndarray) -> dict:
         """Serve a block of requests to the active test.
 
         Variant assignment is a sticky hash of (seed, test, user); each
@@ -401,7 +396,7 @@ class WebStore:
         record = self._active.get(test_name)
         if record is None:
             raise NoActiveTestError(f"test {test_name!r} is not active")
-        uids = np.asarray(user_ids)
+        uids = np.asarray(users)
         n = uids.shape[0]
         if n == 0:
             return {"is_a": np.zeros(0, dtype=bool), "samples": {}}

@@ -29,7 +29,12 @@ from abpipe import classifier as clf
 from abpipe.cli import main
 from abpipe.model import validate
 from abpipe.orchestrator import PipelineEngine, WebStoreRunner
-from abpipe.report import FULL_SCALE_REFERENCE, compare_pipelines, run_pipeline_once
+from abpipe.report import (
+    FULL_SCALE_REFERENCE,
+    build_summary,
+    compare_pipelines,
+    run_pipeline_once,
+)
 from abpipe.stats import MetricAccumulator, two_proportion_test, welch_t_test
 from abpipe.webstore import WebStore, generate_training_data
 
@@ -310,33 +315,75 @@ def test_criterion_5_split_semantics(par_spec, small_scenario):
 
     config = replace(small_scenario, seed=4)
     store = WebStore(config)
+    split = par_spec.pop_splits[0]
+    sub_of = {
+        test: i for i, sub in enumerate(split.sub_pipelines) for test in sub.ab_tests
+    }
+    served = [set() for _ in split.sub_pipelines]
+    serve_chunk = store.serve_chunk
+
+    def spy(test_name, user_ids):
+        if test_name in sub_of:
+            served[sub_of[test_name]].update(np.asarray(user_ids).tolist())
+        return serve_chunk(test_name, user_ids)
+
+    store.serve_chunk = spy
     features, labels = generate_training_data(config, config.train_samples)
     model = clf.train(features, labels, clf.Hyperparams(seed=4))
     runner = WebStoreRunner(store, split_models={"ml-purchase-filter": model})
     engine = PipelineEngine(par_spec, runner, catalog=store.catalog, observer=observer)
     engine.run()
 
-    stats = engine.split_stats["Population-split-purchases-prediction"]
-    sets = list(stats.user_ids.values())
-    disjoint = not (sets[0] & sets[1])
-
-    serial = run_pipeline_once(par_spec, small_scenario, seed=4)
-    threaded = run_pipeline_once(
-        par_spec, small_scenario, seed=4, concurrent_splits=True
+    disjoint = all(served) and not (served[0] & served[1])
+    routed_by_class = all(
+        all(
+            cond.matches(int(c))
+            for c in model.predict(
+                store.population.features[np.fromiter(users, dtype=np.int64)]
+            )
+        )
+        for users, cond in zip(served, split.cond_stats)
     )
-    modes_equal = serial.engine.results == threaded.engine.results
 
-    ok = not violations and disjoint and modes_equal and engine.knowledge.live_count == 0
+    # drain order: a run with the sub-pipelines drained in reverse. On
+    # seed 1 both sub-pipelines serve batches in the same arrival chunks
+    # (on seed 4 review ends first), so an order-dependent draw would show.
+    normal = run_pipeline_once(par_spec, small_scenario, seed=1)
+    reversed_store = WebStore(replace(small_scenario, seed=1))
+    reversed_engine = PipelineEngine(
+        par_spec,
+        WebStoreRunner(
+            reversed_store, split_models={"ml-purchase-filter": normal.model}
+        ),
+        catalog=reversed_store.catalog,
+    )
+    entry = reversed_engine.execute_split_entry
+    reversed_engine.execute_split_entry = lambda s: entry(s)[::-1]
+    reversed_engine.run()
+    order_free = (
+        reversed_engine.results == normal.engine.results
+        and build_summary(reversed_engine, 1, 1000) == normal.summary
+        and reversed_engine.batch_results == normal.engine.batch_results
+    )
+
+    ok = (
+        not violations
+        and disjoint
+        and routed_by_class
+        and order_free
+        and engine.knowledge.live_count == 0
+    )
     verdict(
         5,
         "split semantics",
         ok,
         f"lifecycle violations {len(violations)}, user sets disjoint {disjoint},"
-        f" serial==concurrent {modes_equal}",
+        f" routed by class {routed_by_class}, drain-order independent {order_free}",
     )
     assert not violations, violations[:5]
     assert disjoint
-    assert modes_equal
+    assert routed_by_class
+    assert order_free
     assert engine.knowledge.live_count == 0
 
 

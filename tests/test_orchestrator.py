@@ -16,6 +16,7 @@ from abpipe.orchestrator import (
     ContractViolationError,
     InstanceCollisionError,
     KnowledgeRepository,
+    OrchestratorError,
     PipelineEngine,
     ScriptedRunner,
     SpecInvalidError,
@@ -26,8 +27,8 @@ from abpipe.orchestrator import (
     next_element,
     rule_applies,
 )
-from abpipe.report import run_pipeline_once
-from abpipe.stats import StatResult
+from abpipe.report import build_summary, run_pipeline_once
+from abpipe.stats import DEFAULT_BATCH_SIZE, StatResult
 from abpipe.webstore import WebStore
 
 from case_generator import _make_test, _script
@@ -276,7 +277,15 @@ class _ThreeWayStub:
         return np.asarray(features).sum(axis=1).astype(np.int64) % 3
 
 
-def test_three_sub_pipelines_get_disjoint_user_sets(small_scenario):
+class _ClassZeroStub:
+    """Duck-typed classifier that predicts class 0 for every user."""
+
+    def predict(self, features):
+        return np.zeros(np.asarray(features).shape[0], dtype=np.int64)
+
+
+def segment_spec(k):
+    """A pipeline that opens on a k-way split; segment i takes class i."""
     tests = tuple(
         ABTestSpec(
             f"T{i}",
@@ -288,35 +297,60 @@ def test_three_sub_pipelines_get_disjoint_user_sets(small_scenario):
             f"svc{i}-a",
             f"svc{i}-b",
         )
-        for i in range(3)
+        for i in range(k)
     )
     split = PopulationSplitSpec(
-        name="SPLIT3",
+        name=f"SPLIT{k}",
         split_property="bucket",
         sub_pipelines=tuple(
-            SubPipeline(f"Seg-{i}", f"T{i}", (f"T{i}",), ()) for i in range(3)
+            SubPipeline(f"Seg-{i}", f"T{i}", (f"T{i}",), ()) for i in range(k)
         ),
-        cond_stats=(
-            ClassCondition("==", 0),
-            ClassCondition("==", 1),
-            ClassCondition("==", 2),
-        ),
+        cond_stats=tuple(ClassCondition("==", i) for i in range(k)),
         next_component="end",
-        split_component=SplitComponent("svc", "three-way"),
+        split_component=SplitComponent("svc", "k-way"),
     )
-    spec = PipelineSpec("Three", tests, (), (split,), "SPLIT3")
-    catalog = {f"svc{i}-{v}": f"svc{i}" for i in range(3) for v in "ab"}
+    spec = PipelineSpec(f"Segments{k}", tests, (), (split,), f"SPLIT{k}")
+    catalog = {f"svc{i}-{v}": f"svc{i}" for i in range(k) for v in "ab"}
+    return spec, catalog
+
+
+def test_three_sub_pipelines_get_disjoint_user_sets(small_scenario):
+    spec, catalog = segment_spec(3)
     store = WebStore(small_scenario, catalog)
-    runner = WebStoreRunner(store, split_models={"three-way": _ThreeWayStub()})
+    stub = _ThreeWayStub()
+    served: dict[str, set] = {f"T{i}": set() for i in range(3)}
+    serve_chunk = store.serve_chunk
+
+    def spy(test_name, user_ids):
+        served[test_name].update(np.asarray(user_ids).tolist())
+        return serve_chunk(test_name, user_ids)
+
+    store.serve_chunk = spy
+    runner = WebStoreRunner(store, split_models={"k-way": stub})
     engine = PipelineEngine(spec, runner, catalog=catalog)
     engine.run()
-    stats = engine.split_stats["SPLIT3"]
     assert engine.knowledge.live_count == 0
-    sets = list(stats.user_ids.values())
-    assert len(sets) == 3 and all(s for s in sets)
+    sets = [served[f"T{i}"] for i in range(3)]
+    assert all(sets)
     for i in range(3):
         for j in range(i + 1, 3):
             assert not (sets[i] & sets[j])
+        users = np.fromiter(sets[i], dtype=np.int64)
+        classes = stub.predict(store.population.features[users])
+        assert (classes == i).all()
+
+
+def test_segment_the_model_never_routes_to_fails_before_any_arrival(
+    small_scenario,
+):
+    spec, catalog = segment_spec(2)
+    store = WebStore(small_scenario, catalog)
+    runner = WebStoreRunner(store, split_models={"k-way": _ClassZeroStub()})
+    engine = PipelineEngine(spec, runner, catalog=catalog)
+    with pytest.raises(OrchestratorError, match="Seg-1") as caught:
+        engine.run()
+    assert "Seg-0" not in str(caught.value)
+    assert runner.requests_total == 0
 
 
 def test_parallel_run_collects_split_stats(par_spec, small_scenario):
@@ -332,9 +366,25 @@ def test_parallel_run_collects_split_stats(par_spec, small_scenario):
     assert "Recommendation-pipeline/Recommendation-upgrade" in qualified
 
 
-def test_serial_and_concurrent_split_results_identical(par_spec, small_scenario):
-    serial = run_pipeline_once(par_spec, small_scenario, seed=5)
-    threaded = run_pipeline_once(
-        par_spec, small_scenario, seed=5, concurrent_splits=True
+def test_split_results_independent_of_drain_order(small_scenario):
+    # a third of the traffic each: all three segments serve batches in
+    # most arrival chunks, so a draw that depended on the order would show
+    spec, catalog = segment_spec(3)
+    models = {"k-way": _ThreeWayStub()}
+    engines = []
+    for reverse in (False, True):
+        store = WebStore(small_scenario, catalog)
+        engine = PipelineEngine(
+            spec, WebStoreRunner(store, split_models=models), catalog=catalog
+        )
+        if reverse:
+            entry = engine.execute_split_entry
+            engine.execute_split_entry = lambda split: entry(split)[::-1]
+        engine.run()
+        engines.append(engine)
+    normal, reversed_ = engines
+    assert reversed_.results == normal.results
+    assert build_summary(reversed_, 1, DEFAULT_BATCH_SIZE) == build_summary(
+        normal, 1, DEFAULT_BATCH_SIZE
     )
-    assert serial.engine.results == threaded.engine.results
+    assert reversed_.batch_results == normal.batch_results

@@ -16,6 +16,7 @@ from abpipe.stats import (
     SequentialMonitor,
     StatsError,
     accumulate,
+    next_boundary,
     normal_sf,
     sequential_monitor,
     student_t_sf,
@@ -330,3 +331,19 @@ def test_monitor_offer_many_respects_boundaries():
 def test_bad_batch_size():
     with pytest.raises(StatsError):
         SequentialMonitor(make_spec(), batch_size=0)
+    with pytest.raises(StatsError):
+        next_boundary(0, 5000, 0)
+
+
+@given(st.integers(1, 3000), st.integers(1, 1200))
+@settings(max_examples=200, deadline=None)
+def test_next_boundary_walks_batch_multiples_up_to_the_cap(exp_length, batch_size):
+    multiples = range(batch_size, exp_length + batch_size, batch_size)
+    expected = sorted({min(m, exp_length) for m in multiples})
+    walked, at = [], 0
+    while at < exp_length:
+        at = next_boundary(at, exp_length, batch_size)
+        walked.append(at)
+    assert walked == expected
+    with pytest.raises(StatsError):
+        next_boundary(exp_length, exp_length, batch_size)

@@ -3,22 +3,27 @@
 A feedback loop drives the managed system through the pipeline: deploy
 the current test, monitor metric batches, evaluate the hypothesis,
 apply the first matching transition rule (declaration order, implicit
-default to End), restore the deployment, continue. Population splits
-fan out into one knowledge instance per sub-pipeline; sub-pipelines run
-over disjoint user segments and rejoin at the split exit once all of
-them have ended.
+default to End), restore the deployment, continue. One state machine,
+:class:`Program`, runs that loop: the root's tests between population
+splits run as one program, and each sub-pipeline of a split as another.
+Population splits fan out into one knowledge instance per sub-pipeline;
+sub-pipelines run over disjoint user segments and rejoin at the split
+exit once all of them have ended.
 
 Execution strategy is pluggable: :class:`WebStoreRunner` drives the
-simulated store arrival-by-arrival, while :class:`ScriptedRunner`
+simulated store with chunks of arrivals, while :class:`ScriptedRunner`
 replays precomputed statistical outcomes tick-by-tick so control-flow
 behavior can be checked against an independent interpreter.
 
-The sub-pipelines of a split run in parallel in the traffic, not in
-threads: they share one arrival stream, each arrival is routed to one
-segment, and each chunk of arrivals is drained sub-pipeline by
-sub-pipeline on the calling thread. Every draw is counter-based and each
-sub-pipeline owns its tests' state, so results and summaries do not
-depend on the drain order; only the order of trace events does.
+:class:`WebStoreRunner` has one serving loop for root segments and split
+branches alike. It draws the shared arrival stream in chunks, routes
+each arrival to one program (a root segment has one program that takes
+every arrival), serves each program's traffic up to its next check
+boundary, and pushes the unconsumed tail back once every program is
+done, so the consumed prefix does not depend on the chunk size. Every
+draw is counter-based and each program owns its tests' state, so
+results and summaries do not depend on the order in which a chunk is
+drained; only the order of trace events does.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from .model import (
     ABTestSpec,
     PipelineSpec,
     PopulationSplitSpec,
-    SubPipeline,
     TransitionRule,
     is_end,
     validate,
@@ -44,6 +48,7 @@ from .conditions import evaluate_condition
 from .stats import (
     DEFAULT_BATCH_SIZE,
     StatResult,
+    is_terminal,
     next_boundary,
     run_stat_test,
 )
@@ -135,7 +140,6 @@ class KnowledgeInstance:
         self.instance_id = instance_id
         self.current_test: str | None = None
         self.routing_config = routing_config
-        self.accumulators: dict = {}
         self.results: dict[str, StatResult] = {}
 
     def record_result(self, test_name: str, result: StatResult) -> None:
@@ -199,10 +203,6 @@ def next_element(
     return "end", None
 
 
-def _terminal(result: StatResult, test: ABTestSpec) -> bool:
-    return result.significant or result.requests_consumed >= test.exp_length
-
-
 # ---------------------------------------------------------------------------
 # split run statistics
 
@@ -224,39 +224,54 @@ class SplitRunStats:
 
 
 # ---------------------------------------------------------------------------
-# sub-pipeline program (engine-side state machine)
+# program (engine-side state machine)
 
 
-class SubPipelineProgram:
-    """Control flow of one sub-pipeline, advanced by a runner's batches."""
+class Program:
+    """Control flow of one run of tests, advanced by a runner's batches.
 
-    def __init__(self, engine: "PipelineEngine", sub: SubPipeline):
+    A program deploys its start test and, on each terminal result,
+    records it, restores the deployment and fires the first matching
+    transition rule. It is done when a rule leads to End or to a
+    population split; ``next`` then names that element. ``consumed`` is
+    the count of requests the current test has been served so far.
+    """
+
+    def __init__(
+        self,
+        engine: "PipelineEngine",
+        instance_id: str,
+        start: str,
+        rules: tuple[TransitionRule, ...],
+    ):
         self.engine = engine
-        self.sub = sub
-        self.instance_id = sub.subpl_id
-        self.current_test: ABTestSpec | None = engine.spec.test(sub.start)
+        self.instance_id = instance_id
+        self.instance = engine.knowledge.get(instance_id)
+        self.rules = rules
         self.done = False
+        self.next: str | None = None
+        self._deploy(start)
 
-    def start(self) -> None:
-        self.engine._trace(
-            self.instance_id, EVENT_START, {"element": self.sub.start}
-        )
-        self.engine._deploy(self.instance_id, self.current_test)
+    def _deploy(self, test_name: str) -> None:
+        self.current_test: ABTestSpec | None = self.engine.spec.test(test_name)
+        self.consumed = 0
+        self.engine.runner.deploy(self.instance_id, self.current_test)
+        self.instance.current_test = test_name
+        self.engine._trace(self.instance_id, EVENT_DEPLOY, {"test": test_name})
 
     def on_batch(self, result: StatResult) -> None:
-        if self.done or self.current_test is None:
+        if self.done:
             raise ContractViolationError(
-                f"sub-pipeline {self.instance_id!r} fed after completion"
+                f"program {self.instance_id!r} fed after completion"
             )
         test = self.current_test
+        self.consumed = result.requests_consumed
         self.engine._record_batch(self.instance_id, test, result)
-        if not _terminal(result, test):
+        if not is_terminal(result, test):
             return
-        instance = self.engine.knowledge.get(self.instance_id)
-        instance.record_result(test.name, result)
-        self.engine._store_accumulators(instance, test)
+        self.instance.record_result(test.name, result)
         self.engine.runner.restore(self.instance_id, test)
-        target, rule = next_element(self.sub.trans_rules, result, test.name)
+        target, rule = next_element(self.rules, result, test.name)
         self.engine._trace(
             self.instance_id,
             EVENT_TRANSITION,
@@ -266,14 +281,16 @@ class SubPipelineProgram:
                 "to": target,
             },
         )
+        if not (is_end(target) or target in self.engine.split_names):
+            self._deploy(target)
+            return
+        self.current_test = None
+        self.done = True
+        self.next = target
         if is_end(target):
-            instance.current_test = "end"
-            self.current_test = None
-            self.done = True
-            self.engine._trace(self.instance_id, EVENT_END, {})
-        else:
-            self.current_test = self.engine.spec.test(target)
-            self.engine._deploy(self.instance_id, self.current_test)
+            self.instance.current_test = "end"
+            if self.instance_id != self.engine.spec.name:  # the engine ends the root
+                self.engine._trace(self.instance_id, EVENT_END, {})
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +300,8 @@ class SubPipelineProgram:
 class ScriptedRunner:
     """Replays precomputed per-(instance, test) result sequences.
 
-    Sub-pipelines advance round-robin in declaration order, one batch
-    per tick. Used to check engine control flow against the reference
+    Programs advance round-robin in declaration order, one batch per
+    tick. Used to check engine control flow against the reference
     interpreter without a managed system.
     """
 
@@ -292,7 +309,6 @@ class ScriptedRunner:
         self.scripts = scripts
         self.requests_total = 0
         self._positions: dict[tuple[str, str], int] = {}
-        self._consumed: dict[tuple[str, str], int] = {}
 
     def check_variants(self, spec: PipelineSpec) -> None:
         pass
@@ -312,42 +328,31 @@ class ScriptedRunner:
     def ensure_split_model(self, split: PopulationSplitSpec) -> None:
         pass
 
-    def _feed_one(self, instance_id: str, test: ABTestSpec, on_batch) -> StatResult:
-        key = (instance_id, test.name)
-        position = self._positions.get(key, 0)
-        script = self.scripts[key]
-        if position >= len(script):
-            raise ContractViolationError(
-                f"script for {key} exhausted without a terminal result"
-            )
-        result = script[position]
-        self._positions[key] = position + 1
-        previous = self._consumed.get(key, 0)
-        self.requests_total += result.requests_consumed - previous
-        self._consumed[key] = result.requests_consumed
-        on_batch(result)
-        return result
-
-    def run_test(self, instance_id: str, test: ABTestSpec, on_batch) -> StatResult:
-        while True:
-            result = self._feed_one(instance_id, test, on_batch)
-            if _terminal(result, test):
-                return result
-
-    def run_split(
-        self, split: PopulationSplitSpec, programs: list[SubPipelineProgram]
-    ) -> SplitRunStats:
-        base = self.requests_total
+    def _round_robin(self, programs: list[Program]) -> None:
         while any(not p.done for p in programs):
-            progressed = False
             for program in programs:
                 if program.done:
                     continue
-                test = program.current_test
-                self._feed_one(program.instance_id, test, program.on_batch)
-                progressed = True
-            if not progressed:
-                raise ContractViolationError("scripted split made no progress")
+                key = (program.instance_id, program.current_test.name)
+                position = self._positions.get(key, 0)
+                script = self.scripts[key]
+                if position >= len(script):
+                    raise ContractViolationError(
+                        f"script for {key} exhausted without a terminal result"
+                    )
+                result = script[position]
+                self._positions[key] = position + 1
+                self.requests_total += result.requests_consumed - program.consumed
+                program.on_batch(result)
+
+    def run_test(self, program: Program) -> None:
+        self._round_robin([program])
+
+    def run_split(
+        self, split: PopulationSplitSpec, programs: list[Program]
+    ) -> SplitRunStats:
+        base = self.requests_total
+        self._round_robin(programs)
         return SplitRunStats(
             stream_total=self.requests_total - base,
             dispatched={p.instance_id: 0 for p in programs},
@@ -357,7 +362,7 @@ class ScriptedRunner:
 
 
 class _SegmentFeed:
-    """Buffered, stream-indexed traffic for one sub-pipeline."""
+    """Buffered, stream-indexed traffic for one program."""
 
     def __init__(self):
         self.users: list[np.ndarray] = []
@@ -370,36 +375,22 @@ class _SegmentFeed:
             self.indices.append(indices)
             self.count += users.shape[0]
 
-    def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        out_u: list[np.ndarray] = []
-        out_i: list[np.ndarray] = []
-        remaining = n
-        while remaining > 0:
-            head_u = self.users[0]
-            if head_u.shape[0] <= remaining:
-                out_u.append(self.users.pop(0))
-                out_i.append(self.indices.pop(0))
-                remaining -= head_u.shape[0]
-            else:
-                out_u.append(head_u[:remaining])
-                out_i.append(self.indices[0][:remaining])
-                self.users[0] = head_u[remaining:]
-                self.indices[0] = self.indices[0][remaining:]
-                remaining = 0
+    def take(self, n: int) -> tuple[np.ndarray, int]:
+        """The next ``n`` users, and the stream position after the last."""
+        if self.users[0].shape[0] < n:
+            self.users = [np.concatenate(self.users)]
+            self.indices = [np.concatenate(self.indices)]
+        users, indices = self.users[0], self.indices[0]
+        self.users[0], self.indices[0] = users[n:], indices[n:]
         self.count -= n
-        return np.concatenate(out_u), np.concatenate(out_i)
-
-    def clear(self) -> None:
-        self.users.clear()
-        self.indices.clear()
-        self.count = 0
+        return users[:n], int(indices[n - 1]) + 1
 
 
 class WebStoreRunner:
     """Arrival-driven execution against the simulated web-store."""
 
-    CHUNK = 4096  # arrivals drawn per split step; population rows per predict
-    STARVATION_LIMIT = 20_000_000  # idle arrivals before a split is starved
+    CHUNK = 4096  # arrivals drawn per serving step; population rows per predict
+    STARVATION_LIMIT = 20_000_000  # idle arrivals before the programs are starved
 
     def __init__(
         self,
@@ -440,9 +431,6 @@ class WebStoreRunner:
             )
         return model
 
-    def accumulator_refs(self, test_name: str) -> dict:
-        return self.store.probe(test_name).accumulators
-
     # -- serving ----------------------------------------------------------------
 
     def _evaluate(self, test: ABTestSpec) -> StatResult:
@@ -458,26 +446,15 @@ class WebStoreRunner:
             requests_consumed=snap.requests,
         )
 
-    def run_test(self, instance_id: str, test: ABTestSpec, on_batch) -> StatResult:
-        routed = self.store.probe(test.name).requests
-        while True:
-            boundary = next_boundary(routed, test.exp_length, self.batch_size)
-            users = self.store.arrivals.next(boundary - routed)
-            self.store.serve_chunk(test.name, users)
-            self.requests_total += boundary - routed
-            routed = boundary
-            result = self._evaluate(test)
-            on_batch(result)
-            if _terminal(result, test):
-                return result
-
     def _routing_table(
-        self, split: PopulationSplitSpec, programs: list[SubPipelineProgram]
+        self, split: PopulationSplitSpec, programs: list[Program]
     ) -> np.ndarray:
         """Index of each population user's sub-pipeline; len(programs) if unrouted.
 
         The population is predicted in CHUNK-row blocks: one call on all
         of it would hold a float64 copy of every feature row at once.
+        Entries take the smallest integer type that holds them, so
+        looking up a chunk of arrivals stays in cache.
         """
         model = self.ensure_split_model(split)
         features = self.store.population.features
@@ -488,7 +465,9 @@ class WebStoreRunner:
             ]
         )
         by_id = {p.instance_id: i for i, p in enumerate(programs)}
-        table = np.full(classes.shape[0], len(programs), dtype=np.intp)
+        table = np.full(
+            classes.shape[0], len(programs), dtype=np.min_scalar_type(len(programs))
+        )
         for cls in np.unique(classes):
             sub_id = clf.route_class(split, int(cls))
             if sub_id is not None:
@@ -502,42 +481,54 @@ class WebStoreRunner:
             )
         return table
 
+    def run_test(self, program: Program) -> None:
+        """Serve a root segment: every arrival goes to its one program."""
+        self._serve([program], np.zeros(self.store.population.size, dtype=np.uint8))
+
     def run_split(
-        self, split: PopulationSplitSpec, programs: list[SubPipelineProgram]
+        self, split: PopulationSplitSpec, programs: list[Program]
     ) -> SplitRunStats:
-        table = self._routing_table(split, programs)
+        return self._serve(programs, self._routing_table(split, programs))
+
+    def _serve(self, programs: list[Program], table: np.ndarray) -> SplitRunStats:
+        """Run ``programs`` to completion on arrivals routed by ``table``.
+
+        ``table[user]`` is the index of the program that serves the
+        user, or ``len(programs)`` if none does. Arrivals are drawn in
+        CHUNK-sized blocks; each program serves its buffered traffic up
+        to its next check boundary, and the tail after the last program
+        completes is pushed back onto the stream.
+        """
         base = self.requests_total
         feeds = [_SegmentFeed() for _ in programs]
-        dispatched = np.zeros(len(programs) + 1, dtype=np.int64)  # last = unrouted
+        dispatched = [0] * len(programs)
         completion_pos: dict[str, int] = {}
         stream_pos = base
         idle_arrivals = 0
 
-        def drain(program: SubPipelineProgram, feed: _SegmentFeed) -> int:
-            """Serve buffered traffic for one sub-pipeline up to boundaries."""
+        def drain(program: Program, feed: _SegmentFeed) -> int:
+            """Serve buffered traffic for one program up to boundaries."""
             batches = 0
             while not program.done:
                 test = program.current_test
-                routed = self.store.probe(test.name).requests
+                routed = program.consumed
                 need = next_boundary(routed, test.exp_length, self.batch_size) - routed
                 if feed.count < need:
                     break
-                users, indices = feed.take(need)
+                users, position = feed.take(need)
                 self.store.serve_chunk(test.name, users)
                 batches += 1
-                position = int(indices[-1]) + 1
                 self.requests_total = max(self.requests_total, position)
                 program.on_batch(self._evaluate(test))
                 if program.done:
                     completion_pos[program.instance_id] = position
-                    feed.clear()
             return batches
 
         while any(not p.done for p in programs):
             users = self.store.arrivals.next(self.CHUNK)
             n = users.shape[0]
             chunk_base = stream_pos
-            indices = chunk_base + np.arange(n, dtype=np.int64)
+            indices = np.arange(chunk_base, chunk_base + n, dtype=np.int64)
             targets = table[users]
             batches_served = 0
             for i, program in enumerate(programs):
@@ -552,26 +543,28 @@ class WebStoreRunner:
                 cutoff = final_pos - chunk_base
                 if cutoff < n:
                     self.store.arrivals.push_back(users[cutoff:])
-                effective = targets[: max(cutoff, 0)]
+                effective = targets[:cutoff]
                 stream_pos = final_pos
             else:
                 effective = targets
                 stream_pos = chunk_base + n
                 idle_arrivals = 0 if batches_served else idle_arrivals + n
                 if idle_arrivals > self.STARVATION_LIMIT:
+                    live = [p.instance_id for p in programs if not p.done]
                     raise OrchestratorError(
-                        f"split {split.name!r} starved: no sub-pipeline"
-                        f" progress in {idle_arrivals} arrivals"
+                        f"pipeline(s) {live} starved: no batch served in"
+                        f" {idle_arrivals} arrivals"
                     )
             self.requests_total = stream_pos
-            dispatched += np.bincount(effective, minlength=len(programs) + 1)
+            for i in range(len(programs)):
+                dispatched[i] += int(np.count_nonzero(effective == i))
 
         return SplitRunStats(
             stream_total=stream_pos - base,
             dispatched={
-                p.instance_id: int(dispatched[i]) for i, p in enumerate(programs)
+                p.instance_id: dispatched[i] for i, p in enumerate(programs)
             },
-            unrouted=int(dispatched[-1]),
+            unrouted=stream_pos - base - sum(dispatched),
             sub_stream_totals={
                 p.instance_id: completion_pos[p.instance_id] - base
                 for p in programs
@@ -604,8 +597,9 @@ class PipelineEngine:
         self.batch_results: dict[str, list[StatResult]] = {}
         self.split_stats: dict[str, SplitRunStats] = {}
         self.root_instance: KnowledgeInstance | None = None
+        self.split_names = {s.name for s in spec.pop_splits}
         self._initiated = False
-        self._first_deployed = False
+        self._program: Program | None = None
 
     # -- trace helpers ------------------------------------------------------
 
@@ -637,17 +631,15 @@ class PipelineEngine:
             },
         )
 
-    # -- deployment -------------------------------------------------------------
+    def _fold_results(self, instance_id: str) -> None:
+        for test_name, result in self.knowledge.get(instance_id).results.items():
+            self.results[self._qualified(instance_id, test_name)] = result
 
-    def _deploy(self, instance_id: str, test: ABTestSpec) -> None:
-        self.runner.deploy(instance_id, test)
-        self.knowledge.get(instance_id).current_test = test.name
-        self._trace(instance_id, EVENT_DEPLOY, {"test": test.name})
-
-    def _store_accumulators(self, instance: KnowledgeInstance, test: ABTestSpec):
-        refs = getattr(self.runner, "accumulator_refs", None)
-        if refs is not None:
-            instance.accumulators[test.name] = refs(test.name)
+    def _root_program(self, element: str) -> Program | None:
+        """The root's tests from ``element`` on; None at a split or End."""
+        if is_end(element) or element in self.split_names:
+            return None
+        return Program(self, self.spec.name, element, self.spec.trans_rules)
 
     # -- setup (operator flow) -----------------------------------------------
 
@@ -664,11 +656,7 @@ class PipelineEngine:
         self.root_instance = self.knowledge.add_instance(self.spec.name)
         self._initiated = True
         self._trace(self.spec.name, EVENT_START, {"element": self.spec.start})
-        if not is_end(self.spec.start) and self.spec.start not in {
-            s.name for s in self.spec.pop_splits
-        }:
-            self._deploy(self.spec.name, self.spec.test(self.spec.start))
-            self._first_deployed = True
+        self._program = self._root_program(self.spec.start)
         return self.root_instance
 
     # -- main loop (pipeline execution) ---------------------------------------
@@ -677,38 +665,19 @@ class PipelineEngine:
         if not self._initiated:
             self.setup_and_initiate()
         root_id = self.spec.name
-        split_names = {s.name for s in self.spec.pop_splits}
-        current = self.spec.start
-        first = True
+        # a program refers back to the engine; holding on to it would make
+        # a cycle that keeps the run's store alive until the next collection
+        current, program, self._program = self.spec.start, self._program, None
         while not is_end(current):
-            if current in split_names:
+            if program is None:
                 split = self.spec.split(current)
                 self._run_split(split)
                 current = split.next_component
-                first = False
-                continue
-            test = self.spec.test(current)
-            if not (first and self._first_deployed):
-                self._deploy(root_id, test)
-            first = False
-            result = self.runner.run_test(
-                root_id, test, lambda r, t=test: self._record_batch(root_id, t, r)
-            )
-            self.root_instance.record_result(test.name, result)
-            self.results[test.name] = result
-            self._store_accumulators(self.root_instance, test)
-            self.runner.restore(root_id, test)
-            target, rule = next_element(self.spec.trans_rules, result, test.name)
-            self._trace(
-                root_id,
-                EVENT_TRANSITION,
-                {
-                    "from": test.name,
-                    "rule": rule.name if rule else None,
-                    "to": target,
-                },
-            )
-            current = target
+            else:
+                self.runner.run_test(program)
+                self._fold_results(root_id)
+                current = program.next
+            program = self._root_program(current)
         self.root_instance.current_test = "end"
         self._trace(root_id, EVENT_END, {"notified": True})
         self.knowledge.remove_instance(root_id)
@@ -716,9 +685,7 @@ class PipelineEngine:
 
     # -- population split ------------------------------------------------------
 
-    def execute_split_entry(
-        self, split: PopulationSplitSpec
-    ) -> list[SubPipelineProgram]:
+    def execute_split_entry(self, split: PopulationSplitSpec) -> list[Program]:
         """Create per-sub-pipeline knowledge, deploy the split, start subs."""
         self.runner.ensure_split_model(split)
         for sub in split.sub_pipelines:
@@ -739,13 +706,14 @@ class PipelineEngine:
             },
         )
         self.runner.deploy_split(split)
-        programs = [SubPipelineProgram(self, sub) for sub in split.sub_pipelines]
-        for program in programs:
-            program.start()
+        programs = []
+        for sub in split.sub_pipelines:
+            self._trace(sub.subpl_id, EVENT_START, {"element": sub.start})
+            programs.append(Program(self, sub.subpl_id, sub.start, sub.trans_rules))
         return programs
 
     def execute_split_exit(
-        self, split: PopulationSplitSpec, programs: list[SubPipelineProgram]
+        self, split: PopulationSplitSpec, programs: list[Program]
     ) -> None:
         """Fold sub-pipeline results into the root and remove instances."""
         live = [p.instance_id for p in programs if not p.done]
@@ -754,9 +722,7 @@ class PipelineEngine:
                 f"split exit invoked with live sub-pipelines: {live}"
             )
         for sub in split.sub_pipelines:
-            instance = self.knowledge.get(sub.subpl_id)
-            for test_name, result in instance.results.items():
-                self.results[f"{sub.subpl_id}/{test_name}"] = result
+            self._fold_results(sub.subpl_id)
             self.knowledge.remove_instance(sub.subpl_id)
         self.runner.undeploy_split(split)
         self._trace(

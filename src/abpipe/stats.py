@@ -375,6 +375,11 @@ def next_boundary(requests: int, exp_length: int, batch_size: int) -> int:
     return min((requests // batch_size + 1) * batch_size, exp_length)
 
 
+def is_terminal(result: StatResult, spec) -> bool:
+    """The stopping rule: the first significant look, or the length cap."""
+    return result.significant or result.requests_consumed >= spec.exp_length
+
+
 class SequentialMonitor:
     """Batch-wise significance monitor for one A/B test.
 
@@ -398,9 +403,6 @@ class SequentialMonitor:
     @property
     def final_result(self) -> StatResult | None:
         return self.results[-1] if self.results else None
-
-    def requests_until_check(self) -> int:
-        return self._next_check - self.requests
 
     def offer(self, variant: str, value: float) -> StatResult | None:
         """Record one routed request; returns a result on a boundary."""
@@ -437,7 +439,7 @@ class SequentialMonitor:
             requests_consumed=self.requests,
         )
         self.results.append(result)
-        if result.significant or self.requests >= self.spec.exp_length:
+        if is_terminal(result, self.spec):
             self.done = True
         else:
             self._next_check = next_boundary(

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from abpipe.classifier import Hyperparams, train
 from abpipe.model import (
     ABTestSpec,
     ClassCondition,
@@ -29,7 +32,7 @@ from abpipe.orchestrator import (
 )
 from abpipe.report import build_summary, run_pipeline_once
 from abpipe.stats import DEFAULT_BATCH_SIZE, StatResult
-from abpipe.webstore import WebStore
+from abpipe.webstore import WebStore, generate_training_data
 
 from case_generator import _make_test, _script
 
@@ -388,3 +391,54 @@ def test_split_results_independent_of_drain_order(small_scenario):
         normal, 1, DEFAULT_BATCH_SIZE
     )
     assert reversed_.batch_results == normal.batch_results
+
+
+@pytest.fixture(scope="module")
+def seed_one_models(par_spec, scenario):
+    """The parallel bundle's split model trained on seed 1, as a run trains it."""
+    config = replace(scenario, seed=1)
+    features, labels = generate_training_data(config, config.train_samples)
+    model = train(features, labels, Hyperparams(seed=1))
+    return {s.split_component.image_name: model for s in par_spec.pop_splits}
+
+
+def _events_by_instance(engine):
+    """Each instance's trace events in order.
+
+    Sub-pipeline events drop ``requests_total``: it stamps the stream
+    position reached when the event is traced, and a larger chunk lets
+    one sub-pipeline drain further ahead of the others before theirs.
+    """
+    events: dict[str, list] = {}
+    for e in engine.trace:
+        stamp = e.requests_total if e.instance == engine.spec.name else None
+        events.setdefault(e.instance, []).append((e.event, e.detail, stamp))
+    return events
+
+
+@pytest.mark.parametrize("bundle", ["seq_spec", "par_spec"])
+def test_runs_do_not_depend_on_the_arrival_chunk_size(
+    bundle, request, scenario, seed_one_models, monkeypatch
+):
+    # root tests and split branches both draw CHUNK-sized blocks and push
+    # the unconsumed tail back; what they consume must not depend on it
+    spec = request.getfixturevalue(bundle)
+    outcomes = []
+    for chunk in (997, 1000, 4096, 65_536):
+        monkeypatch.setattr(WebStoreRunner, "CHUNK", chunk)
+        store = WebStore(replace(scenario, seed=1))
+        runner = WebStoreRunner(store, split_models=seed_one_models)
+        engine = PipelineEngine(spec, runner, catalog=store.catalog)
+        engine.run()
+        outcomes.append(
+            (
+                _events_by_instance(engine),
+                engine.results,
+                engine.batch_results,
+                engine.split_stats,
+                runner.requests_total,
+            )
+        )
+    assert bool(spec.pop_splits) == bool(outcomes[0][3])
+    for outcome in outcomes[1:]:
+        assert outcome == outcomes[0]

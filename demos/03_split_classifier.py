@@ -1,8 +1,8 @@
-"""The population-split component: training and dispatching.
+"""The population-split component: training and routing.
 
 Generates a synthetic propensity dataset (23 binary features, ~4.2%
 positive labels), trains the SGD logistic classifier on a 25% slice,
-evaluates it held-out, and shows how predicted classes dispatch users to
+evaluates it held-out, and shows how predicted classes route users to
 mutually exclusive sub-pipelines.
 
 Run from the repository root:  python demos/03_split_classifier.py
@@ -39,7 +39,7 @@ print(
     f" precision={precision:.4f} (trained in {model.train_time_ms:.0f} ms)"
 )
 
-# --- 3. dispatching users through the shipped split --------------------------
+# --- 3. routing users through the shipped split -----------------------------
 
 split = parse_blueprints(ROOT / "scenarios/parallel").pop_splits[0]
 print(f"\nsplit '{split.name}' on property '{split.split_property}':")
@@ -47,10 +47,9 @@ for sub, cond in zip(split.sub_pipelines, split.cond_stats):
     print(f"  class {cond.render()} -> {sub.subpl_id}")
 
 counts = {sub.subpl_id: 0 for sub in split.sub_pipelines}
-for user_id in range(2_000):
-    assignment = clf.dispatch(split, model, user_id, held_x[user_id].astype(float))
-    counts[assignment.target_subpipeline] += 1
-print("dispatch over 2000 held-out users:")
+for predicted_class in model.predict(held_x[:2_000]):
+    counts[clf.route_class(split, int(predicted_class))] += 1
+print("routing of 2000 held-out users:")
 for name, count in counts.items():
     print(f"  {name}: {count / 2000 * 100:.2f}%")
 

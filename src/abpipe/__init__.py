@@ -27,7 +27,6 @@ from .stats import (
     MetricAccumulator,
     SequentialMonitor,
     StatResult,
-    accumulate,
     sequential_monitor,
     two_proportion_test,
     welch_t_test,
@@ -52,7 +51,6 @@ __all__ = [
     "TransitionRule",
     "WebStore",
     "WebStoreRunner",
-    "accumulate",
     "compare_pipelines",
     "execute_pipeline",
     "generate_population",

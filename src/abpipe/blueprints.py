@@ -140,7 +140,7 @@ def _parse_class_condition(entry: Any, path: Path) -> ClassCondition:
     else:
         raise BlueprintFormatError(
             f"{path}: conditionalStatements entries must be"
-            " {{op, value}} records"
+            " {op, value} records"
         )
     if op not in CLASS_OPS:
         raise BlueprintFormatError(f"{path}: unknown class operator {op!r}")

@@ -68,34 +68,9 @@ class LinearModel:
             )
         return x @ self.weights + self.bias
 
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return _sigmoid(self.decision(x))
-
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Vectorized class prediction for a matrix of feature rows."""
         return (self.decision(x) >= 0.0).astype(np.int64)
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def validate_features(x, n_features: int) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.shape[1] != n_features:
-        raise DimensionMismatchError(
-            f"expected {n_features} features, got {arr.shape[1]}"
-        )
-    if not np.all((arr == 0.0) | (arr == 1.0)):
-        raise ClassifierError("feature values must be binary")
-    return arr
 
 
 def train(
@@ -109,6 +84,15 @@ def train(
     learning rate decays as eta0 / t**power_t over the global update
     counter t; samples are reshuffled each epoch with the model seed.
     """
+    hp = hyperparams
+    for name, ok, rule in (
+        ("epochs", hp.epochs >= 1, ">= 1"),
+        ("eta0", hp.eta0 > 0.0, "> 0"),
+        ("power_t", hp.power_t >= 0.0, ">= 0"),
+        ("l2", hp.l2 >= 0.0, ">= 0"),
+    ):
+        if not ok:
+            raise ClassifierError(f"{name} must be {rule}, got {getattr(hp, name)!r}")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     if x.ndim != 2:
@@ -132,7 +116,6 @@ def train(
     w_neg = n / (2.0 * (n - n_pos))
     sample_weight = np.where(y == 1.0, w_pos, w_neg)
 
-    hp = hyperparams
     rng = np.random.default_rng(hp.seed)
     weights = np.zeros(x.shape[1], dtype=np.float64)
     bias = 0.0
@@ -162,39 +145,8 @@ def train(
     )
 
 
-def predict_class(model: LinearModel, x) -> int:
-    """Class for a single feature vector; the 0.5 boundary maps to 1."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DimensionMismatchError("predict_class takes a single vector")
-    return int(model.predict(arr[None, :])[0])
-
-
 # ---------------------------------------------------------------------------
-# dispatch
-
-
-@dataclass(frozen=True)
-class SplitAssignment:
-    user_id: int
-    predicted_class: int
-    target_subpipeline: str | None  # None = unrouted
-
-    @property
-    def unrouted(self) -> bool:
-        return self.target_subpipeline is None
-
-
-def dispatch(
-    split: PopulationSplitSpec, model: LinearModel, user_id: int, features
-) -> SplitAssignment:
-    """Route one user to the sub-pipeline whose condition matches."""
-    predicted = predict_class(model, np.asarray(features, dtype=np.float64))
-    return SplitAssignment(
-        user_id=user_id,
-        predicted_class=predicted,
-        target_subpipeline=route_class(split, predicted),
-    )
+# routing
 
 
 def route_class(split: PopulationSplitSpec, predicted_class: int) -> str | None:
@@ -214,7 +166,7 @@ def measure_predict_latency_ms(
     for i in range(samples):
         row = rows[i % len(rows)]
         start = time.perf_counter_ns()
-        predict_class(model, row)
+        model.predict(row[None, :])
         timings.append(time.perf_counter_ns() - start)
     return float(np.median(timings)) / 1e6
 

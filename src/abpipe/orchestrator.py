@@ -138,7 +138,6 @@ class KnowledgeInstance:
 
     def __init__(self, instance_id: str, routing_config: tuple | None = None):
         self.instance_id = instance_id
-        self.current_test: str | None = None
         self.routing_config = routing_config
         self.results: dict[str, StatResult] = {}
 
@@ -256,7 +255,6 @@ class Program:
         self.current_test: ABTestSpec | None = self.engine.spec.test(test_name)
         self.consumed = 0
         self.engine.runner.deploy(self.instance_id, self.current_test)
-        self.instance.current_test = test_name
         self.engine._trace(self.instance_id, EVENT_DEPLOY, {"test": test_name})
 
     def on_batch(self, result: StatResult) -> None:
@@ -287,10 +285,8 @@ class Program:
         self.current_test = None
         self.done = True
         self.next = target
-        if is_end(target):
-            self.instance.current_test = "end"
-            if self.instance_id != self.engine.spec.name:  # the engine ends the root
-                self.engine._trace(self.instance_id, EVENT_END, {})
+        if is_end(target) and self.instance_id != self.engine.spec.name:
+            self.engine._trace(self.instance_id, EVENT_END, {})  # the engine ends the root
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +674,6 @@ class PipelineEngine:
                 self._fold_results(root_id)
                 current = program.next
             program = self._root_program(current)
-        self.root_instance.current_test = "end"
         self._trace(root_id, EVENT_END, {"notified": True})
         self.knowledge.remove_instance(root_id)
         return self.trace, dict(self.results)

@@ -129,12 +129,6 @@ class MetricAccumulator:
         )
 
 
-def accumulate(acc: MetricAccumulator, sample: float) -> MetricAccumulator:
-    """Add one sample to the accumulator (mutates and returns it)."""
-    acc.add(sample)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # distribution tails
 
@@ -258,7 +252,7 @@ def welch_t_test(
 
     Degrees of freedom follow Welch-Satterthwaite and are used
     unrounded. When both variances are zero the p-value degenerates to
-    1 for equal means and 0 otherwise.
+    0 if the means differ in the hypothesis' direction and 1 otherwise.
     """
     if a.n < 2 or b.n < 2:
         raise InsufficientSamplesError(
@@ -270,7 +264,12 @@ def welch_t_test(
     ra, rb = va / a.n, vb / b.n
     se2 = ra + rb
     if se2 == 0.0:
-        p = 1.0 if a.mean == b.mean else 0.0
+        # zero standard error: the null statistic is a point mass at 0, so
+        # P(T > s) is 1 for s < 0 and 0 otherwise; equal means give p = 1
+        diff = b.mean - a.mean
+        p = 1.0
+        if diff != 0.0:
+            p = _directional_p(diff, direction, lambda s: float(s < 0))
     else:
         t = (b.mean - a.mean) / math.sqrt(se2)
         # Welch-Satterthwaite with weights normalized first so subnormal
@@ -399,10 +398,6 @@ class SequentialMonitor:
         self.results: list[StatResult] = []
         self.done = False
         self._next_check = next_boundary(0, spec.exp_length, batch_size)
-
-    @property
-    def final_result(self) -> StatResult | None:
-        return self.results[-1] if self.results else None
 
     def offer(self, variant: str, value: float) -> StatResult | None:
         """Record one routed request; returns a result on a boundary."""

@@ -27,9 +27,6 @@ from .classifier import DEFAULT_FEATURES
 from .model import ABTestSpec, PopulationSplitSpec
 from .stats import MetricAccumulator
 
-PURCHASER = "purchaser"
-NON_PURCHASER = "non_purchaser"
-
 METRIC_ENGAGEMENT = "engagement"
 METRIC_CLICKS = "clicks"
 METRIC_PURCHASES = "purchases"
@@ -124,21 +121,12 @@ def save_scenario(config: ScenarioConfig, path: str | Path) -> None:
 # population
 
 
-@dataclass(frozen=True)
-class UserProfile:
-    user_id: int
-    features: np.ndarray
-    latent_class: str
-    propensities: dict
-
-
 class Population:
     """Column-oriented store of generated user profiles."""
 
-    def __init__(self, features: np.ndarray, latent: np.ndarray, config: ScenarioConfig):
+    def __init__(self, features: np.ndarray, latent: np.ndarray):
         self.features = features
         self.latent = latent
-        self.config = config
 
     @property
     def size(self) -> int:
@@ -147,22 +135,6 @@ class Population:
     @property
     def purchaser_fraction(self) -> float:
         return float(self.latent.mean())
-
-    def profile(self, user_id: int) -> UserProfile:
-        mask = np.asarray([self.latent[user_id]])
-        propensities = {
-            metric: {
-                variant: float(self.config.rate(metric, variant, mask)[0])
-                for variant in ("A", "B")
-            }
-            for metric in (METRIC_ENGAGEMENT, METRIC_CLICKS, METRIC_PURCHASES)
-        }
-        return UserProfile(
-            user_id=user_id,
-            features=self.features[user_id].copy(),
-            latent_class=PURCHASER if self.latent[user_id] else NON_PURCHASER,
-            propensities=propensities,
-        )
 
 
 def _draw_users(config: ScenarioConfig, n: int, stream: str) -> tuple[np.ndarray, np.ndarray]:
@@ -178,7 +150,7 @@ def generate_population(config: ScenarioConfig, n: int) -> Population:
     if n < 1:
         raise WebStoreError(f"population size must be >= 1, got {n}")
     features, latent = _draw_users(config, n, "population")
-    return Population(features, latent, config)
+    return Population(features, latent)
 
 
 def generate_training_data(config: ScenarioConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -208,12 +180,6 @@ DEFAULT_CATALOG = {
 
 # ---------------------------------------------------------------------------
 # deployment & serving
-
-
-@dataclass
-class ServeResult:
-    variant: str
-    samples: dict
 
 
 @dataclass
@@ -418,15 +384,6 @@ class WebStore:
             record.accumulators[metric]["B"].add_many(values[~is_a])
         record.requests += n
         return {"is_a": is_a, "samples": samples}
-
-    def serve_request(self, user_id: int, test_name: str) -> ServeResult:
-        """Single-request form of :meth:`serve_chunk`."""
-        out = self.serve_chunk(test_name, np.asarray([user_id]))
-        variant = "A" if out["is_a"][0] else "B"
-        return ServeResult(
-            variant=variant,
-            samples={m: float(v[0]) for m, v in out["samples"].items()},
-        )
 
     def probe(self, test_name: str) -> ProbeSnapshot:
         """Consistent read-only snapshot of a test's metrics and counter."""

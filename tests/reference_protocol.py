@@ -155,7 +155,7 @@ def welch_greater(k_a: int, n_a: int, k_b: int, n_b: int) -> tuple[float, float,
     ra = k_a * (n_a - k_a) / (n_a * (n_a - 1)) / n_a
     rb = k_b * (n_b - k_b) / (n_b * (n_b - 1)) / n_b
     if ra + rb == 0.0:
-        return (1.0 if mean_a == mean_b else 0.0), mean_a, mean_b
+        return (0.0 if mean_b > mean_a else 1.0), mean_a, mean_b
     t = (mean_b - mean_a) / np.sqrt(ra + rb)
     wa, wb = ra / (ra + rb), rb / (ra + rb)
     df = 1.0 / (wa * wa / (n_a - 1) + wb * wb / (n_b - 1))

@@ -140,3 +140,16 @@ def test_two_element_list_condition_form(tmp_path, par_bundle):
         ClassCondition("==", 0),
         ClassCondition("==", 1),
     )
+
+
+def test_malformed_condition_entry_names_the_record_shape(tmp_path, par_bundle):
+    bundle = tmp_path / "badentry"
+    shutil.copytree(par_bundle, bundle)
+    path = bundle / "splits" / "Population-split-purchases-prediction.json"
+    record = json.loads(path.read_text())
+    record["conditionalStatements"] = ["==0", ["==", 1]]
+    path.write_text(json.dumps(record))
+    with pytest.raises(BlueprintFormatError) as err:
+        parse_blueprints(bundle)
+    assert "{op, value}" in str(err.value)
+    assert "{{" not in str(err.value)

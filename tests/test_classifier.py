@@ -23,6 +23,16 @@ def test_linearly_separable_reaches_full_accuracy():
     assert (model.predict(x) == y).mean() == 1.0
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("epochs", 0), ("epochs", -3), ("eta0", 0.0), ("eta0", -1.0), ("power_t", -0.5), ("l2", -5.0)],
+)
+def test_degenerate_hyperparameters_rejected(field, value):
+    x, y = toy_separable()
+    with pytest.raises(clf.ClassifierError, match=field):
+        clf.train(x, y, clf.Hyperparams(**{field: value}))
+
+
 def test_single_class_rejected():
     x = np.ones((10, 3))
     with pytest.raises(clf.SingleClassError):
@@ -33,7 +43,7 @@ def test_dimension_mismatch():
     x, y = toy_separable()
     model = clf.train(x, y)
     with pytest.raises(clf.DimensionMismatchError):
-        clf.predict_class(model, np.zeros(5))
+        model.predict(np.zeros(5)[None, :])
     with pytest.raises(clf.DimensionMismatchError):
         clf.train(x, y[:-5])
 
@@ -50,12 +60,12 @@ def test_training_is_bitwise_deterministic():
 
 def test_predict_tie_goes_to_class_one():
     model = clf.LinearModel(np.zeros(3), 0.0, clf.Hyperparams())
-    assert clf.predict_class(model, np.zeros(3)) == 1
+    assert model.predict(np.zeros(3)[None, :])[0] == 1
 
 
 def test_strong_negative_bias_predicts_zero():
     model = clf.LinearModel(np.zeros(3), -10.0, clf.Hyperparams())
-    assert clf.predict_class(model, np.ones(3)) == 0
+    assert model.predict(np.ones(3)[None, :])[0] == 0
 
 
 def test_synthetic_propensity_accuracy_and_recall():
@@ -102,16 +112,18 @@ def listing_split():
 
 def test_dispatch_class_zero_goes_to_review():
     model = clf.LinearModel(np.zeros(23), -10.0, clf.Hyperparams())
-    assignment = clf.dispatch(listing_split(), model, 7, np.zeros(23))
-    assert assignment.predicted_class == 0
-    assert assignment.target_subpipeline == "Review-pipeline"
+    classes = model.predict(np.zeros((4, 23)))
+    assert classes.tolist() == [0, 0, 0, 0]
+    routed = {clf.route_class(listing_split(), int(c)) for c in classes}
+    assert routed == {"Review-pipeline"}
 
 
 def test_dispatch_class_one_goes_to_recommendation():
     model = clf.LinearModel(np.zeros(23), 10.0, clf.Hyperparams())
-    assignment = clf.dispatch(listing_split(), model, 7, np.ones(23))
-    assert assignment.predicted_class == 1
-    assert assignment.target_subpipeline == "Recommendation-pipeline"
+    classes = model.predict(np.ones((4, 23)))
+    assert classes.tolist() == [1, 1, 1, 1]
+    routed = {clf.route_class(listing_split(), int(c)) for c in classes}
+    assert routed == {"Recommendation-pipeline"}
 
 
 def test_unmatched_class_is_unrouted():
@@ -123,7 +135,7 @@ def test_trained_model_classifies_known_purchaser():
     features, labels = generate_training_data(config, 10_000)
     model = clf.train(features, labels, clf.Hyperparams(seed=17))
     purchaser_row = features[labels == 1][0]
-    assert clf.predict_class(model, purchaser_row.astype(float)) == 1
+    assert model.predict(purchaser_row.astype(float)[None, :])[0] == 1
 
 
 def test_model_file_round_trip(tmp_path):

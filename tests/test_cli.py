@@ -360,6 +360,27 @@ def test_train_empty_csv_fails(tmp_path, capsys):
     assert main(["train", str(csv_path), "--out", str(tmp_path / "m.json")]) == 1
 
 
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--epochs", "0", "epochs"),
+        ("--epochs", "-3", "epochs"),
+        ("--eta0", "0", "eta0"),
+        ("--eta0", "-1", "eta0"),
+        ("--power-t", "-0.5", "power_t"),
+        ("--l2", "-5", "l2"),
+    ],
+)
+def test_train_degenerate_hyperparameter_fails(tmp_path, capsys, flag, value, field):
+    csv_path = tmp_path / "train.csv"
+    csv_path.write_text("f0,label\n0,0\n1,1\n0,0\n1,1\n")
+    model_path = tmp_path / "m.json"
+    assert main(["train", str(csv_path), flag, value, "--out", str(model_path)]) == 1
+    err = capsys.readouterr().err
+    assert "training failed" in err and field in err
+    assert not model_path.exists()
+
+
 def test_train_missing_csv(tmp_path):
     assert main(["train", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "m")]) == 2
 

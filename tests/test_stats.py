@@ -15,7 +15,6 @@ from abpipe.stats import (
     NonBinarySamplesError,
     SequentialMonitor,
     StatsError,
-    accumulate,
     next_boundary,
     normal_sf,
     sequential_monitor,
@@ -40,7 +39,7 @@ def acc_from(values, variant="A", metric="m"):
 
 def test_first_sample():
     acc = MetricAccumulator("A", "clicks")
-    accumulate(acc, 5.0)
+    acc.add(5.0)
     assert (acc.n, acc.mean, acc.m2) == (1, 5.0, 0.0)
 
 
@@ -139,6 +138,17 @@ def test_zero_variance_both_degenerate():
     assert same.p_value == 1.0
     differ = welch_t_test(acc_from([1.0, 1.0]), acc_from([2.0, 2.0]), "B_not_equal")
     assert differ.p_value == 0.0
+    # one-sided: only a difference in the hypothesis' direction is significant
+    lower_b = (acc_from([1.0, 1.0]), acc_from([0.0, 0.0]))
+    assert welch_t_test(*lower_b, "B_greater").p_value == 1.0
+    assert not welch_t_test(*lower_b, "B_greater").significant
+    assert welch_t_test(*lower_b, "B_less").p_value == 0.0
+    higher_b = (acc_from([0.0, 0.0]), acc_from([1.0, 1.0]))
+    assert welch_t_test(*higher_b, "B_greater").p_value == 0.0
+    assert welch_t_test(*higher_b, "B_less").p_value == 1.0
+    same = (acc_from([1.0, 1.0]), acc_from([1.0, 1.0]))
+    assert welch_t_test(*same, "B_greater").p_value == 1.0
+    assert welch_t_test(*same, "B_less").p_value == 1.0
 
 
 def test_frozen_oracle_table():

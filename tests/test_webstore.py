@@ -61,11 +61,16 @@ def test_noiseless_features_determine_latent_class():
 
 def test_single_profile_reproducible():
     config = ScenarioConfig(seed=11)
-    p1 = generate_population(config, 1).profile(0)
-    p2 = generate_population(config, 1).profile(0)
-    assert np.array_equal(p1.features, p2.features)
-    assert p1.latent_class == p2.latent_class
-    assert p1.propensities == p2.propensities
+    p1 = generate_population(config, 1)
+    p2 = generate_population(config, 1)
+    assert np.array_equal(p1.features[0], p2.features[0])
+    assert p1.latent[0] == p2.latent[0]
+    for metric in ("engagement", "clicks", "purchases"):
+        for variant in ("A", "B"):
+            assert np.array_equal(
+                config.rate(metric, variant, p1.latent[[0]]),
+                config.rate(metric, variant, p2.latent[[0]]),
+            )
 
 
 def test_profile_propensities_follow_latent_class():
@@ -73,11 +78,12 @@ def test_profile_propensities_follow_latent_class():
     population = generate_population(config, 2_000)
     purchaser_id = int(np.flatnonzero(population.latent)[0])
     other_id = int(np.flatnonzero(~population.latent)[0])
-    buyer = population.profile(purchaser_id)
-    browser = population.profile(other_id)
-    assert buyer.propensities["purchases"]["B"] == 0.45
-    assert browser.propensities["purchases"]["B"] == 0.005
-    assert buyer.propensities["clicks"] == browser.propensities["clicks"]
+    ids = np.asarray([purchaser_id, other_id])
+    buyer, browser = config.rate("purchases", "B", population.latent[ids])
+    assert (buyer, browser) == (0.45, 0.005)
+    for variant in ("A", "B"):
+        clicks = config.rate("clicks", variant, population.latent[ids])
+        assert clicks[0] == clicks[1]
 
 
 def test_scenario_file_round_trip(tmp_path):
@@ -160,9 +166,12 @@ def test_variant_share_tracks_assignment():
 def test_variant_assignment_is_sticky():
     store = make_store()
     store.deploy_ab_test(make_test())
-    first = store.serve_request(42, "T")
-    second = store.serve_request(42, "T")
-    assert first.variant == second.variant
+    first = store.serve_chunk("T", np.asarray([42]))
+    second = store.serve_chunk("T", np.asarray([42]))
+    assert first["is_a"][0] == second["is_a"][0]
+    # the assignment is per user, not per request or per chunk position
+    mixed = store.serve_chunk("T", np.asarray([7, 42, 42, 99]))
+    assert mixed["is_a"][1] == mixed["is_a"][2] == first["is_a"][0]
 
 
 def test_review_variant_b_click_rate_converges():
@@ -211,7 +220,7 @@ def test_conservation_requests_equal_samples():
 def test_serving_requires_active_test():
     store = make_store()
     with pytest.raises(NoActiveTestError):
-        store.serve_request(1, "T")
+        store.serve_chunk("T", np.asarray([1]))
 
 
 def test_identical_config_gives_identical_event_stream():

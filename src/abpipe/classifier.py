@@ -7,6 +7,14 @@ scenario has ~4% positives and an unweighted fit can collapse to the
 majority class. Training is single-threaded on purpose: identical
 (data, seed, hyperparameters) must give bitwise-identical weights.
 
+The SGD loop keeps the weights as ``scale * v`` (Bottou, "Stochastic
+Gradient Descent Tricks", 2012), so the L2 decay of a step is one scalar
+multiply, and it walks the rows in compressed sparse-row form, so a step
+reads and updates only the row's nonzero features. The shipped
+scenario's rows have about 3 of their 23 features set on average. The
+weights equal those of the textbook dense update up to summation order
+(about 1e-14).
+
 The divider maps a predicted class through a split's branch conditions
 to exactly one sub-pipeline; users matching no branch are "unrouted"
 and take part in no experiment.
@@ -16,7 +24,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -83,6 +93,12 @@ def train(
     Minimizes class-weighted log-loss with L2 regularization. The
     learning rate decays as eta0 / t**power_t over the global update
     counter t; samples are reshuffled each epoch with the model seed.
+
+    The weights are held as ``scale * v``: a step multiplies ``scale``
+    by ``1 - lr*l2`` and then updates ``v`` over the row's nonzero
+    features only, so its cost follows the row's nonzeros, not the
+    feature count. ``eta0 * l2 < 1`` keeps ``scale`` positive; it is
+    folded back into ``v`` when it falls below 1e-9.
     """
     hp = hyperparams
     for name, ok, rule in (
@@ -90,6 +106,7 @@ def train(
         ("eta0", hp.eta0 > 0.0, "> 0"),
         ("power_t", hp.power_t >= 0.0, ">= 0"),
         ("l2", hp.l2 >= 0.0, ">= 0"),
+        ("l2", hp.l2 == 0.0 or hp.eta0 * hp.l2 < 1.0, f"< 1 / eta0 (eta0={hp.eta0!r})"),
     ):
         if not ok:
             raise ClassifierError(f"{name} must be {rule}, got {getattr(hp, name)!r}")
@@ -114,26 +131,47 @@ def train(
     # balanced class weights: n / (2 * class count)
     w_pos = n / (2.0 * n_pos)
     w_neg = n / (2.0 * (n - n_pos))
-    sample_weight = np.where(y == 1.0, w_pos, w_neg)
+    sample_weight = array("d", np.where(y == 1.0, w_pos, w_neg).tobytes())
+    labels = array("d", y.tobytes())
+    # row i's nonzeros are cols[starts[i]:starts[i+1]], vals[...] alike
+    rows, nz_cols = np.nonzero(x)
+    cols = array("q", nz_cols.astype(np.int64).tobytes())
+    vals = array("d", x[rows, nz_cols].tobytes())
+    starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=starts[1:])
+    starts = array("q", starts.tobytes())
 
+    eta0, power_t, l2 = hp.eta0, hp.power_t, hp.l2
+    exp = math.exp
     rng = np.random.default_rng(hp.seed)
-    weights = np.zeros(x.shape[1], dtype=np.float64)
+    v = [0.0] * x.shape[1]
+    scale = 1.0
     bias = 0.0
     t = 0
     for _ in range(hp.epochs):
-        order = rng.permutation(n)
-        for i in order:
+        for i in rng.permutation(n).tolist():
             t += 1
-            lr = hp.eta0 / (t ** hp.power_t)
-            xi = x[i]
-            margin = float(xi @ weights) + bias
-            p = 1.0 / (1.0 + np.exp(-margin)) if margin >= 0 else (
-                np.exp(margin) / (1.0 + np.exp(margin))
-            )
-            grad = sample_weight[i] * (p - y[i])
-            weights *= 1.0 - lr * hp.l2
-            weights -= lr * grad * xi
+            lr = eta0 / t ** power_t
+            lo, hi = starts[i], starts[i + 1]
+            dot = 0.0
+            for k in range(lo, hi):
+                dot += v[cols[k]] * vals[k]
+            margin = scale * dot + bias
+            if margin >= 0:
+                p = 1.0 / (1.0 + exp(-margin))
+            else:
+                e = exp(margin)
+                p = e / (1.0 + e)
+            grad = sample_weight[i] * (p - labels[i])
+            scale *= 1.0 - lr * l2
+            step = lr * grad / scale
+            for k in range(lo, hi):
+                v[cols[k]] -= step * vals[k]
             bias -= lr * grad
+            if scale < 1e-9:
+                v = [w * scale for w in v]
+                scale = 1.0
+    weights = np.asarray(v, dtype=np.float64) * scale
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     if not np.all(np.isfinite(weights)) or not np.isfinite(bias):
         raise ClassifierError("training diverged to non-finite weights")

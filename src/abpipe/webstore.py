@@ -137,11 +137,19 @@ class Population:
         return float(self.latent.mean())
 
 
+_DRAW_BLOCK = 4096  # rows of feature noise drawn per call
+
+
 def _draw_users(config: ScenarioConfig, n: int, stream: str) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(prf.stream_key(config.seed, stream))
     latent = rng.random(n) < config.purchaser_prevalence
-    flips = rng.random((n, config.n_features)) < config.feature_noise
-    features = (latent[:, None] ^ flips).astype(np.uint8)
+    # Row blocks consume the stream in the same order as one (n, F) draw,
+    # without its n*F float64 temporary.
+    features = np.empty((n, config.n_features), dtype=np.uint8)
+    for lo in range(0, n, _DRAW_BLOCK):
+        hi = min(lo + _DRAW_BLOCK, n)
+        flips = rng.random((hi - lo, config.n_features)) < config.feature_noise
+        np.not_equal(latent[lo:hi, None], flips, out=features[lo:hi])
     return features, latent
 
 

@@ -1,11 +1,15 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abpipe import classifier as clf
 from abpipe.model import ClassCondition, PopulationSplitSpec, SplitComponent, SubPipeline
-from abpipe.webstore import ScenarioConfig, generate_training_data
+from abpipe.webstore import ScenarioConfig, generate_population, generate_training_data
+from reference_sgd import dense_sgd
 
 
 def toy_separable(n=200, seed=0):
@@ -25,7 +29,19 @@ def test_linearly_separable_reaches_full_accuracy():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("epochs", 0), ("epochs", -3), ("eta0", 0.0), ("eta0", -1.0), ("power_t", -0.5), ("l2", -5.0)],
+    [
+        ("epochs", 0),
+        ("epochs", -3),
+        ("eta0", 0.0),
+        ("eta0", -1.0),
+        ("power_t", -0.5),
+        ("l2", -5.0),
+        # eta0 * l2 >= 1 (default eta0 0.5): the first L2 step would zero
+        # the weights or flip their sign
+        ("l2", 2.0),
+        ("l2", 5.0),
+        ("l2", float("inf")),
+    ],
 )
 def test_degenerate_hyperparameters_rejected(field, value):
     x, y = toy_separable()
@@ -56,6 +72,77 @@ def test_training_is_bitwise_deterministic():
     assert m1.bias == m2.bias
     m3 = clf.train(x, y, clf.Hyperparams(seed=10))
     assert not np.array_equal(m1.weights, m3.weights)
+
+
+@st.composite
+def sgd_problems(draw):
+    """Small fits: binary or real-valued rows, legal hyperparameters.
+
+    The heavy-L2 branch (eta0 * l2 in [0.5, 0.999)) shrinks the weight
+    scale below 1e-9 within a few dozen steps, so the fold runs.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 40))
+    n_features = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        x = rng.integers(0, 2, (n, n_features)).astype(np.float64)
+    else:
+        x = rng.uniform(-2.0, 2.0, (n, n_features))
+    y = rng.integers(0, 2, n).astype(np.float64)
+    y[:2] = (0.0, 1.0)
+    eta0 = draw(st.floats(0.01, 2.0))
+    l2 = draw(
+        st.one_of(
+            st.just(0.0),
+            st.floats(0.0, 0.01),
+            st.floats(0.5, 0.999).map(lambda c: c / eta0),
+        )
+    )
+    hp = clf.Hyperparams(
+        eta0=eta0,
+        power_t=draw(st.floats(0.0, 1.0)),
+        l2=l2,
+        epochs=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 1000)),
+    )
+    return x, y, hp
+
+
+@given(sgd_problems())
+@settings(max_examples=200, deadline=None)
+def test_sparse_fit_matches_dense_reference(problem):
+    x, y, hp = problem
+    model = clf.train(x, y, hp)
+    weights, bias = dense_sgd(x, y, hp)
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(weights))))
+    assert np.max(np.abs(model.weights - weights)) <= tol
+    assert abs(model.bias - bias) <= tol
+
+
+def test_weight_scale_fold_matches_dense_reference():
+    """Constant lr with eta0 * l2 = 0.99 shrinks the scale 100-fold a
+    step. Unfolded it would underflow to 0 within these 180 steps."""
+    x, y = toy_separable(n=60, seed=6)
+    hp = clf.Hyperparams(eta0=0.5, power_t=0.0, l2=1.98, epochs=3, seed=6)
+    model = clf.train(x, y, hp)
+    weights, bias = dense_sgd(x, y, hp)
+    assert np.allclose(model.weights, weights, rtol=0.0, atol=1e-12)
+    assert model.bias == pytest.approx(bias, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(1, 16))
+def test_split_model_routes_population_like_dense_reference(scenario, seed):
+    """The comparison's split model of each seed routes every user of
+    that seed's population as the dense fit does."""
+    config = replace(scenario, seed=seed)
+    features, labels = generate_training_data(config, config.train_samples)
+    hp = clf.Hyperparams(seed=seed)
+    model = clf.train(features, labels, hp)
+    weights, bias = dense_sgd(features, labels, hp)
+    assert np.max(np.abs(model.weights - weights)) <= 1e-12 * max(1.0, np.max(np.abs(weights)))
+    population = generate_population(config, config.population_size)
+    reference = clf.LinearModel(weights, bias, hp)
+    assert np.array_equal(model.predict(population.features), reference.predict(population.features))
 
 
 def test_predict_tie_goes_to_class_one():

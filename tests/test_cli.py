@@ -369,6 +369,8 @@ def test_train_empty_csv_fails(tmp_path, capsys):
         ("--eta0", "-1", "eta0"),
         ("--power-t", "-0.5", "power_t"),
         ("--l2", "-5", "l2"),
+        ("--l2", "2", "l2"),
+        ("--l2", "5", "l2"),
     ],
 )
 def test_train_degenerate_hyperparameter_fails(tmp_path, capsys, flag, value, field):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from abpipe import prf
 from abpipe.model import ABTestSpec, Hypothesis
 from abpipe.webstore import (
     DeploymentConflictError,
@@ -11,6 +12,7 @@ from abpipe.webstore import (
     UnknownVariantError,
     WebStore,
     generate_population,
+    generate_training_data,
     load_scenario,
     save_scenario,
 )
@@ -51,6 +53,29 @@ def test_purchaser_fraction_within_binomial_band():
     config = ScenarioConfig(seed=7)
     population = generate_population(config, 100_000)
     assert 0.039 <= population.purchaser_fraction <= 0.045
+
+
+def one_shot_users(config, n, stream):
+    """Reference draw: all feature noise in one (n, F) call."""
+    rng = np.random.default_rng(prf.stream_key(config.seed, stream))
+    latent = rng.random(n) < config.purchaser_prevalence
+    flips = rng.random((n, config.n_features)) < config.feature_noise
+    return (latent[:, None] ^ flips).astype(np.uint8), latent
+
+
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 100_000])
+def test_block_draws_equal_one_shot_draw(n):
+    config = ScenarioConfig(seed=7)
+    population = generate_population(config, n)
+    features, latent = one_shot_users(config, n, "population")
+    assert population.features.dtype == np.uint8
+    assert np.array_equal(population.features, features)
+    assert np.array_equal(population.latent, latent)
+    if n >= 2:
+        train_x, train_y = generate_training_data(config, n)
+        features, latent = one_shot_users(config, n, "training-data")
+        assert np.array_equal(train_x, features)
+        assert np.array_equal(train_y, latent)
 
 
 def test_noiseless_features_determine_latent_class():

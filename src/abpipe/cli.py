@@ -73,7 +73,7 @@ def _load_scenario(path: str | None) -> ScenarioConfig:
         raise CliError(f"scenario file not found: {scenario_path}", EXIT_IO)
     try:
         return load_scenario(scenario_path)
-    except (json.JSONDecodeError, WebStoreError, TypeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, WebStoreError) as exc:
         raise CliError(f"bad scenario file {scenario_path}: {exc}", EXIT_DOMAIN)
 
 
@@ -95,8 +95,20 @@ def _load_validated(path: str) -> PipelineSpec:
     return spec
 
 
-def _safe_name(qualified: str) -> str:
-    return qualified.replace("/", "__")
+# what a run can fail with once its inputs have loaded
+_RUN_ERRORS = (OrchestratorError, WebStoreError, StatsError, clf.ClassifierError)
+
+
+def write_run_outputs(out: Path, engine, summary: dict) -> None:
+    """Write a completed run's trace, summary and per-test p-value traces."""
+    engine.trace.write_jsonl(out / "trace.jsonl")
+    (out / "summary.json").write_text(
+        json.dumps(summary, indent=2, sort_keys=True) + "\n",
+        encoding="utf-8",
+    )
+    for qualified, results in sorted(engine.batch_results.items()):
+        safe = qualified.replace("/", "__")
+        write_pvalue_trace(out / f"pvalues_{safe}.csv", results)
 
 
 # ---------------------------------------------------------------------------
@@ -134,17 +146,10 @@ def cmd_run(args) -> int:
         exc.engine.trace.write_jsonl(out / "trace.jsonl")  # partial trace
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (OrchestratorError, WebStoreError, StatsError) as exc:
+    except _RUN_ERRORS as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    engine = outcome.engine
-    engine.trace.write_jsonl(out / "trace.jsonl")
-    (out / "summary.json").write_text(
-        json.dumps(outcome.summary, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    for qualified, results in sorted(engine.batch_results.items()):
-        write_pvalue_trace(out / f"pvalues_{_safe_name(qualified)}.csv", results)
+    write_run_outputs(out, outcome.engine, outcome.summary)
     print(f"{spec.name}: completed, seed {seed}, outputs in {out}")
     return EXIT_OK
 
@@ -182,7 +187,7 @@ def cmd_compare(args) -> int:
         report = compare_pipelines(
             seq_spec, par_spec, scenario, seeds, batch_size=batch
         )
-    except (OrchestratorError, WebStoreError, StatsError) as exc:
+    except _RUN_ERRORS as exc:
         print(f"compare failed: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     write_report(report, args.out)

@@ -19,8 +19,9 @@ behavior can be checked against an independent interpreter.
 branches alike. It draws the shared arrival stream in chunks, routes
 each arrival to one program (a root segment has one program that takes
 every arrival), serves each program's traffic up to its next check
-boundary, and pushes the unconsumed tail back once every program is
-done, so the consumed prefix does not depend on the chunk size. Every
+boundary, holds what is left in one array per program, and pushes the
+unconsumed tail back once every program is done, so the consumed
+prefix does not depend on the chunk size. Every
 draw is counter-based and each program owns its tests' state, so
 results and summaries do not depend on the order in which a chunk is
 drained; only the order of trace events does.
@@ -357,31 +358,6 @@ class ScriptedRunner:
         )
 
 
-class _SegmentFeed:
-    """Buffered, stream-indexed traffic for one program."""
-
-    def __init__(self):
-        self.users: list[np.ndarray] = []
-        self.indices: list[np.ndarray] = []
-        self.count = 0
-
-    def push(self, users: np.ndarray, indices: np.ndarray) -> None:
-        if users.shape[0]:
-            self.users.append(users)
-            self.indices.append(indices)
-            self.count += users.shape[0]
-
-    def take(self, n: int) -> tuple[np.ndarray, int]:
-        """The next ``n`` users, and the stream position after the last."""
-        if self.users[0].shape[0] < n:
-            self.users = [np.concatenate(self.users)]
-            self.indices = [np.concatenate(self.indices)]
-        users, indices = self.users[0], self.indices[0]
-        self.users[0], self.indices[0] = users[n:], indices[n:]
-        self.count -= n
-        return users[:n], int(indices[n - 1]) + 1
-
-
 class WebStoreRunner:
     """Arrival-driven execution against the simulated web-store."""
 
@@ -491,48 +467,52 @@ class WebStoreRunner:
 
         ``table[user]`` is the index of the program that serves the
         user, or ``len(programs)`` if none does. Arrivals are drawn in
-        CHUNK-sized blocks; each program serves its buffered traffic up
-        to its next check boundary, and the tail after the last program
-        completes is pushed back onto the stream.
+        CHUNK-sized blocks; each program serves its routed traffic up to
+        its next check boundary, holds the rest in one ``pending`` array,
+        and the tail after the last program completes is pushed back
+        onto the stream.
+
+        A look is stamped with the stream position just after its last
+        user, and that user always lies in the current chunk: when a
+        chunk arrives, the users a program still holds are fewer than
+        its next look needs. So only the current chunk's positions are
+        kept.
         """
         base = self.requests_total
-        feeds = [_SegmentFeed() for _ in programs]
+        pending = [np.empty(0, dtype=np.int64)] * len(programs)
         dispatched = [0] * len(programs)
         completion_pos: dict[str, int] = {}
         stream_pos = base
         idle_arrivals = 0
 
-        def drain(program: Program, feed: _SegmentFeed) -> int:
-            """Serve buffered traffic for one program up to boundaries."""
-            batches = 0
-            while not program.done:
-                test = program.current_test
-                routed = program.consumed
-                need = next_boundary(routed, test.exp_length, self.batch_size) - routed
-                if feed.count < need:
-                    break
-                users, position = feed.take(need)
-                self.store.serve_chunk(test.name, users)
-                batches += 1
-                self.requests_total = max(self.requests_total, position)
-                program.on_batch(self._evaluate(test))
-                if program.done:
-                    completion_pos[program.instance_id] = position
-            return batches
-
         while any(not p.done for p in programs):
             users = self.store.arrivals.next(self.CHUNK)
             n = users.shape[0]
             chunk_base = stream_pos
-            indices = np.arange(chunk_base, chunk_base + n, dtype=np.int64)
             targets = table[users]
             batches_served = 0
             for i, program in enumerate(programs):
                 if program.done:
                     continue
-                mask = targets == i
-                feeds[i].push(users[mask], indices[mask])
-                batches_served += drain(program, feeds[i])
+                positions = np.flatnonzero(targets == i)
+                held = pending[i].shape[0]
+                queue = np.concatenate((pending[i], users[positions]))
+                taken = 0
+                while not program.done:
+                    test = program.current_test
+                    routed = program.consumed
+                    need = next_boundary(routed, test.exp_length, self.batch_size) - routed
+                    if queue.shape[0] - taken < need:
+                        break
+                    self.store.serve_chunk(test.name, queue[taken : taken + need])
+                    taken += need
+                    batches_served += 1
+                    position = chunk_base + int(positions[taken - held - 1]) + 1
+                    self.requests_total = max(self.requests_total, position)
+                    program.on_batch(self._evaluate(test))
+                    if program.done:
+                        completion_pos[program.instance_id] = position
+                pending[i] = queue[taken:]
 
             if all(p.done for p in programs):
                 final_pos = max(completion_pos.values())

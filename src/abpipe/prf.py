@@ -48,8 +48,3 @@ def uniforms(key: int, counters) -> np.ndarray:
         state = np.uint64(key) + (idx + np.uint64(1)) * _GOLDEN
         z = _mix(state)
     return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
-
-
-def uniform(key: int, counter: int) -> float:
-    """Single-draw convenience wrapper around :func:`uniforms`."""
-    return float(uniforms(key, np.asarray([counter], dtype=np.uint64))[0])

@@ -18,6 +18,7 @@ the latent class).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 import numpy as np
@@ -100,12 +101,40 @@ class ScenarioConfig:
         raise UnknownMetricError(f"no behavior model for metric {metric!r}")
 
 
+def _shape(template) -> str:
+    if isinstance(template, dict):
+        return "{" + ", ".join(f"{k!r}: {_shape(t)}" for k, t in template.items()) + "}"
+    return "an integer" if isinstance(template, int) else "a finite number"
+
+
+def _has_shape(value, template) -> bool:
+    """Whether ``value`` has the type and keys of the default ``template``."""
+    if isinstance(template, dict):
+        return (
+            isinstance(value, dict)
+            and set(value) == set(template)
+            and all(_has_shape(value[k], t) for k, t in template.items())
+        )
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) if isinstance(template, int) else math.isfinite(value)
+
+
 def load_scenario(path: str | Path) -> ScenarioConfig:
     record = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(record, dict):
+        raise WebStoreError("a scenario file must hold one JSON object")
     known = set(ScenarioConfig.__dataclass_fields__)
     unknown = set(record) - known
     if unknown:
         raise WebStoreError(f"unknown scenario fields: {sorted(unknown)}")
+    defaults = ScenarioConfig()
+    for name, value in record.items():
+        template = getattr(defaults, name)
+        if not _has_shape(value, template):
+            raise WebStoreError(
+                f"scenario field {name!r} must be {_shape(template)}, got {value!r}"
+            )
     return ScenarioConfig(**record)
 
 
@@ -224,34 +253,23 @@ class ArrivalStream:
 
     Push-back lets a consumer return arrivals it drew but did not serve
     (e.g. the tail of a chunk after a split completed), keeping the
-    consumed prefix identical across chunk sizes.
+    consumed prefix identical across chunk sizes. Invariant: ``_held``
+    holds the pushed-back users in stream order, and every one of them
+    comes out of ``next`` before any fresh draw.
     """
 
     def __init__(self, config: ScenarioConfig, population_size: int):
         self._rng = np.random.default_rng(prf.stream_key(config.seed, "arrivals"))
         self._size = population_size
-        self._buffer: list[np.ndarray] = []
+        self._held = np.empty(0, dtype=np.int64)
 
     def next(self, n: int) -> np.ndarray:
-        parts: list[np.ndarray] = []
-        remaining = n
-        while self._buffer and remaining > 0:
-            head = self._buffer[0]
-            if head.shape[0] <= remaining:
-                parts.append(head)
-                remaining -= head.shape[0]
-                self._buffer.pop(0)
-            else:
-                parts.append(head[:remaining])
-                self._buffer[0] = head[remaining:]
-                remaining = 0
-        if remaining > 0:
-            parts.append(self._rng.integers(0, self._size, size=remaining))
-        return np.concatenate(parts) if len(parts) > 1 else parts[0]
+        head, self._held = self._held[:n], self._held[n:]
+        fresh = self._rng.integers(0, self._size, size=n - head.shape[0])
+        return np.concatenate((head, fresh))
 
     def push_back(self, users: np.ndarray) -> None:
-        if users.shape[0]:
-            self._buffer.insert(0, users)
+        self._held = np.concatenate((users, self._held))
 
 
 class WebStore:

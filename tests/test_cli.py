@@ -1,5 +1,6 @@
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -446,3 +447,69 @@ def test_compare_with_failed_runs_is_partial(
     report = json.loads((out / "report.json").read_text())
     assert report["partial"] and len(report["failures"]) == 2
     assert report["reduction_pct"] is None
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_untrainable_split_model_fails_cleanly(
+    tmp_path, seq_bundle, par_bundle, small_scenario, command, capsys
+):
+    # with no purchasers the training labels hold a single class
+    path = tmp_path / "scenario.json"
+    save_scenario(replace(small_scenario, purchaser_prevalence=0.0), path)
+    if command == "run":
+        bundles = [str(par_bundle)]
+    else:
+        bundles = [str(seq_bundle), str(par_bundle), "--runs", "1"]
+    out = tmp_path / "out"
+    argv = [command, *bundles, "--scenario", str(path), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"{command} failed: training set contains a single class"]
+
+
+# ---------------------------------------------------------------------------
+# scenario files
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("population_size", 1.5),
+        ("train_samples", "20000"),
+        ("seed", True),
+        ("n_features", None),
+        ("purchaser_prevalence", "0.1"),
+        ("feature_noise", float("nan")),
+        ("deployment_latency_ms", float("inf")),
+        ("gui_rates", [0.5, 0.56]),
+        ("review_rates", {"A": 0.147}),
+        ("review_rates", {"A": 0.147, "B": 0.16, "C": 0.2}),
+        ("recommendation_rates", {"purchaser": {"A": 0.3, "B": 0.45}}),
+        (
+            "recommendation_rates",
+            {"purchaser": {"A": 0.3, "B": "x"}, "non_purchaser": {"A": 0, "B": 0}},
+        ),
+    ],
+)
+def test_run_rejects_mistyped_scenario_field(
+    tmp_path, seq_bundle, small_scenario_file, field, value, capsys
+):
+    record = json.loads(small_scenario_file.read_text())
+    record[field] = value
+    small_scenario_file.write_text(json.dumps(record))
+    out = tmp_path / "out"
+    argv = ["run", str(seq_bundle), "--scenario", str(small_scenario_file), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("bad scenario file") and repr(field) in err[0]
+    assert not out.exists()
+
+
+def test_run_rejects_scenario_file_that_is_not_utf8(tmp_path, seq_bundle, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(b"\xff\xfe{}")
+    argv = ["run", str(seq_bundle), "--scenario", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("bad scenario file")

@@ -424,7 +424,7 @@ def test_runs_do_not_depend_on_the_arrival_chunk_size(
     # the unconsumed tail back; what they consume must not depend on it
     spec = request.getfixturevalue(bundle)
     outcomes = []
-    for chunk in (997, 1000, 4096, 65_536):
+    for chunk in (1, 37, 997, 1000, 4096, 65_536):
         monkeypatch.setattr(WebStoreRunner, "CHUNK", chunk)
         store = WebStore(replace(scenario, seed=1))
         runner = WebStoreRunner(store, split_models=seed_one_models)

@@ -18,6 +18,7 @@ records; a two-element ``["==", 0]`` list is accepted on input.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -78,6 +79,24 @@ def _require(record: dict, key: str, path: Path) -> Any:
     return record[key]
 
 
+def _integer(value: Any, field: str, path: Path) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise BlueprintFormatError(f"{path}: {field} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value: Any, field: str, path: Path) -> float:
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+    ):
+        raise BlueprintFormatError(
+            f"{path}: {field} must be a finite number, got {value!r}"
+        )
+    return float(value)
+
+
 def _load_dir(bundle: Path, sub: str) -> dict[str, tuple[dict, Path]]:
     registry: dict[str, tuple[dict, Path]] = {}
     directory = bundle / sub
@@ -96,21 +115,28 @@ def _load_dir(bundle: Path, sub: str) -> dict[str, tuple[dict, Path]]:
 
 def _parse_experiment(record: dict, path: Path) -> ABTestSpec:
     hyp = _require(record, "hypothesis", path)
+    if not isinstance(hyp, dict):
+        raise BlueprintFormatError(f"{path}: hypothesis must be an object, got {hyp!r}")
     assignment = _require(record, "abAssignment", path)
     if not isinstance(assignment, list) or len(assignment) != 2:
         raise BlueprintFormatError(
             f"{path}: abAssignment must be a two-element list"
         )
+    metrics = _require(record, "abMetrics", path)
+    if not isinstance(metrics, list) or not all(isinstance(m, str) for m in metrics):
+        raise BlueprintFormatError(
+            f"{path}: abMetrics must be a list of strings, got {metrics!r}"
+        )
     return ABTestSpec(
         name=_require(record, "name", path),
-        exp_length=int(_require(record, "expLength", path)),
-        ab_assignment=(float(assignment[0]), float(assignment[1])),
+        exp_length=_integer(_require(record, "expLength", path), "expLength", path),
+        ab_assignment=tuple(_number(a, "abAssignment", path) for a in assignment),
         hypothesis=Hypothesis(
             metric=str(_require(hyp, "metric", path)),
             direction=str(_require(hyp, "direction", path)),
-            alpha=float(_require(hyp, "alpha", path)),
+            alpha=_number(_require(hyp, "alpha", path), "hypothesis.alpha", path),
         ),
-        ab_metrics=tuple(str(m) for m in _require(record, "abMetrics", path)),
+        ab_metrics=tuple(metrics),
         stat_test=str(_require(record, "statTest", path)),
         variant_a=str(_require(record, "variantA", path)),
         variant_b=str(_require(record, "variantB", path)),
@@ -144,7 +170,9 @@ def _parse_class_condition(entry: Any, path: Path) -> ClassCondition:
         )
     if op not in CLASS_OPS:
         raise BlueprintFormatError(f"{path}: unknown class operator {op!r}")
-    return ClassCondition(op=str(op), value=int(value))
+    return ClassCondition(
+        op=str(op), value=_integer(value, "conditionalStatements value", path)
+    )
 
 
 def parse_blueprints(bundle: str | Path) -> PipelineSpec:

@@ -195,13 +195,11 @@ def route_class(split: PopulationSplitSpec, predicted_class: int) -> str | None:
     return None
 
 
-def measure_predict_latency_ms(
-    model: LinearModel, features: np.ndarray, samples: int = 200
-) -> float:
-    """Median wall-time of single-vector predictions, in milliseconds."""
+def measure_predict_latency_ms(model: LinearModel, features: np.ndarray) -> float:
+    """Median wall-time of 200 single-vector predictions, in milliseconds."""
     rows = np.asarray(features, dtype=np.float64)
     timings = []
-    for i in range(samples):
+    for i in range(200):
         row = rows[i % len(rows)]
         start = time.perf_counter_ns()
         model.predict(row[None, :])

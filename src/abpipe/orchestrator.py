@@ -30,7 +30,8 @@ drained; only the order of trace events does.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -213,6 +214,8 @@ class SplitRunStats:
     dispatched: dict[str, int]
     unrouted: int
     sub_stream_totals: dict[str, int]
+    # wall time of deploying the split component: building the routing table
+    deploy_ms: float = field(default=0.0, compare=False)
 
     def fractions(self) -> dict[str, float]:
         if self.stream_total <= 0:
@@ -255,7 +258,7 @@ class Program:
     def _deploy(self, test_name: str) -> None:
         self.current_test: ABTestSpec | None = self.engine.spec.test(test_name)
         self.consumed = 0
-        self.engine.runner.deploy(self.instance_id, self.current_test)
+        self.engine.runner.deploy(self.current_test)
         self.engine._trace(self.instance_id, EVENT_DEPLOY, {"test": test_name})
 
     def on_batch(self, result: StatResult) -> None:
@@ -269,7 +272,7 @@ class Program:
         if not is_terminal(result, test):
             return
         self.instance.record_result(test.name, result)
-        self.engine.runner.restore(self.instance_id, test)
+        self.engine.runner.restore(test)
         target, rule = next_element(self.rules, result, test.name)
         self.engine._trace(
             self.instance_id,
@@ -310,16 +313,10 @@ class ScriptedRunner:
     def check_variants(self, spec: PipelineSpec) -> None:
         pass
 
-    def deploy(self, instance_id: str, test: ABTestSpec) -> None:
+    def deploy(self, test: ABTestSpec) -> None:
         pass
 
-    def restore(self, instance_id: str, test: ABTestSpec) -> None:
-        pass
-
-    def deploy_split(self, split: PopulationSplitSpec) -> None:
-        pass
-
-    def undeploy_split(self, split: PopulationSplitSpec) -> None:
+    def restore(self, test: ABTestSpec) -> None:
         pass
 
     def ensure_split_model(self, split: PopulationSplitSpec) -> None:
@@ -382,17 +379,11 @@ class WebStoreRunner:
             self.store.component_of(test.variant_a)
             self.store.component_of(test.variant_b)
 
-    def deploy(self, instance_id: str, test: ABTestSpec) -> None:
+    def deploy(self, test: ABTestSpec) -> None:
         self.store.deploy_ab_test(test)
 
-    def restore(self, instance_id: str, test: ABTestSpec) -> None:
+    def restore(self, test: ABTestSpec) -> None:
         self.store.restore_initial(test.name)
-
-    def deploy_split(self, split: PopulationSplitSpec) -> None:
-        self.store.deploy_split_component(split)
-
-    def undeploy_split(self, split: PopulationSplitSpec) -> None:
-        self.store.undeploy_split_component(split)
 
     def ensure_split_model(self, split: PopulationSplitSpec) -> clf.LinearModel:
         image = split.split_component.image_name
@@ -460,7 +451,12 @@ class WebStoreRunner:
     def run_split(
         self, split: PopulationSplitSpec, programs: list[Program]
     ) -> SplitRunStats:
-        return self._serve(programs, self._routing_table(split, programs))
+        started = time.perf_counter()
+        table = self._routing_table(split, programs)
+        deploy_ms = (time.perf_counter() - started) * 1e3
+        stats = self._serve(programs, table)
+        stats.deploy_ms = deploy_ms
+        return stats
 
     def _serve(self, programs: list[Program], table: np.ndarray) -> SplitRunStats:
         """Run ``programs`` to completion on arrivals routed by ``table``.
@@ -661,7 +657,7 @@ class PipelineEngine:
     # -- population split ------------------------------------------------------
 
     def execute_split_entry(self, split: PopulationSplitSpec) -> list[Program]:
-        """Create per-sub-pipeline knowledge, deploy the split, start subs."""
+        """Create per-sub-pipeline knowledge and start the sub-pipelines."""
         self.runner.ensure_split_model(split)
         for sub in split.sub_pipelines:
             if self.knowledge.has(sub.subpl_id):
@@ -680,7 +676,6 @@ class PipelineEngine:
                 "sub_pipelines": [s.subpl_id for s in split.sub_pipelines],
             },
         )
-        self.runner.deploy_split(split)
         programs = []
         for sub in split.sub_pipelines:
             self._trace(sub.subpl_id, EVENT_START, {"element": sub.start})
@@ -699,7 +694,6 @@ class PipelineEngine:
         for sub in split.sub_pipelines:
             self._fold_results(sub.subpl_id)
             self.knowledge.remove_instance(sub.subpl_id)
-        self.runner.undeploy_split(split)
         self._trace(
             self.spec.name,
             EVENT_SPLIT_EXIT,
@@ -714,11 +708,7 @@ class PipelineEngine:
 
 
 def execute_pipeline(
-    spec: PipelineSpec,
-    runner,
-    knowledge: KnowledgeRepository | None = None,
-    catalog: dict[str, str] | None = None,
+    spec: PipelineSpec, runner
 ) -> tuple[ExecutionTrace, dict[str, StatResult]]:
     """Set up and run a pipeline to End; returns (trace, results map)."""
-    engine = PipelineEngine(spec, runner, knowledge=knowledge, catalog=catalog)
-    return engine.run()
+    return PipelineEngine(spec, runner).run()

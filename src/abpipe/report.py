@@ -60,7 +60,6 @@ def run_pipeline_once(
     scenario: ScenarioConfig,
     seed: int,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    catalog: dict[str, str] | None = None,
 ) -> RunOutcome:
     """Execute a pipeline once, deterministically for the given seed.
 
@@ -69,7 +68,7 @@ def run_pipeline_once(
     the classifier training data all derive from it.
     """
     config = replace(scenario, seed=seed)
-    store = WebStore(config, catalog)
+    store = WebStore(config)
     models: dict[str, clf.LinearModel] = {}
     train_ms: float | None = None
     model: clf.LinearModel | None = None
@@ -259,7 +258,6 @@ def compare_pipelines(
     scenario: ScenarioConfig,
     seeds: list[int],
     batch_size: int = DEFAULT_BATCH_SIZE,
-    catalog: dict[str, str] | None = None,
 ) -> ComparisonReport:
     """Run both pipelines over the seeds and aggregate medians.
 
@@ -293,15 +291,14 @@ def compare_pipelines(
     fractions: dict[str, list[float]] = {}
     unrouted: list[float] = []
     train_ms: list[float] = []
+    deploy_ms: list[float] = []
     predict_ms: list[float] = []
     last_model: clf.LinearModel | None = None
 
     failures: list[dict] = []
     for seed in seeds:
         try:
-            seq_out = run_pipeline_once(
-                seq_spec, scenario, seed, batch_size, catalog=catalog
-            )
+            seq_out = run_pipeline_once(seq_spec, scenario, seed, batch_size)
         except PipelineRunError as exc:
             failures.append(
                 {"seed": seed, "pipeline": seq_spec.name, "error": str(exc)}
@@ -311,9 +308,7 @@ def compare_pipelines(
             if row["test"] in seq_requests:
                 seq_requests[row["test"]].append(row["requests"])
         try:
-            par_out = run_pipeline_once(
-                par_spec, scenario, seed, batch_size, catalog=catalog
-            )
+            par_out = run_pipeline_once(par_spec, scenario, seed, batch_size)
         except PipelineRunError as exc:
             failures.append(
                 {"seed": seed, "pipeline": par_spec.name, "error": str(exc)}
@@ -330,6 +325,7 @@ def compare_pipelines(
             unrouted.append(split["unrouted_fraction"])
         if par_out.train_ms is not None:
             train_ms.append(par_out.train_ms)
+        deploy_ms.extend(s.deploy_ms for s in par_out.engine.split_stats.values())
         last_model = par_out.model or last_model
 
     if last_model is not None:
@@ -378,7 +374,8 @@ def compare_pipelines(
     overhead = {}
     if train_ms:
         overhead["train_ms"] = float(statistics.median(train_ms))
-    overhead["deploy_ms"] = float(scenario.deployment_latency_ms)
+    if deploy_ms:
+        overhead["deploy_ms"] = float(statistics.median(deploy_ms))
     if predict_ms:
         overhead["predict_ms_median"] = float(statistics.median(predict_ms))
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import prf
 from .classifier import DEFAULT_FEATURES
-from .model import ABTestSpec, PopulationSplitSpec
+from .model import ABTestSpec
 from .stats import MetricAccumulator
 
 METRIC_ENGAGEMENT = "engagement"
@@ -80,7 +80,6 @@ class ScenarioConfig:
     seed: int = 1
     population_size: int = 100_000
     train_samples: int = 20_000
-    deployment_latency_ms: float = 0.0
     n_features: int = DEFAULT_FEATURES
 
     def metric_known(self, metric: str) -> bool:
@@ -120,6 +119,23 @@ def _has_shape(value, template) -> bool:
     return isinstance(value, int) if isinstance(template, int) else math.isfinite(value)
 
 
+# fields whose every number is a probability, and integer fields' minimums
+_PROBABILITIES = (
+    "purchaser_prevalence",
+    "feature_noise",
+    "review_rates",
+    "recommendation_rates",
+    "gui_rates",
+)
+_MINIMUMS = {"population_size": 1, "train_samples": 2, "n_features": 1}
+
+
+def _numbers(value) -> list:
+    if isinstance(value, dict):
+        return [n for v in value.values() for n in _numbers(v)]
+    return [value]
+
+
 def load_scenario(path: str | Path) -> ScenarioConfig:
     record = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(record, dict):
@@ -134,6 +150,16 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         if not _has_shape(value, template):
             raise WebStoreError(
                 f"scenario field {name!r} must be {_shape(template)}, got {value!r}"
+            )
+        if name in _PROBABILITIES and not all(0 <= n <= 1 for n in _numbers(value)):
+            raise WebStoreError(
+                f"scenario field {name!r} must hold probabilities in [0, 1],"
+                f" got {value!r}"
+            )
+        minimum = _MINIMUMS.get(name)
+        if minimum is not None and value < minimum:
+            raise WebStoreError(
+                f"scenario field {name!r} must be >= {minimum}, got {value!r}"
             )
     return ScenarioConfig(**record)
 
@@ -285,11 +311,8 @@ class WebStore:
         self.population = generate_population(config, config.population_size)
         self.arrivals = ArrivalStream(config, self.population.size)
         self._active: dict[str, _ActiveTest] = {}
-        self._finished: dict[str, _ActiveTest] = {}
         self._active_components: dict[str, str] = {}
-        self._epochs: dict[str, int] = {}
-        self._split_services: set[str] = set()
-        self.deployment_log: list[dict] = []
+        self._epochs: dict[str, int] = {}  # deployments so far, per test
 
     # -- deployment ---------------------------------------------------------
 
@@ -321,56 +344,17 @@ class WebStore:
         self._epochs[spec.name] = epoch + 1
         record = _ActiveTest(spec, (comp_a, comp_b), self.config.seed, epoch)
         self._active[spec.name] = record
-        self._finished.pop(spec.name, None)
         for comp in {comp_a, comp_b}:
             self._active_components[comp] = spec.name
-        self.deployment_log.append(
-            {
-                "kind": "deploy_variants",
-                "name": spec.name,
-                "latency_ms": self.config.deployment_latency_ms,
-            }
-        )
 
     def restore_initial(self, test_name: str) -> None:
         record = self._active.pop(test_name, None)
         if record is None:
-            if test_name in self._finished:
+            if test_name in self._epochs:
                 return  # already restored; idempotent
             raise UnknownTestError(f"test {test_name!r} was never deployed")
         for comp in set(record.components):
             self._active_components.pop(comp, None)
-        self._finished[test_name] = record
-        self.deployment_log.append(
-            {
-                "kind": "restore_initial",
-                "name": test_name,
-                "latency_ms": self.config.deployment_latency_ms,
-            }
-        )
-
-    def deploy_split_component(self, split: PopulationSplitSpec) -> None:
-        service = split.split_component.service_name
-        if service in self._split_services:
-            return  # idempotent re-execution
-        self._split_services.add(service)
-        self.deployment_log.append(
-            {
-                "kind": "deploy_split_component",
-                "name": service,
-                "latency_ms": self.config.deployment_latency_ms,
-            }
-        )
-
-    def undeploy_split_component(self, split: PopulationSplitSpec) -> None:
-        self._split_services.discard(split.split_component.service_name)
-        self.deployment_log.append(
-            {
-                "kind": "undeploy_split_component",
-                "name": split.split_component.service_name,
-                "latency_ms": self.config.deployment_latency_ms,
-            }
-        )
 
     @property
     def active_tests(self) -> list[str]:
@@ -412,10 +396,10 @@ class WebStore:
         return {"is_a": is_a, "samples": samples}
 
     def probe(self, test_name: str) -> ProbeSnapshot:
-        """Consistent read-only snapshot of a test's metrics and counter."""
-        record = self._active.get(test_name) or self._finished.get(test_name)
+        """Consistent read-only snapshot of an active test's metrics and counter."""
+        record = self._active.get(test_name)
         if record is None:
-            raise UnknownTestError(f"test {test_name!r} was never deployed")
+            raise NoActiveTestError(f"test {test_name!r} is not active")
         return ProbeSnapshot(
             test_name=test_name,
             requests=record.requests,

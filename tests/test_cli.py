@@ -8,6 +8,8 @@ import pytest
 from abpipe.cli import main
 from abpipe.webstore import save_scenario
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
 
 @pytest.fixture()
 def small_scenario_file(tmp_path, small_scenario) -> Path:
@@ -61,6 +63,56 @@ def test_validate_semantic_violation(tmp_path, par_bundle, capsys):
     path.write_text(json.dumps(record))
     assert main(["validate", str(bundle)]) == 1
     assert "non-exclusive-split-conditions" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "bundle_name, file, keys, value",
+    [
+        ("sequential", "experiments/GUI-upgrade.json", ("expLength",), "abc"),
+        ("sequential", "experiments/GUI-upgrade.json", ("expLength",), 1500.7),
+        ("sequential", "experiments/GUI-upgrade.json", ("expLength",), True),
+        ("sequential", "experiments/GUI-upgrade.json", ("abAssignment",), [0.5, None]),
+        ("sequential", "experiments/GUI-upgrade.json", ("abAssignment",), [0.5, "0.5"]),
+        ("sequential", "experiments/GUI-upgrade.json", ("hypothesis", "alpha"), None),
+        ("sequential", "experiments/GUI-upgrade.json", ("hypothesis",), None),
+        ("sequential", "experiments/GUI-upgrade.json", ("abMetrics",), "engagement"),
+        ("sequential", "experiments/GUI-upgrade.json", ("abMetrics",), [1]),
+        (
+            "parallel",
+            "splits/Population-split-purchases-prediction.json",
+            ("conditionalStatements", 0, "value"),
+            "0",
+        ),
+        (
+            "parallel",
+            "splits/Population-split-purchases-prediction.json",
+            ("conditionalStatements", 0, "value"),
+            0.5,
+        ),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_mistyped_blueprint_field_fails_in_one_line(
+    tmp_path, command, bundle_name, file, keys, value, capsys
+):
+    bundle = tmp_path / bundle_name
+    shutil.copytree(SCENARIOS / bundle_name, bundle)
+    path = bundle / file
+    record = json.loads(path.read_text())
+    parent = record
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    path.write_text(json.dumps(record))
+    argv = [command, str(bundle)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    lines = (captured.out if command == "validate" else captured.err).splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"{path}: {keys[0]}")
+    assert "Traceback" not in captured.out + captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +292,7 @@ def test_compare_report_structure(tmp_path, seq_bundle, par_bundle, small_scenar
     )
     overhead = json.loads((out / "overhead.json").read_text())
     assert {"train_ms", "deploy_ms", "predict_ms_median"} <= set(overhead)
+    assert overhead["deploy_ms"] > 0  # measured routing-table build
     text = (out / "report.txt").read_text()
     assert "Total (MAX)" in text and "Total (SUM)" in text
     assert "Reference, full-scale study" in text
@@ -480,7 +533,7 @@ def test_untrainable_split_model_fails_cleanly(
         ("n_features", None),
         ("purchaser_prevalence", "0.1"),
         ("feature_noise", float("nan")),
-        ("deployment_latency_ms", float("inf")),
+        ("purchaser_prevalence", float("inf")),
         ("gui_rates", [0.5, 0.56]),
         ("review_rates", {"A": 0.147}),
         ("review_rates", {"A": 0.147, "B": 0.16, "C": 0.2}),
@@ -489,6 +542,19 @@ def test_untrainable_split_model_fails_cleanly(
             "recommendation_rates",
             {"purchaser": {"A": 0.3, "B": "x"}, "non_purchaser": {"A": 0, "B": 0}},
         ),
+        # out of range
+        ("purchaser_prevalence", 1.5),
+        ("feature_noise", -0.2),
+        ("review_rates", {"A": -1, "B": 2}),
+        ("gui_rates", {"A": 0.5, "B": 1.01}),
+        (
+            "recommendation_rates",
+            {"purchaser": {"A": 0.3, "B": 0.45}, "non_purchaser": {"A": -0.1, "B": 0}},
+        ),
+        ("population_size", 0),
+        ("train_samples", 1),
+        ("n_features", -1),
+        ("n_features", 0),
     ],
 )
 def test_run_rejects_mistyped_scenario_field(
@@ -503,6 +569,22 @@ def test_run_rejects_mistyped_scenario_field(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("bad scenario file") and repr(field) in err[0]
+    assert not out.exists()
+
+
+def test_run_rejects_unknown_scenario_field(
+    tmp_path, seq_bundle, small_scenario_file, capsys
+):
+    record = json.loads(small_scenario_file.read_text())
+    record["deployment_latency_ms"] = 0.0  # a field this version no longer has
+    small_scenario_file.write_text(json.dumps(record))
+    out = tmp_path / "out"
+    argv = ["run", str(seq_bundle), "--scenario", str(small_scenario_file), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("bad scenario file")
+    assert "unknown scenario fields: ['deployment_latency_ms']" in err[0]
     assert not out.exists()
 
 

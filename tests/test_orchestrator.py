@@ -263,7 +263,7 @@ def test_missing_variant_fails_before_any_deployment(small_scenario):
     engine = PipelineEngine(spec, runner, catalog=store.catalog)
     with pytest.raises(Exception):
         engine.setup_and_initiate()
-    assert store.deployment_log == []
+    assert store.active_tests == []
 
 
 def test_untrained_split_model_rejected(par_spec, small_scenario):

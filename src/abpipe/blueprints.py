@@ -97,6 +97,22 @@ def _number(value: Any, field: str, path: Path) -> float:
     return float(value)
 
 
+def _typed(value: Any, kind: type, field: str, path: Path) -> Any:
+    if not isinstance(value, kind):
+        noun = {str: "a string", dict: "an object"}[kind]
+        raise BlueprintFormatError(f"{path}: {field} must be {noun}, got {value!r}")
+    return value
+
+
+def _list(value: Any, field: str, path: Path, kind: type = object) -> list:
+    if not isinstance(value, list) or not all(isinstance(v, kind) for v in value):
+        of = {str: " of strings", dict: " of objects"}.get(kind, "")
+        raise BlueprintFormatError(
+            f"{path}: {field} must be a list{of}, got {value!r}"
+        )
+    return value
+
+
 def _load_dir(bundle: Path, sub: str) -> dict[str, tuple[dict, Path]]:
     registry: dict[str, tuple[dict, Path]] = {}
     directory = bundle / sub
@@ -106,7 +122,7 @@ def _load_dir(bundle: Path, sub: str) -> dict[str, tuple[dict, Path]]:
         record = _load_json(path)
         if not isinstance(record, dict):
             raise BlueprintFormatError(f"{path}: expected a JSON object")
-        name = _require(record, "name", path)
+        name = _typed(_require(record, "name", path), str, "name", path)
         if name in registry:
             raise DuplicateNameError(name, f"{registry[name][1]} and {path}")
         registry[name] = (record, path)
@@ -114,19 +130,13 @@ def _load_dir(bundle: Path, sub: str) -> dict[str, tuple[dict, Path]]:
 
 
 def _parse_experiment(record: dict, path: Path) -> ABTestSpec:
-    hyp = _require(record, "hypothesis", path)
-    if not isinstance(hyp, dict):
-        raise BlueprintFormatError(f"{path}: hypothesis must be an object, got {hyp!r}")
+    hyp = _typed(_require(record, "hypothesis", path), dict, "hypothesis", path)
     assignment = _require(record, "abAssignment", path)
     if not isinstance(assignment, list) or len(assignment) != 2:
         raise BlueprintFormatError(
             f"{path}: abAssignment must be a two-element list"
         )
-    metrics = _require(record, "abMetrics", path)
-    if not isinstance(metrics, list) or not all(isinstance(m, str) for m in metrics):
-        raise BlueprintFormatError(
-            f"{path}: abMetrics must be a list of strings, got {metrics!r}"
-        )
+    metrics = _list(_require(record, "abMetrics", path), "abMetrics", path, str)
     return ABTestSpec(
         name=_require(record, "name", path),
         exp_length=_integer(_require(record, "expLength", path), "expLength", path),
@@ -212,18 +222,32 @@ def parse_blueprints(bundle: str | Path) -> PipelineSpec:
 
     sub_defs: dict[str, SubPipeline] = {}
     seen_tests: dict[str, ABTestSpec] = {}
-    for entry in root.get("subPipelines", []):
-        subpl_id = _require(entry, "id", pipeline_path)
+    entries = _list(root.get("subPipelines", []), "subPipelines", pipeline_path, dict)
+    for index, entry in enumerate(entries):
+        field = f"subPipelines[{index}]"
+        subpl_id = _typed(
+            _require(entry, "id", pipeline_path), str, f"{field}.id", pipeline_path
+        )
         if subpl_id in sub_defs:
             raise DuplicateNameError(subpl_id, "subPipelines")
         sub_tests = []
-        for name in _require(entry, "experiments", pipeline_path):
+        for name in _list(
+            _require(entry, "experiments", pipeline_path),
+            f"{field}.experiments",
+            pipeline_path,
+            str,
+        ):
             test = pick_experiment(name, f"sub-pipeline {subpl_id}")
             seen_tests.setdefault(name, test)
             sub_tests.append(name)
         sub_rules = tuple(
             pick_rule(name, f"sub-pipeline {subpl_id}")
-            for name in entry.get("transitionRules", [])
+            for name in _list(
+                entry.get("transitionRules", []),
+                f"{field}.transitionRules",
+                pipeline_path,
+                str,
+            )
         )
         sub_defs[subpl_id] = SubPipeline(
             subpl_id=subpl_id,
@@ -233,7 +257,7 @@ def parse_blueprints(bundle: str | Path) -> PipelineSpec:
         )
 
     spec_tests: list[ABTestSpec] = []
-    for name in root.get("experiments", []):
+    for name in _list(root.get("experiments", []), "experiments", pipeline_path, str):
         test = pick_experiment(name, "pipeline experiments")
         if name in {t.name for t in spec_tests}:
             raise DuplicateNameError(name, "pipeline experiments")
@@ -244,15 +268,19 @@ def parse_blueprints(bundle: str | Path) -> PipelineSpec:
 
     spec_rules = tuple(
         pick_rule(name, "pipeline transitionRules")
-        for name in root.get("transitionRules", [])
+        for name in _list(
+            root.get("transitionRules", []), "transitionRules", pipeline_path, str
+        )
     )
 
     spec_splits = []
-    for name in root.get("populationSplits", []):
+    for name in _list(
+        root.get("populationSplits", []), "populationSplits", pipeline_path, str
+    ):
         if name not in splits:
             raise UnresolvedReferenceError(name, "pipeline populationSplits")
         record, path = splits[name]
-        sub_ids = _require(record, "pipelines", path)
+        sub_ids = _list(_require(record, "pipelines", path), "pipelines", path, str)
         sub_pipelines = []
         for sub_id in sub_ids:
             if sub_id not in sub_defs:
@@ -260,7 +288,9 @@ def parse_blueprints(bundle: str | Path) -> PipelineSpec:
                     sub_id, f"split {name} pipelines"
                 )
             sub_pipelines.append(sub_defs[sub_id])
-        component = _require(record, "splitComponent", path)
+        component = _typed(
+            _require(record, "splitComponent", path), dict, "splitComponent", path
+        )
         spec_splits.append(
             PopulationSplitSpec(
                 name=_require(record, "name", path),
@@ -268,7 +298,11 @@ def parse_blueprints(bundle: str | Path) -> PipelineSpec:
                 sub_pipelines=tuple(sub_pipelines),
                 cond_stats=tuple(
                     _parse_class_condition(entry, path)
-                    for entry in _require(record, "conditionalStatements", path)
+                    for entry in _list(
+                        _require(record, "conditionalStatements", path),
+                        "conditionalStatements",
+                        path,
+                    )
                 ),
                 next_component=str(_require(record, "nextComponent", path)),
                 split_component=SplitComponent(
@@ -279,7 +313,9 @@ def parse_blueprints(bundle: str | Path) -> PipelineSpec:
         )
 
     return PipelineSpec(
-        name=str(_require(root, "name", pipeline_path)),
+        name=_typed(
+            _require(root, "name", pipeline_path), str, "name", pipeline_path
+        ),
         ab_tests=tuple(spec_tests),
         trans_rules=spec_rules,
         pop_splits=tuple(spec_splits),

@@ -116,14 +116,7 @@ def write_run_outputs(out: Path, engine, summary: dict) -> None:
 
 
 def cmd_validate(args) -> int:
-    bundle = Path(args.bundle)
-    if not bundle.is_dir():
-        raise CliError(f"blueprint bundle not found: {bundle}", EXIT_IO)
-    try:
-        spec = parse_blueprints(bundle)
-    except BlueprintError as exc:
-        print(str(exc))
-        return EXIT_DOMAIN
+    spec = _load_bundle(args.bundle)
     report = validate(spec, DEFAULT_CATALOG)
     if report.ok:
         print(f"{spec.name}: no violations")

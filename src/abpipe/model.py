@@ -421,6 +421,14 @@ def validate(
                 spec.name,
                 "no transition path from Start can reach End",
             )
+        cycle = graph.cycle()
+        if cycle is not None:
+            report.add(
+                "transition-cycle",
+                spec.name,
+                f"{' -> '.join(cycle)} re-enters {cycle[0]!r}; an element runs"
+                " at most once per run",
+            )
     return report
 
 
@@ -459,6 +467,25 @@ class TransitionGraph:
                     seen.add(edge.dst)
                     frontier.append(edge.dst)
         return False
+
+    def cycle(self, frm: str = START_NODE) -> list[str] | None:
+        """Nodes of a cycle reachable from ``frm``, first node repeated; else None."""
+        stack = [(frm, iter(self.out_edges(frm)))]
+        on_path, finished = {frm}, set()
+        while stack:
+            node, edges = stack[-1]
+            edge = next(edges, None)
+            if edge is None:
+                stack.pop()
+                on_path.discard(node)
+                finished.add(node)
+            elif edge.dst in on_path:
+                path = [n for n, _ in stack]
+                return path[path.index(edge.dst) :] + [edge.dst]
+            elif edge.dst not in finished:
+                stack.append((edge.dst, iter(self.out_edges(edge.dst))))
+                on_path.add(edge.dst)
+        return None
 
 
 def _can_default(rules: list[TransitionRule]) -> bool:

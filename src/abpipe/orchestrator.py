@@ -21,10 +21,11 @@ each arrival to one program (a root segment has one program that takes
 every arrival), serves each program's traffic up to its next check
 boundary, holds what is left in one array per program, and pushes the
 unconsumed tail back once every program is done, so the consumed
-prefix does not depend on the chunk size. Every
-draw is counter-based and each program owns its tests' state, so
-results and summaries do not depend on the order in which a chunk is
-drained; only the order of trace events does.
+prefix does not depend on the chunk size. The store keeps no
+statistics: each look adds the served samples to the program's own
+accumulators. Every draw is counter-based and each program owns its
+tests' state, so results and summaries do not depend on the order in
+which a chunk is drained; only the order of trace events does.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .model import (
 from .conditions import evaluate_condition
 from .stats import (
     DEFAULT_BATCH_SIZE,
+    MetricAccumulator,
     StatResult,
     is_terminal,
     next_boundary,
@@ -237,7 +239,8 @@ class Program:
     records it, restores the deployment and fires the first matching
     transition rule. It is done when a rule leads to End or to a
     population split; ``next`` then names that element. ``consumed`` is
-    the count of requests the current test has been served so far.
+    the count of requests the current test has been served so far;
+    ``acc_a`` and ``acc_b`` hold its hypothesis metric per variant.
     """
 
     def __init__(
@@ -258,6 +261,9 @@ class Program:
     def _deploy(self, test_name: str) -> None:
         self.current_test: ABTestSpec | None = self.engine.spec.test(test_name)
         self.consumed = 0
+        metric = self.current_test.hypothesis.metric
+        self.acc_a = MetricAccumulator("A", metric)
+        self.acc_b = MetricAccumulator("B", metric)
         self.engine.runner.deploy(self.current_test)
         self.engine._trace(self.instance_id, EVENT_DEPLOY, {"test": test_name})
 
@@ -396,17 +402,20 @@ class WebStoreRunner:
 
     # -- serving ----------------------------------------------------------------
 
-    def _evaluate(self, test: ABTestSpec) -> StatResult:
-        snap = self.store.probe(test.name)
-        acc_a, acc_b = snap.pair(test.hypothesis.metric)
+    def _evaluate(self, program: Program, served: dict) -> StatResult:
+        """Add a served block's hypothesis samples to the program's pair; look."""
+        test = program.current_test
+        values, is_a = served["samples"][test.hypothesis.metric], served["is_a"]
+        program.acc_a.add_many(values[is_a])
+        program.acc_b.add_many(values[~is_a])
         return run_stat_test(
             test.stat_test,
-            acc_a,
-            acc_b,
+            program.acc_a,
+            program.acc_b,
             direction=test.hypothesis.direction,
             alpha=test.hypothesis.alpha,
             test_name=test.name,
-            requests_consumed=snap.requests,
+            requests_consumed=self.store.probe(test.name),
         )
 
     def _routing_table(
@@ -500,12 +509,12 @@ class WebStoreRunner:
                     need = next_boundary(routed, test.exp_length, self.batch_size) - routed
                     if queue.shape[0] - taken < need:
                         break
-                    self.store.serve_chunk(test.name, queue[taken : taken + need])
+                    served = self.store.serve_chunk(test.name, queue[taken : taken + need])
                     taken += need
                     batches_served += 1
                     position = chunk_base + int(positions[taken - held - 1]) + 1
                     self.requests_total = max(self.requests_total, position)
-                    program.on_batch(self._evaluate(test))
+                    program.on_batch(self._evaluate(program, served))
                     if program.done:
                         completion_pos[program.instance_id] = position
                 pending[i] = queue[taken:]

@@ -69,14 +69,11 @@ def run_pipeline_once(
     """
     config = replace(scenario, seed=seed)
     store = WebStore(config)
-    models: dict[str, clf.LinearModel] = {}
-    train_ms: float | None = None
     model: clf.LinearModel | None = None
-    for split in spec.pop_splits:
+    if spec.pop_splits:  # the training data and seed are the same for every split
         features, labels = generate_training_data(config, config.train_samples)
         model = clf.train(features, labels, clf.Hyperparams(seed=config.seed))
-        models[split.split_component.image_name] = model
-        train_ms = model.train_time_ms
+    models = {split.split_component.image_name: model for split in spec.pop_splits}
     runner = WebStoreRunner(store, batch_size=batch_size, split_models=models)
     engine = PipelineEngine(spec, runner, catalog=store.catalog)
     try:
@@ -86,7 +83,7 @@ def run_pipeline_once(
     return RunOutcome(
         engine=engine,
         summary=build_summary(engine, seed, batch_size),
-        train_ms=train_ms,
+        train_ms=None if model is None else model.train_time_ms,
         model=model,
     )
 

@@ -123,11 +123,6 @@ class MetricAccumulator:
             return 0.0
         return self.m2 / (self.n - 1)
 
-    def copy(self) -> "MetricAccumulator":
-        return MetricAccumulator(
-            self.variant, self.metric, self.n, self.mean, self.m2, self.binary
-        )
-
 
 # ---------------------------------------------------------------------------
 # distribution tails

@@ -1,12 +1,13 @@
 """Deterministic simulated web-store with deployable A/B variants.
 
 The store plays the role of the "A/B-testing-enabled" managed system:
-variants are deployed onto named components, a routing table sends users
-to the active test, request counters and per-variant metric accumulators
-are exposed through probes, and every behavioral draw is a counter-based
-hash of (scenario seed, stream, counter) so reruns, and any order in
-which the sub-pipelines of a split are drained, produce identical
-numbers.
+variants are deployed onto named components, each served block of
+requests returns its variant assignments and metric samples, an active
+test's request counter is exposed through a probe, and every behavioral
+draw is a counter-based hash of (scenario seed, stream, counter) so
+reruns, and any order in which the sub-pipelines of a split are drained,
+produce identical numbers. The store keeps no statistics: the managing
+system evaluates each test from the samples it was served.
 
 Users are synthetic: a latent purchaser/non-purchaser class drawn at the
 configured prevalence, binary feature vectors correlated with the class
@@ -26,7 +27,6 @@ import numpy as np
 from . import prf
 from .classifier import DEFAULT_FEATURES
 from .model import ABTestSpec
-from .stats import MetricAccumulator
 
 METRIC_ENGAGEMENT = "engagement"
 METRIC_CLICKS = "clicks"
@@ -245,28 +245,11 @@ DEFAULT_CATALOG = {
 # deployment & serving
 
 
-@dataclass
-class ProbeSnapshot:
-    test_name: str
-    requests: int
-    accumulators: dict  # metric -> {"A": MetricAccumulator, "B": MetricAccumulator}
-
-    def pair(self, metric: str) -> tuple[MetricAccumulator, MetricAccumulator]:
-        return self.accumulators[metric]["A"], self.accumulators[metric]["B"]
-
-
 class _ActiveTest:
     def __init__(self, spec: ABTestSpec, components: tuple[str, str], seed: int, epoch: int):
         self.spec = spec
         self.components = components
         self.requests = 0
-        self.accumulators = {
-            metric: {
-                "A": MetricAccumulator("A", metric),
-                "B": MetricAccumulator("B", metric),
-            }
-            for metric in spec.ab_metrics
-        }
         self.assign_key = prf.stream_key(seed, "assign", spec.name, epoch)
         self.draw_keys = {
             metric: prf.stream_key(seed, "draw", spec.name, metric, epoch)
@@ -388,23 +371,13 @@ class WebStore:
                 self.config.rate(metric, "B", purchaser),
             )
             draws = prf.uniforms(record.draw_keys[metric], indices)
-            values = (draws < p).astype(np.float64)
-            samples[metric] = values
-            record.accumulators[metric]["A"].add_many(values[is_a])
-            record.accumulators[metric]["B"].add_many(values[~is_a])
+            samples[metric] = (draws < p).astype(np.float64)
         record.requests += n
         return {"is_a": is_a, "samples": samples}
 
-    def probe(self, test_name: str) -> ProbeSnapshot:
-        """Consistent read-only snapshot of an active test's metrics and counter."""
+    def probe(self, test_name: str) -> int:
+        """Count of requests the active test has been served."""
         record = self._active.get(test_name)
         if record is None:
             raise NoActiveTestError(f"test {test_name!r} is not active")
-        return ProbeSnapshot(
-            test_name=test_name,
-            requests=record.requests,
-            accumulators={
-                metric: {v: acc.copy() for v, acc in pair.items()}
-                for metric, pair in record.accumulators.items()
-            },
-        )
+        return record.requests

@@ -583,11 +583,11 @@ def test_criterion_8_validation_suite(tmp_path, seq_bundle, par_bundle, capsys):
         bundle = tmp_path / code
         _mutate_bundle(src, bundle, mutate)
         exit_code = main(["validate", str(bundle)])
-        out = capsys.readouterr().out
-        if code == "unresolved-reference":
-            detected[code] = exit_code == 1 and "Ghost-test" in out
+        captured = capsys.readouterr()
+        if code == "unresolved-reference":  # a parse error, printed on stderr
+            detected[code] = exit_code == 1 and "Ghost-test" in captured.err
         else:
-            detected[code] = exit_code == 1 and code in out
+            detected[code] = exit_code == 1 and code in captured.out
 
     clean = main(["validate", str(seq_bundle)]) == 0 and main(
         ["validate", str(par_bundle)]

@@ -43,7 +43,7 @@ def test_validate_dangling_reference(tmp_path, seq_bundle, capsys):
     record["experiments"].append("X")
     (bundle / "pipeline.json").write_text(json.dumps(record))
     assert main(["validate", str(bundle)]) == 1
-    assert "'X'" in capsys.readouterr().out
+    assert "'X'" in capsys.readouterr().err
 
 
 def test_validate_nonexistent_path(tmp_path, capsys):
@@ -89,6 +89,48 @@ def test_validate_semantic_violation(tmp_path, par_bundle, capsys):
             ("conditionalStatements", 0, "value"),
             0.5,
         ),
+        (
+            "parallel",
+            "splits/Population-split-purchases-prediction.json",
+            ("splitComponent",),
+            None,
+        ),
+        ("parallel", "pipeline.json", ("subPipelines",), [5]),
+        ("sequential", "experiments/GUI-upgrade.json", ("name",), ["x"]),
+        ("sequential", "pipeline.json", ("experiments",), "GUI-upgrade"),
+        ("sequential", "pipeline.json", ("transitionRules",), "GUI-upgrade-success"),
+        (
+            "parallel",
+            "pipeline.json",
+            ("subPipelines", 0, "experiments"),
+            "Review-upgrade",
+        ),
+        (
+            "parallel",
+            "splits/Population-split-purchases-prediction.json",
+            ("pipelines",),
+            "Review-pipeline",
+        ),
+        (
+            "parallel",
+            "pipeline.json",
+            ("populationSplits",),
+            "Population-split-purchases-prediction",
+        ),
+        (
+            "parallel",
+            "pipeline.json",
+            ("subPipelines", 0, "transitionRules"),
+            "GUI-upgrade-to-split",
+        ),
+        ("parallel", "pipeline.json", ("subPipelines", 0, "id"), 5),
+        ("sequential", "pipeline.json", ("name",), 5),
+        (
+            "parallel",
+            "splits/Population-split-purchases-prediction.json",
+            ("conditionalStatements",),
+            None,
+        ),
     ],
 )
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -109,10 +151,61 @@ def test_mistyped_blueprint_field_fails_in_one_line(
         argv += ["--out", str(tmp_path / "out")]
     assert main(argv) == 1
     captured = capsys.readouterr()
-    lines = (captured.out if command == "validate" else captured.err).splitlines()
+    lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"{path}: {keys[0]}")
     assert "Traceback" not in captured.out + captured.err
+
+
+def _add_rule(bundle: Path, name: str, assoc: str, cond: str, subseq: str) -> None:
+    record = {
+        "name": name,
+        "assocAbTest": assoc,
+        "condStat": cond,
+        "subseqAbTest": subseq,
+    }
+    (bundle / "rules" / f"{name}.json").write_text(json.dumps(record))
+    pipeline = json.loads((bundle / "pipeline.json").read_text())
+    pipeline["transitionRules"].append(name)
+    (bundle / "pipeline.json").write_text(json.dumps(pipeline))
+
+
+def _continue_split_at_root(bundle: Path) -> None:
+    path = bundle / "splits" / "Population-split-purchases-prediction.json"
+    record = json.loads(path.read_text())
+    record["nextComponent"] = "GUI-upgrade"
+    path.write_text(json.dumps(record))
+
+
+LOOPS = {
+    "self-loop": (
+        "sequential",
+        lambda b: _add_rule(
+            b, "GUI-retry", "GUI-upgrade", "p_value > 0.05", "GUI-upgrade"
+        ),
+    ),
+    "two-test-loop": (
+        "sequential",
+        lambda b: _add_rule(
+            b, "Review-back", "Review-upgrade", "p_value > 0.05", "GUI-upgrade"
+        ),
+    ),
+    "split-loop": ("parallel", _continue_split_at_root),
+}
+
+
+@pytest.mark.parametrize("loop", sorted(LOOPS))
+def test_transition_cycle_fails_validate_and_run(tmp_path, loop, capsys):
+    bundle_name, mutate = LOOPS[loop]
+    bundle = tmp_path / loop
+    shutil.copytree(SCENARIOS / bundle_name, bundle)
+    mutate(bundle)
+    assert main(["validate", str(bundle)]) == 1
+    assert "[transition-cycle]" in capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main(["run", str(bundle), "--out", str(out)]) == 1
+    assert "[transition-cycle]" in capsys.readouterr().err
+    assert not out.exists()  # failed before anything was served or written
 
 
 # ---------------------------------------------------------------------------

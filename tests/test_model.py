@@ -1,3 +1,5 @@
+import pytest
+
 from abpipe.model import (
     ABTestSpec,
     ClassCondition,
@@ -10,6 +12,7 @@ from abpipe.model import (
     transition_graph,
     validate,
 )
+from abpipe.orchestrator import PipelineEngine, ScriptedRunner, SpecInvalidError
 from abpipe.webstore import DEFAULT_CATALOG
 
 
@@ -203,6 +206,50 @@ def test_unreachable_end_via_always_firing_self_loop():
     r = rule("loop", "T1", "p_value >= 0", "T1")  # tautology, always fires
     report = validate(pipeline([t], [r], start="T1"))
     assert any(v.code == "unreachable-end" for v in report)
+
+
+def _loop_spec(kind):
+    if kind == "self-loop":
+        rules = [
+            rule("retry", "T1", "p_value > 0.05", "T1"),
+            rule("on", "T1", "p_value <= 0.05", "T2"),
+        ]
+        return pipeline([make_test("T1"), make_test("T2")], rules, start="T1")
+    if kind == "two-test-loop":
+        rules = [
+            rule("on", "T1", "p_value <= 0.05", "T2"),
+            rule("back", "T2", "p_value > 0.05", "T1"),
+        ]
+        return pipeline([make_test("T1"), make_test("T2")], rules, start="T1")
+    # the split continues at the root test that leads into it; the root
+    # test's default transition keeps End reachable
+    subs = [
+        SubPipeline("p1", "A1", ("A1",), ()),
+        SubPipeline("p2", "B1", ("B1",), ()),
+    ]
+    split = make_split(
+        subs, [ClassCondition("==", 0), ClassCondition("==", 1)], next_component="R"
+    )
+    tests = [make_test("R"), make_test("A1"), make_test("B1")]
+    return pipeline(tests, [rule("in", "R", "p_value <= 0.05", "S")], [split], "R")
+
+
+@pytest.mark.parametrize(
+    "kind, cycle",
+    [
+        ("self-loop", "T1 -> T1"),
+        ("two-test-loop", "T1 -> T2 -> T1"),
+        ("split-loop", "R -> S -> A1 -> R"),
+    ],
+)
+def test_transition_cycle_rejected(kind, cycle):
+    spec = _loop_spec(kind)
+    assert transition_graph(spec).reaches("End")
+    report = validate(spec)
+    assert [v.code for v in report] == ["transition-cycle"]
+    assert report.violations[0].message.startswith(cycle + " re-enters")
+    with pytest.raises(SpecInvalidError, match="transition-cycle"):
+        PipelineEngine(spec, ScriptedRunner({})).run()
 
 
 def test_single_test_without_rules_is_reachable():

@@ -369,6 +369,52 @@ def test_parallel_run_collects_split_stats(par_spec, small_scenario):
     assert "Recommendation-pipeline/Recommendation-upgrade" in qualified
 
 
+def test_run_fits_one_split_model_for_every_split(
+    par_spec, small_scenario, monkeypatch
+):
+    # two splits in a row, each with its own component image
+    split = par_spec.pop_splits[0]
+    renamed = {sub.start: f"{sub.start}-2" for sub in split.sub_pipelines}
+    second = replace(
+        split,
+        name="Second-split",
+        sub_pipelines=tuple(
+            replace(
+                sub,
+                subpl_id=f"{sub.subpl_id}-2",
+                start=renamed[sub.start],
+                ab_tests=(renamed[sub.start],),
+            )
+            for sub in split.sub_pipelines
+        ),
+        split_component=replace(split.split_component, image_name="second-image"),
+    )
+    first = replace(split, next_component=second.name)
+    tests = par_spec.ab_tests + tuple(
+        replace(par_spec.test(old), name=new) for old, new in renamed.items()
+    )
+    spec = replace(
+        par_spec,
+        ab_tests=tests,
+        trans_rules=(),
+        pop_splits=(first, second),
+        start=first.name,
+    )
+    fits = []
+
+    def counting_train(*args, **kwargs):
+        fits.append(train(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr("abpipe.classifier.train", counting_train)
+    outcome = run_pipeline_once(spec, small_scenario, seed=1)
+    assert set(outcome.engine.split_stats) == {first.name, second.name}
+    assert len(fits) == 1
+    models = outcome.engine.runner.split_models
+    assert set(models) == {"ml-purchase-filter", "second-image"}
+    assert all(model is fits[0] for model in models.values())
+
+
 def test_split_results_independent_of_drain_order(small_scenario):
     # a third of the traffic each: all three segments serve batches in
     # most arrival chunks, so a draw that depended on the order would show

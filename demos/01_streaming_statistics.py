@@ -1,17 +1,21 @@
 """Streaming metric accumulation and batch-wise significance checking.
 
-Walks through the statistics layer on its own: single-pass accumulators,
-Welch's t-test on binary metric streams, and the sequential monitor that
-checks the hypothesis every 1000 routed requests and stops at the first
-p <= alpha.
+Walks through the statistics layer: single-pass accumulators and
+Welch's t-test on binary metric streams on their own, then the same test
+run by the engine on the simulated store, which checks the hypothesis
+every 1000 served requests and stops at the first p <= alpha.
 
 Run from the repository root:  python demos/01_streaming_statistics.py
 """
 
+import time
+
 import numpy as np
 
-from abpipe.model import ABTestSpec, Hypothesis
-from abpipe.stats import MetricAccumulator, sequential_monitor, welch_t_test
+from abpipe.model import ABTestSpec, Hypothesis, PipelineSpec
+from abpipe.report import run_pipeline_once
+from abpipe.stats import MetricAccumulator, welch_t_test
+from abpipe.webstore import ScenarioConfig
 
 rng = np.random.default_rng(7)
 
@@ -45,7 +49,11 @@ print(
     f"p={result.p_value:.2e} significant={result.significant}"
 )
 
-# --- 3. sequential monitoring: stop at the first significant batch ----------
+# --- 3. the engine's looks: stop at the first significant batch ------------
+#
+# The same click-rate test as a one-test pipeline on the simulated store.
+# Its program looks every 1000 served requests and stops at the first
+# p <= alpha, or at the experiment-length cap.
 
 spec = ABTestSpec(
     name="click-rate-test",
@@ -54,23 +62,20 @@ spec = ABTestSpec(
     hypothesis=Hypothesis("clicks", "B_greater", 0.05),
     ab_metrics=("clicks",),
     stat_test="welch_t",
-    variant_a="v1",
-    variant_b="v2",
+    variant_a="checkout-review-v1",
+    variant_b="checkout-review-v2",
 )
+pipeline = PipelineSpec("click-rate-pipeline", (spec,), (), (), spec.name)
 
-def request_stream():
-    while True:
-        if rng.random() < 0.5:
-            yield ("A", float(rng.random() < 0.1470))
-        else:
-            yield ("B", float(rng.random() < 0.1617))
-
-results = sequential_monitor(spec, request_stream(), batch_size=1000)
-print("\nper-batch p-value trace (first checks):")
-for r in results[:5]:
+started = time.perf_counter()
+outcome = run_pipeline_once(pipeline, ScenarioConfig(), seed=7, batch_size=1000)
+elapsed = time.perf_counter() - started
+results = outcome.engine.batch_results[spec.name]
+print("\nper-batch p-value trace:")
+for r in results:
     print(f"  requests={r.requests_consumed:>6} p={r.p_value:.4f}")
 last = results[-1]
 print(
-    f"monitor stopped after {last.requests_consumed:,} requests "
-    f"(significant={last.significant}); checked {len(results)} batches"
+    f"the test stopped after {last.requests_consumed:,} requests "
+    f"(significant={last.significant}); {len(results)} looks in {elapsed:.2f} s"
 )

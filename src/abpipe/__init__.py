@@ -25,9 +25,7 @@ from .orchestrator import PipelineEngine, WebStoreRunner, execute_pipeline, rule
 from .report import compare_pipelines, run_pipeline_once
 from .stats import (
     MetricAccumulator,
-    SequentialMonitor,
     StatResult,
-    sequential_monitor,
     two_proportion_test,
     welch_t_test,
 )
@@ -44,7 +42,6 @@ __all__ = [
     "PipelineSpec",
     "PopulationSplitSpec",
     "ScenarioConfig",
-    "SequentialMonitor",
     "SplitComponent",
     "StatResult",
     "SubPipeline",
@@ -57,7 +54,6 @@ __all__ = [
     "parse_blueprints",
     "rule_applies",
     "run_pipeline_once",
-    "sequential_monitor",
     "serialize_blueprints",
     "transition_graph",
     "two_proportion_test",

@@ -104,6 +104,11 @@ def _typed(value: Any, kind: type, field: str, path: Path) -> Any:
     return value
 
 
+def _string(record: dict, key: str, path: Path, field: str | None = None) -> str:
+    """The required string ``record[key]``; ``field`` names it in errors."""
+    return _typed(_require(record, key, path), str, field or key, path)
+
+
 def _list(value: Any, field: str, path: Path, kind: type = object) -> list:
     if not isinstance(value, list) or not all(isinstance(v, kind) for v in value):
         of = {str: " of strings", dict: " of objects"}.get(kind, "")
@@ -122,7 +127,7 @@ def _load_dir(bundle: Path, sub: str) -> dict[str, tuple[dict, Path]]:
         record = _load_json(path)
         if not isinstance(record, dict):
             raise BlueprintFormatError(f"{path}: expected a JSON object")
-        name = _typed(_require(record, "name", path), str, "name", path)
+        name = _string(record, "name", path)
         if name in registry:
             raise DuplicateNameError(name, f"{registry[name][1]} and {path}")
         registry[name] = (record, path)
@@ -142,23 +147,23 @@ def _parse_experiment(record: dict, path: Path) -> ABTestSpec:
         exp_length=_integer(_require(record, "expLength", path), "expLength", path),
         ab_assignment=tuple(_number(a, "abAssignment", path) for a in assignment),
         hypothesis=Hypothesis(
-            metric=str(_require(hyp, "metric", path)),
-            direction=str(_require(hyp, "direction", path)),
+            metric=_string(hyp, "metric", path, "hypothesis.metric"),
+            direction=_string(hyp, "direction", path, "hypothesis.direction"),
             alpha=_number(_require(hyp, "alpha", path), "hypothesis.alpha", path),
         ),
         ab_metrics=tuple(metrics),
-        stat_test=str(_require(record, "statTest", path)),
-        variant_a=str(_require(record, "variantA", path)),
-        variant_b=str(_require(record, "variantB", path)),
+        stat_test=_string(record, "statTest", path),
+        variant_a=_string(record, "variantA", path),
+        variant_b=_string(record, "variantB", path),
     )
 
 
 def _parse_rule(record: dict, path: Path) -> TransitionRule:
     rule = TransitionRule(
         name=_require(record, "name", path),
-        assoc_ab_test=str(_require(record, "assocAbTest", path)),
-        cond_stat=str(_require(record, "condStat", path)),
-        subseq_ab_test=str(_require(record, "subseqAbTest", path)),
+        assoc_ab_test=_string(record, "assocAbTest", path),
+        cond_stat=_string(record, "condStat", path),
+        subseq_ab_test=_string(record, "subseqAbTest", path),
     )
     try:
         rule.condition  # eager grammar check -> position-annotated error
@@ -225,9 +230,7 @@ def parse_blueprints(bundle: str | Path) -> PipelineSpec:
     entries = _list(root.get("subPipelines", []), "subPipelines", pipeline_path, dict)
     for index, entry in enumerate(entries):
         field = f"subPipelines[{index}]"
-        subpl_id = _typed(
-            _require(entry, "id", pipeline_path), str, f"{field}.id", pipeline_path
-        )
+        subpl_id = _string(entry, "id", pipeline_path, f"{field}.id")
         if subpl_id in sub_defs:
             raise DuplicateNameError(subpl_id, "subPipelines")
         sub_tests = []
@@ -251,7 +254,9 @@ def parse_blueprints(bundle: str | Path) -> PipelineSpec:
         )
         sub_defs[subpl_id] = SubPipeline(
             subpl_id=subpl_id,
-            start=str(_require(entry, "startingComponent", pipeline_path)),
+            start=_string(
+                entry, "startingComponent", pipeline_path, f"{field}.startingComponent"
+            ),
             ab_tests=tuple(sub_tests),
             trans_rules=sub_rules,
         )
@@ -294,7 +299,7 @@ def parse_blueprints(bundle: str | Path) -> PipelineSpec:
         spec_splits.append(
             PopulationSplitSpec(
                 name=_require(record, "name", path),
-                split_property=str(_require(record, "splitProperty", path)),
+                split_property=_string(record, "splitProperty", path),
                 sub_pipelines=tuple(sub_pipelines),
                 cond_stats=tuple(
                     _parse_class_condition(entry, path)
@@ -304,22 +309,24 @@ def parse_blueprints(bundle: str | Path) -> PipelineSpec:
                         path,
                     )
                 ),
-                next_component=str(_require(record, "nextComponent", path)),
+                next_component=_string(record, "nextComponent", path),
                 split_component=SplitComponent(
-                    service_name=str(_require(component, "serviceName", path)),
-                    image_name=str(_require(component, "imageName", path)),
+                    service_name=_string(
+                        component, "serviceName", path, "splitComponent.serviceName"
+                    ),
+                    image_name=_string(
+                        component, "imageName", path, "splitComponent.imageName"
+                    ),
                 ),
             )
         )
 
     return PipelineSpec(
-        name=_typed(
-            _require(root, "name", pipeline_path), str, "name", pipeline_path
-        ),
+        name=_string(root, "name", pipeline_path),
         ab_tests=tuple(spec_tests),
         trans_rules=spec_rules,
         pop_splits=tuple(spec_splits),
-        start=str(_require(root, "startingComponent", pipeline_path)),
+        start=_string(root, "startingComponent", pipeline_path),
     )
 
 

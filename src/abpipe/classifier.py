@@ -195,15 +195,21 @@ def route_class(split: PopulationSplitSpec, predicted_class: int) -> str | None:
     return None
 
 
-def measure_predict_latency_ms(model: LinearModel, features: np.ndarray) -> float:
-    """Median wall-time of 200 single-vector predictions, in milliseconds."""
-    rows = np.asarray(features, dtype=np.float64)
+def measure_predict_latency_ms(
+    model: LinearModel, features: np.ndarray, block: int = 1
+) -> float:
+    """Median wall-time of one ``predict`` call on ``block`` rows, in ms.
+
+    ``features`` is predicted as the runner predicts a population: in
+    ``block``-row slices, one call per full slice.
+    """
+    block = min(block, len(features))
     timings = []
-    for i in range(200):
-        row = rows[i % len(rows)]
-        start = time.perf_counter_ns()
-        model.predict(row[None, :])
-        timings.append(time.perf_counter_ns() - start)
+    for start in range(0, len(features) - block + 1, block):
+        rows = features[start : start + block]
+        began = time.perf_counter_ns()
+        model.predict(rows)
+        timings.append(time.perf_counter_ns() - began)
     return float(np.median(timings)) / 1e6
 
 

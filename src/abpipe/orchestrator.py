@@ -21,11 +21,14 @@ each arrival to one program (a root segment has one program that takes
 every arrival), serves each program's traffic up to its next check
 boundary, holds what is left in one array per program, and pushes the
 unconsumed tail back once every program is done, so the consumed
-prefix does not depend on the chunk size. The store keeps no
-statistics: each look adds the served samples to the program's own
-accumulators. Every draw is counter-based and each program owns its
-tests' state, so results and summaries do not depend on the order in
-which a chunk is drained; only the order of trace events does.
+prefix does not depend on the chunk size. The runner only draws, routes
+and serves arrivals; each program runs its own looks. It says how many
+requests its next look needs, adds the served samples to its own
+accumulators, evaluates the hypothesis and applies the stopping rule.
+The store keeps no statistics. Every draw is counter-based and each
+program owns its tests' state, so results and summaries do not depend
+on the order in which a chunk is drained; only the order of trace
+events does.
 """
 
 from __future__ import annotations
@@ -233,14 +236,17 @@ class SplitRunStats:
 
 
 class Program:
-    """Control flow of one run of tests, advanced by a runner's batches.
+    """Control flow of one run of tests, advanced look by look.
 
-    A program deploys its start test and, on each terminal result,
-    records it, restores the deployment and fires the first matching
-    transition rule. It is done when a rule leads to End or to a
-    population split; ``next`` then names that element. ``consumed`` is
-    the count of requests the current test has been served so far;
-    ``acc_a`` and ``acc_b`` hold its hypothesis metric per variant.
+    A program deploys its start test and runs its looks: it says how
+    many requests the next look needs (:meth:`requests_to_look`), and
+    :meth:`look` adds a served block to the test's statistics and
+    evaluates the hypothesis. On each terminal result it records it,
+    restores the deployment and fires the first matching transition
+    rule. It is done when a rule leads to End or to a population split;
+    ``next`` then names that element. ``consumed`` is the count of
+    requests the current test has been served so far; ``acc_a`` and
+    ``acc_b`` hold its hypothesis metric per variant.
     """
 
     def __init__(
@@ -266,6 +272,29 @@ class Program:
         self.acc_b = MetricAccumulator("B", metric)
         self.engine.runner.deploy(self.current_test)
         self.engine._trace(self.instance_id, EVENT_DEPLOY, {"test": test_name})
+
+    def requests_to_look(self, batch_size: int) -> int:
+        """Requests the current test still needs before its next look."""
+        length = self.current_test.exp_length
+        return next_boundary(self.consumed, length, batch_size) - self.consumed
+
+    def look(self, served: dict, requests_consumed: int) -> None:
+        """Add a served block's hypothesis samples to the pair and look."""
+        test = self.current_test
+        values, is_a = served["samples"][test.hypothesis.metric], served["is_a"]
+        self.acc_a.add_many(values[is_a])
+        self.acc_b.add_many(values[~is_a])
+        self.on_batch(
+            run_stat_test(
+                test.stat_test,
+                self.acc_a,
+                self.acc_b,
+                direction=test.hypothesis.direction,
+                alpha=test.hypothesis.alpha,
+                test_name=test.name,
+                requests_consumed=requests_consumed,
+            )
+        )
 
     def on_batch(self, result: StatResult) -> None:
         if self.done:
@@ -402,22 +431,6 @@ class WebStoreRunner:
 
     # -- serving ----------------------------------------------------------------
 
-    def _evaluate(self, program: Program, served: dict) -> StatResult:
-        """Add a served block's hypothesis samples to the program's pair; look."""
-        test = program.current_test
-        values, is_a = served["samples"][test.hypothesis.metric], served["is_a"]
-        program.acc_a.add_many(values[is_a])
-        program.acc_b.add_many(values[~is_a])
-        return run_stat_test(
-            test.stat_test,
-            program.acc_a,
-            program.acc_b,
-            direction=test.hypothesis.direction,
-            alpha=test.hypothesis.alpha,
-            test_name=test.name,
-            requests_consumed=self.store.probe(test.name),
-        )
-
     def _routing_table(
         self, split: PopulationSplitSpec, programs: list[Program]
     ) -> np.ndarray:
@@ -504,17 +517,16 @@ class WebStoreRunner:
                 queue = np.concatenate((pending[i], users[positions]))
                 taken = 0
                 while not program.done:
-                    test = program.current_test
-                    routed = program.consumed
-                    need = next_boundary(routed, test.exp_length, self.batch_size) - routed
+                    need = program.requests_to_look(self.batch_size)
                     if queue.shape[0] - taken < need:
                         break
-                    served = self.store.serve_chunk(test.name, queue[taken : taken + need])
+                    name = program.current_test.name
+                    served = self.store.serve_chunk(name, queue[taken : taken + need])
                     taken += need
                     batches_served += 1
                     position = chunk_base + int(positions[taken - held - 1]) + 1
                     self.requests_total = max(self.requests_total, position)
-                    program.on_batch(self._evaluate(program, served))
+                    program.look(served, self.store.probe(name))
                     if program.done:
                         completion_pos[program.instance_id] = position
                 pending[i] = queue[taken:]

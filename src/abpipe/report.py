@@ -19,8 +19,6 @@ import statistics
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import classifier as clf
 from .model import PipelineSpec
 from .orchestrator import PipelineEngine, WebStoreRunner
@@ -289,7 +287,6 @@ def compare_pipelines(
     unrouted: list[float] = []
     train_ms: list[float] = []
     deploy_ms: list[float] = []
-    predict_ms: list[float] = []
     last_model: clf.LinearModel | None = None
 
     failures: list[dict] = []
@@ -323,11 +320,9 @@ def compare_pipelines(
         if par_out.train_ms is not None:
             train_ms.append(par_out.train_ms)
         deploy_ms.extend(s.deploy_ms for s in par_out.engine.split_stats.values())
-        last_model = par_out.model or last_model
-
-    if last_model is not None:
-        sample = np.zeros((32, last_model.n_features))
-        predict_ms.append(clf.measure_predict_latency_ms(last_model, sample))
+        if par_out.model is not None:
+            last_model = par_out.model
+            population = par_out.engine.runner.store.population.features
 
     sub_of_test = par_sub_tests
     sequential_tests = {}
@@ -373,8 +368,10 @@ def compare_pipelines(
         overhead["train_ms"] = float(statistics.median(train_ms))
     if deploy_ms:
         overhead["deploy_ms"] = float(statistics.median(deploy_ms))
-    if predict_ms:
-        overhead["predict_ms_median"] = float(statistics.median(predict_ms))
+    if last_model is not None:  # timed as the runner predicts a population
+        overhead["predict_ms_median"] = clf.measure_predict_latency_ms(
+            last_model, population, WebStoreRunner.CHUNK
+        )
 
     return ComparisonReport(
         sequential_pipeline=seq_spec.name,

@@ -1,10 +1,13 @@
-"""Streaming metric accumulation and sequential hypothesis evaluation.
+"""Streaming metric accumulation, hypothesis tests and the stopping rule.
 
-Accumulators use Welford's single-pass update so a monitor can probe
-running moments without storing samples. Hypothesis checks run at fixed
-request-batch boundaries and stop at the first significant result or at
-the experiment-length cap. Repeated looks are intentionally left
-uncorrected; see README for the false-positive implications.
+Accumulators use Welford's single-pass update, so running moments are
+kept without storing samples. The stopping rule is defined here once:
+hypothesis checks run at fixed request-batch boundaries
+(:func:`next_boundary`) and stop at the first significant result or at
+the experiment-length cap (:func:`is_terminal`). The looks themselves
+are run by each test's ``orchestrator.Program``. Repeated looks are
+intentionally left uncorrected; see README for the false-positive
+implications.
 
 The Student-t tail is computed locally via the regularized incomplete
 beta (continued fraction), so the runtime package has no dependency on
@@ -17,7 +20,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -350,7 +353,7 @@ def run_stat_test(
 
 
 # ---------------------------------------------------------------------------
-# sequential monitoring
+# stopping rule
 
 
 def next_boundary(requests: int, exp_length: int, batch_size: int) -> int:
@@ -372,88 +375,6 @@ def next_boundary(requests: int, exp_length: int, batch_size: int) -> int:
 def is_terminal(result: StatResult, spec) -> bool:
     """The stopping rule: the first significant look, or the length cap."""
     return result.significant or result.requests_consumed >= spec.exp_length
-
-
-class SequentialMonitor:
-    """Batch-wise significance monitor for one A/B test.
-
-    Feed per-request samples with :meth:`offer`; a :class:`StatResult`
-    is produced whenever the routed-request count reaches a check
-    boundary. The monitor is done at the first significant result or
-    when the experiment length cap is reached.
-    """
-
-    def __init__(self, spec, batch_size: int = DEFAULT_BATCH_SIZE):
-        self.spec = spec
-        self.batch_size = batch_size
-        metric = spec.hypothesis.metric
-        self.acc_a = MetricAccumulator("A", metric)
-        self.acc_b = MetricAccumulator("B", metric)
-        self.requests = 0
-        self.results: list[StatResult] = []
-        self.done = False
-        self._next_check = next_boundary(0, spec.exp_length, batch_size)
-
-    def offer(self, variant: str, value: float) -> StatResult | None:
-        """Record one routed request; returns a result on a boundary."""
-        if self.done:
-            raise StatsError("monitor already terminated")
-        (self.acc_a if variant == "A" else self.acc_b).add(value)
-        self.requests += 1
-        if self.requests < self._next_check:
-            return None
-        return self._evaluate()
-
-    def offer_many(self, samples_a, samples_b) -> StatResult | None:
-        """Record a pre-split bulk of requests; must not cross a boundary."""
-        if self.done:
-            raise StatsError("monitor already terminated")
-        total = len(samples_a) + len(samples_b)
-        if self.requests + total > self._next_check:
-            raise StatsError("bulk offer would overshoot a check boundary")
-        self.acc_a.add_many(samples_a)
-        self.acc_b.add_many(samples_b)
-        self.requests += total
-        if self.requests < self._next_check:
-            return None
-        return self._evaluate()
-
-    def _evaluate(self) -> StatResult:
-        result = run_stat_test(
-            self.spec.stat_test,
-            self.acc_a,
-            self.acc_b,
-            direction=self.spec.hypothesis.direction,
-            alpha=self.spec.hypothesis.alpha,
-            test_name=self.spec.name,
-            requests_consumed=self.requests,
-        )
-        self.results.append(result)
-        if is_terminal(result, self.spec):
-            self.done = True
-        else:
-            self._next_check = next_boundary(
-                self.requests, self.spec.exp_length, self.batch_size
-            )
-        return result
-
-
-def sequential_monitor(
-    spec,
-    stream: Iterable[tuple[str, float]],
-    batch_size: int = DEFAULT_BATCH_SIZE,
-) -> list[StatResult]:
-    """Run the batch-wise monitor over a (variant, value) stream.
-
-    Returns one result per evaluated batch; the last result is either
-    the first significant one or the capped, inconclusive final check.
-    """
-    monitor = SequentialMonitor(spec, batch_size)
-    for variant, value in stream:
-        monitor.offer(variant, value)
-        if monitor.done:
-            break
-    return monitor.results
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,40 @@ def test_validate_semantic_violation(tmp_path, par_bundle, capsys):
             ("conditionalStatements",),
             None,
         ),
+        ("parallel", "experiments/GUI-upgrade.json", ("variantA",), ["webstore-gui-v1"]),
+        ("sequential", "experiments/GUI-upgrade.json", ("variantB",), 5),
+        ("sequential", "experiments/GUI-upgrade.json", ("statTest",), None),
+        ("sequential", "experiments/GUI-upgrade.json", ("hypothesis", "metric"), [1]),
+        ("sequential", "experiments/GUI-upgrade.json", ("hypothesis", "direction"), 1),
+        ("sequential", "rules/GUI-upgrade-success.json", ("assocAbTest",), 5),
+        ("sequential", "rules/GUI-upgrade-success.json", ("condStat",), None),
+        ("sequential", "rules/GUI-upgrade-success.json", ("subseqAbTest",), ["end"]),
+        ("sequential", "pipeline.json", ("startingComponent",), None),
+        ("parallel", "pipeline.json", ("subPipelines", 0, "startingComponent"), 5),
+        (
+            "parallel",
+            "splits/Population-split-purchases-prediction.json",
+            ("splitProperty",),
+            1,
+        ),
+        (
+            "parallel",
+            "splits/Population-split-purchases-prediction.json",
+            ("nextComponent",),
+            None,
+        ),
+        (
+            "parallel",
+            "splits/Population-split-purchases-prediction.json",
+            ("splitComponent", "serviceName"),
+            5,
+        ),
+        (
+            "parallel",
+            "splits/Population-split-purchases-prediction.json",
+            ("splitComponent", "imageName"),
+            5,
+        ),
     ],
 )
 @pytest.mark.parametrize("command", ["validate", "run"])

@@ -31,7 +31,7 @@ from abpipe.orchestrator import (
     rule_applies,
 )
 from abpipe.report import build_summary, run_pipeline_once
-from abpipe.stats import DEFAULT_BATCH_SIZE, StatResult
+from abpipe.stats import DEFAULT_BATCH_SIZE, StatResult, StatsError, next_boundary
 from abpipe.webstore import WebStore, generate_training_data
 
 from case_generator import _make_test, _script
@@ -488,3 +488,99 @@ def test_runs_do_not_depend_on_the_arrival_chunk_size(
     assert bool(spec.pop_splits) == bool(outcomes[0][3])
     for outcome in outcomes[1:]:
         assert outcome == outcomes[0]
+
+
+# ---------------------------------------------------------------------------
+# looks: each program runs its test's looks under the one stopping rule
+
+
+def look_test(
+    exp_length, metric="clicks", direction="B_greater", assignment=(0.5, 0.5)
+):
+    variants = {"clicks": "checkout-review", "purchases": "recommender"}[metric]
+    return ABTestSpec(
+        "T",
+        exp_length,
+        assignment,
+        Hypothesis(metric, direction, 0.05),
+        (metric,),
+        "welch_t",
+        f"{variants}-v1",
+        f"{variants}-v2",
+    )
+
+
+def run_looks(test, scenario, batch_size=DEFAULT_BATCH_SIZE):
+    """Run a one-test pipeline on a new store; returns the engine and store."""
+    store = WebStore(scenario)
+    spec = PipelineSpec("Solo", (test,), (), (), test.name)
+    runner = WebStoreRunner(store, batch_size=batch_size)
+    engine = PipelineEngine(spec, runner, catalog=store.catalog)
+    engine.run()
+    return engine, store
+
+
+@pytest.fixture
+def null_scenario(small_scenario):
+    # B clicks far more often than A: a B_less hypothesis is never significant
+    return replace(small_scenario, review_rates={"A": 0.1, "B": 0.9})
+
+
+def test_null_effect_runs_to_cap(null_scenario):
+    engine, _ = run_looks(look_test(5000, direction="B_less"), null_scenario)
+    looks = engine.batch_results["T"]
+    assert len(looks) == 5
+    assert looks[-1].requests_consumed == 5000
+    assert not any(r.significant for r in looks)
+    assert engine.results["T"] == looks[-1]
+
+
+def test_results_only_at_batch_boundaries(null_scenario):
+    engine, _ = run_looks(look_test(5000, direction="B_less"), null_scenario)
+    looks = engine.batch_results["T"]
+    assert [r.requests_consumed for r in looks] == [1000, 2000, 3000, 4000, 5000]
+    assert [r.n_a + r.n_b for r in looks] == [1000, 2000, 3000, 4000, 5000]
+
+
+def test_cap_not_on_boundary_still_checks_at_cap(null_scenario):
+    engine, _ = run_looks(look_test(2500, direction="B_less"), null_scenario)
+    looks = engine.batch_results["T"]
+    assert [r.requests_consumed for r in looks] == [1000, 2000, 2500]
+
+
+def test_program_stops_at_first_significant(small_scenario):
+    scenario = replace(small_scenario, review_rates={"A": 0.2, "B": 0.6})
+    engine, store = run_looks(look_test(100_000), scenario)
+    looks = engine.batch_results["T"]
+    assert looks[-1].significant
+    assert not any(r.significant for r in looks[:-1])
+    kinds = [e.event for e in engine.trace]
+    last_look = len(kinds) - 1 - kinds[::-1].index("batch_result")
+    assert kinds[last_look + 1 :] == ["transition", "end"]
+    assert kinds.count("deploy") == 1
+    assert store.active_tests == []
+
+
+def test_in_segment_recommendation_decides_within_first_batches(small_scenario):
+    # purchaser-only purchase rates under the shipped 96/4 assignment
+    scenario = replace(small_scenario, purchaser_prevalence=1.0)
+    test = look_test(150_000, metric="purchases", assignment=(0.96, 0.04))
+    engine, _ = run_looks(test, scenario)
+    last = engine.batch_results["T"][-1]
+    assert last.significant
+    assert last.requests_consumed <= 5000
+
+
+def test_bad_batch_size(small_scenario):
+    store = WebStore(small_scenario)
+    served = []
+    store.serve_chunk = lambda *args: served.append(args)
+    spec = PipelineSpec("Solo", (look_test(5000),), (), (), "T")
+    engine = PipelineEngine(
+        spec, WebStoreRunner(store, batch_size=0), catalog=store.catalog
+    )
+    with pytest.raises(StatsError, match="batch_size"):
+        engine.run()
+    assert served == []
+    with pytest.raises(StatsError):
+        next_boundary(0, 5000, 0)

@@ -7,17 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abpipe.model import ABTestSpec, Hypothesis
 from abpipe.stats import (
     DegeneratePooledProportionError,
     InsufficientSamplesError,
     MetricAccumulator,
     NonBinarySamplesError,
-    SequentialMonitor,
     StatsError,
     next_boundary,
     normal_sf,
-    sequential_monitor,
     student_t_sf,
     two_proportion_test,
     welch_t_test,
@@ -260,89 +257,7 @@ def test_non_binary_rejected():
 
 
 # ---------------------------------------------------------------------------
-# sequential monitor
-
-
-def make_spec(exp_length=5000, alpha=0.05, direction="B_greater"):
-    return ABTestSpec(
-        name="T",
-        exp_length=exp_length,
-        ab_assignment=(0.5, 0.5),
-        hypothesis=Hypothesis("m", direction, alpha),
-        ab_metrics=("m",),
-        stat_test="welch_t",
-        variant_a="va",
-        variant_b="vb",
-    )
-
-
-def null_stream(n, seed=11):
-    rng = np.random.default_rng(seed)
-    for i in range(n):
-        yield ("A" if i % 2 == 0 else "B", float(rng.random() < 0.5))
-
-
-def test_null_effect_runs_to_cap():
-    results = sequential_monitor(make_spec(5000), null_stream(5000), batch_size=1000)
-    assert results[-1].requests_consumed == 5000
-    assert not results[-1].significant
-    assert len(results) == 5
-
-
-def test_results_only_at_batch_boundaries():
-    results = sequential_monitor(make_spec(5000), null_stream(5000), batch_size=1000)
-    for k, result in enumerate(results, start=1):
-        assert result.requests_consumed == k * 1000
-
-
-def test_in_segment_recommendation_decides_within_first_batches():
-    # purchaser-only purchase rates under the shipped 96/4 assignment
-    rng = np.random.default_rng(5)
-
-    def stream():
-        while True:
-            if rng.random() < 0.96:
-                yield ("A", float(rng.random() < 0.30))
-            else:
-                yield ("B", float(rng.random() < 0.45))
-
-    results = sequential_monitor(make_spec(150_000), stream(), batch_size=1000)
-    assert results[-1].significant
-    assert results[-1].requests_consumed <= 5000
-
-
-def test_monitor_stops_at_first_significant():
-    spec = make_spec(100_000)
-    rng = np.random.default_rng(1)
-
-    def strong_stream():
-        while True:
-            variant = "A" if rng.random() < 0.5 else "B"
-            p = 0.2 if variant == "A" else 0.6
-            yield (variant, float(rng.random() < p))
-
-    results = sequential_monitor(spec, strong_stream(), batch_size=1000)
-    assert results[-1].significant
-    assert all(not r.significant for r in results[:-1])
-
-
-def test_cap_not_on_boundary_still_checks_at_cap():
-    spec = make_spec(exp_length=2500)
-    results = sequential_monitor(spec, null_stream(2500, seed=3), batch_size=1000)
-    assert [r.requests_consumed for r in results] == [1000, 2000, 2500]
-
-
-def test_monitor_offer_many_respects_boundaries():
-    monitor = SequentialMonitor(make_spec(3000), batch_size=1000)
-    with pytest.raises(StatsError):
-        monitor.offer_many([0.0] * 600, [1.0] * 600)
-
-
-def test_bad_batch_size():
-    with pytest.raises(StatsError):
-        SequentialMonitor(make_spec(), batch_size=0)
-    with pytest.raises(StatsError):
-        next_boundary(0, 5000, 0)
+# stopping rule
 
 
 @given(st.integers(1, 3000), st.integers(1, 1200))

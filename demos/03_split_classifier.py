@@ -54,4 +54,4 @@ for name, count in counts.items():
     print(f"  {name}: {count / 2000 * 100:.2f}%")
 
 latency = clf.measure_predict_latency_ms(model, held_x[:64].astype(float))
-print(f"\nmedian single-prediction latency: {latency:.4f} ms")
+print(f"\nmedian predict latency on 64 rows: {latency:.4f} ms")

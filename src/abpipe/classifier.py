@@ -35,6 +35,7 @@ import numpy as np
 from .model import PopulationSplitSpec
 
 DEFAULT_FEATURES = 23
+PREDICT_BLOCK = 4096  # population rows per predict call when routing
 
 
 class ClassifierError(ValueError):
@@ -195,21 +196,22 @@ def route_class(split: PopulationSplitSpec, predicted_class: int) -> str | None:
     return None
 
 
-def measure_predict_latency_ms(
-    model: LinearModel, features: np.ndarray, block: int = 1
-) -> float:
-    """Median wall-time of one ``predict`` call on ``block`` rows, in ms.
+def measure_predict_latency_ms(model: LinearModel, features: np.ndarray) -> float:
+    """Median wall-time of 200 ``predict`` calls, in milliseconds.
 
-    ``features`` is predicted as the runner predicts a population: in
-    ``block``-row slices, one call per full slice.
+    The calls cycle over ``features`` in PREDICT_BLOCK-row slices, as
+    the runner predicts a population; fewer rows are one slice.
     """
-    block = min(block, len(features))
+    blocks = [
+        features[start : start + PREDICT_BLOCK]
+        for start in range(0, len(features), PREDICT_BLOCK)
+    ]
     timings = []
-    for start in range(0, len(features) - block + 1, block):
-        rows = features[start : start + block]
-        began = time.perf_counter_ns()
+    for i in range(200):
+        rows = blocks[i % len(blocks)]
+        start = time.perf_counter_ns()
         model.predict(rows)
-        timings.append(time.perf_counter_ns() - began)
+        timings.append(time.perf_counter_ns() - start)
     return float(np.median(timings)) / 1e6
 
 

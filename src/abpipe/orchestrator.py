@@ -393,7 +393,7 @@ class ScriptedRunner:
 class WebStoreRunner:
     """Arrival-driven execution against the simulated web-store."""
 
-    CHUNK = 4096  # arrivals drawn per serving step; population rows per predict
+    CHUNK = 4096  # arrivals drawn per serving step
     STARVATION_LIMIT = 20_000_000  # idle arrivals before the programs are starved
 
     def __init__(
@@ -436,8 +436,8 @@ class WebStoreRunner:
     ) -> np.ndarray:
         """Index of each population user's sub-pipeline; len(programs) if unrouted.
 
-        The population is predicted in CHUNK-row blocks: one call on all
-        of it would hold a float64 copy of every feature row at once.
+        The population is predicted in PREDICT_BLOCK-row blocks: one call
+        on all of it would hold a float64 copy of every feature row at once.
         Entries take the smallest integer type that holds them, so
         looking up a chunk of arrivals stays in cache.
         """
@@ -445,8 +445,8 @@ class WebStoreRunner:
         features = self.store.population.features
         classes = np.concatenate(
             [
-                model.predict(features[start : start + self.CHUNK])
-                for start in range(0, features.shape[0], self.CHUNK)
+                model.predict(features[start : start + clf.PREDICT_BLOCK])
+                for start in range(0, features.shape[0], clf.PREDICT_BLOCK)
             ]
         )
         by_id = {p.instance_id: i for i, p in enumerate(programs)}

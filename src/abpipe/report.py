@@ -370,7 +370,7 @@ def compare_pipelines(
         overhead["deploy_ms"] = float(statistics.median(deploy_ms))
     if last_model is not None:  # timed as the runner predicts a population
         overhead["predict_ms_median"] = clf.measure_predict_latency_ms(
-            last_model, population, WebStoreRunner.CHUNK
+            last_model, population
         )
 
     return ComparisonReport(

@@ -7,13 +7,13 @@ scenario has ~4% positives and an unweighted fit can collapse to the
 majority class. Training is single-threaded on purpose: identical
 (data, seed, hyperparameters) must give bitwise-identical weights.
 
-The SGD loop keeps the weights as ``scale * v`` (Bottou, "Stochastic
-Gradient Descent Tricks", 2012), so the L2 decay of a step is one scalar
-multiply, and it walks the rows in compressed sparse-row form, so a step
-reads and updates only the row's nonzero features. The shipped
-scenario's rows have about 3 of their 23 features set on average. The
-weights equal those of the textbook dense update up to summation order
-(about 1e-14).
+Features must be 0 or 1. The SGD loop keeps the weights as ``scale * v``
+(Bottou, "Stochastic Gradient Descent Tricks", 2012), so the L2 decay of
+a step is one scalar multiply, and holds each row as the tuple of its set
+columns (about 3 of 23 in the shipped scenario), so a step adds and
+updates only those entries of ``v``. The step-size schedule of the last
+fit is kept, so the seeds of a comparison share it. The weights equal
+those of the textbook dense update up to summation order (about 1e-14).
 
 The divider maps a predicted class through a split's branch conditions
 to exactly one sub-pipeline; users matching no branch are "unrouted"
@@ -23,6 +23,7 @@ and take part in no experiment.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import time
@@ -84,22 +85,28 @@ class LinearModel:
         return (self.decision(x) >= 0.0).astype(np.int64)
 
 
+@functools.lru_cache(maxsize=1)
+def _step_sizes(eta0: float, power_t: float, steps: int) -> array:
+    """eta0 / t**power_t for t = 1..steps; shared, so read it only."""
+    return array("d", (eta0 / t ** power_t for t in range(1, steps + 1)))
+
+
 def train(
     x,
     y,
     hyperparams: Hyperparams = Hyperparams(),
 ) -> LinearModel:
-    """Fit a logistic model with per-sample SGD.
+    """Fit a logistic model with per-sample SGD on 0/1 feature rows.
 
     Minimizes class-weighted log-loss with L2 regularization. The
     learning rate decays as eta0 / t**power_t over the global update
     counter t; samples are reshuffled each epoch with the model seed.
 
     The weights are held as ``scale * v``: a step multiplies ``scale``
-    by ``1 - lr*l2`` and then updates ``v`` over the row's nonzero
-    features only, so its cost follows the row's nonzeros, not the
-    feature count. ``eta0 * l2 < 1`` keeps ``scale`` positive; it is
-    folded back into ``v`` when it falls below 1e-9.
+    by ``1 - lr*l2`` and then updates ``v`` over the row's set features
+    only, so its cost follows the row's nonzeros, not the feature count.
+    ``eta0 * l2 < 1`` keeps ``scale`` positive; it is folded back into
+    ``v`` when it falls below 1e-9.
     """
     hp = hyperparams
     for name, ok, rule in (
@@ -111,7 +118,7 @@ def train(
     ):
         if not ok:
             raise ClassifierError(f"{name} must be {rule}, got {getattr(hp, name)!r}")
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     y = np.asarray(y, dtype=np.float64).ravel()
     if x.ndim != 2:
         raise ClassifierError("training features must be a 2-D array")
@@ -121,8 +128,10 @@ def train(
         )
     if x.shape[0] < 2:
         raise ClassifierError("need at least two training samples")
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise ClassifierError("labels must be 0 or 1")
+    for name, values in (("features", x), ("labels", y)):
+        bad = (values != 0) & (values != 1)
+        if bad.any():
+            raise ClassifierError(f"{name} must be 0 or 1, got {values[bad][:1].tolist()[0]!r}")
     n_pos = int(y.sum())
     n = y.shape[0]
     if n_pos == 0 or n_pos == n:
@@ -134,29 +143,26 @@ def train(
     w_neg = n / (2.0 * (n - n_pos))
     sample_weight = array("d", np.where(y == 1.0, w_pos, w_neg).tobytes())
     labels = array("d", y.tobytes())
-    # row i's nonzeros are cols[starts[i]:starts[i+1]], vals[...] alike
-    rows, nz_cols = np.nonzero(x)
-    cols = array("q", nz_cols.astype(np.int64).tobytes())
-    vals = array("d", x[rows, nz_cols].tobytes())
-    starts = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=starts[1:])
-    starts = array("q", starts.tobytes())
+    # row i's set columns, in column order
+    nz_rows, nz_cols = np.nonzero(x)
+    ends = np.cumsum(np.bincount(nz_rows, minlength=n)).tolist()
+    nz_cols = nz_cols.tolist()
+    rows = [tuple(nz_cols[lo:hi]) for lo, hi in zip([0] + ends, ends)]
 
-    eta0, power_t, l2 = hp.eta0, hp.power_t, hp.l2
+    l2 = hp.l2
     exp = math.exp
     rng = np.random.default_rng(hp.seed)
+    step_sizes = _step_sizes(hp.eta0, hp.power_t, n * hp.epochs)
     v = [0.0] * x.shape[1]
     scale = 1.0
     bias = 0.0
-    t = 0
-    for _ in range(hp.epochs):
-        for i in rng.permutation(n).tolist():
-            t += 1
-            lr = eta0 / t ** power_t
-            lo, hi = starts[i], starts[i + 1]
+    for epoch in range(hp.epochs):
+        lrs = step_sizes[epoch * n : (epoch + 1) * n]
+        for i, lr in zip(rng.permutation(n).tolist(), lrs):
+            cols = rows[i]
             dot = 0.0
-            for k in range(lo, hi):
-                dot += v[cols[k]] * vals[k]
+            for c in cols:
+                dot += v[c]
             margin = scale * dot + bias
             if margin >= 0:
                 p = 1.0 / (1.0 + exp(-margin))
@@ -166,8 +172,8 @@ def train(
             grad = sample_weight[i] * (p - labels[i])
             scale *= 1.0 - lr * l2
             step = lr * grad / scale
-            for k in range(lo, hi):
-                v[cols[k]] -= step * vals[k]
+            for c in cols:
+                v[c] -= step
             bias -= lr * grad
             if scale < 1e-9:
                 v = [w * scale for w in v]
@@ -247,7 +253,7 @@ def load_model(path: str | Path) -> LinearModel:
 
 
 def load_training_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a feature/label CSV (F binary feature columns + ``label``)."""
+    """Read a feature/label CSV (F feature columns + ``label``), all 0 or 1."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:

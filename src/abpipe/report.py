@@ -23,7 +23,7 @@ from . import classifier as clf
 from .model import PipelineSpec
 from .orchestrator import PipelineEngine, WebStoreRunner
 from .stats import DEFAULT_BATCH_SIZE
-from .webstore import ScenarioConfig, WebStore, generate_training_data
+from .webstore import Population, ScenarioConfig, WebStore, generate_training_data
 
 FULL_SCALE_REFERENCE = {
     "sequential": {"Recommendation update": 112_000, "Review update": 27_000},
@@ -58,15 +58,17 @@ def run_pipeline_once(
     scenario: ScenarioConfig,
     seed: int,
     batch_size: int = DEFAULT_BATCH_SIZE,
+    population: Population | None = None,
 ) -> RunOutcome:
     """Execute a pipeline once, deterministically for the given seed.
 
     The run seed replaces the scenario seed, so the population, the
     arrival order, every behavioral draw and (for parallel pipelines)
-    the classifier training data all derive from it.
+    the classifier training data all derive from it. ``population``
+    reuses one drawn by an earlier run of the same seed.
     """
     config = replace(scenario, seed=seed)
-    store = WebStore(config)
+    store = WebStore(config, population=population)
     model: clf.LinearModel | None = None
     if spec.pop_splits:  # the training data and seed are the same for every split
         features, labels = generate_training_data(config, config.train_samples)
@@ -302,7 +304,10 @@ def compare_pipelines(
             if row["test"] in seq_requests:
                 seq_requests[row["test"]].append(row["requests"])
         try:
-            par_out = run_pipeline_once(par_spec, scenario, seed, batch_size)
+            par_out = run_pipeline_once(
+                par_spec, scenario, seed, batch_size,
+                population=seq_out.engine.runner.store.population,
+            )
         except PipelineRunError as exc:
             failures.append(
                 {"seed": seed, "pipeline": par_spec.name, "error": str(exc)}

@@ -213,6 +213,8 @@ def generate_population(config: ScenarioConfig, n: int) -> Population:
     if n < 1:
         raise WebStoreError(f"population size must be >= 1, got {n}")
     features, latent = _draw_users(config, n, "population")
+    # read-only, so runs of one seed can share them
+    features.flags.writeable = latent.flags.writeable = False
     return Population(features, latent)
 
 
@@ -288,10 +290,12 @@ class WebStore:
         self,
         config: ScenarioConfig,
         catalog: dict[str, str] | None = None,
+        population: Population | None = None,
     ):
         self.config = config
         self.catalog = dict(DEFAULT_CATALOG if catalog is None else catalog)
-        self.population = generate_population(config, config.population_size)
+        # a given population must be the one config draws
+        self.population = population or generate_population(config, config.population_size)
         self.arrivals = ArrivalStream(config, self.population.size)
         self._active: dict[str, _ActiveTest] = {}
         self._active_components: dict[str, str] = {}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -76,7 +77,7 @@ def test_training_is_bitwise_deterministic():
 
 @st.composite
 def sgd_problems(draw):
-    """Small fits: binary or real-valued rows, legal hyperparameters.
+    """Small fits: 0/1 rows of any numeric dtype, legal hyperparameters.
 
     The heavy-L2 branch (eta0 * l2 in [0.5, 0.999)) shrinks the weight
     scale below 1e-9 within a few dozen steps, so the fold runs.
@@ -84,10 +85,8 @@ def sgd_problems(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(2, 40))
     n_features = draw(st.integers(1, 6))
-    if draw(st.booleans()):
-        x = rng.integers(0, 2, (n, n_features)).astype(np.float64)
-    else:
-        x = rng.uniform(-2.0, 2.0, (n, n_features))
+    dtype = draw(st.sampled_from([np.float64, np.uint8, np.int64, np.bool_]))
+    x = rng.integers(0, 2, (n, n_features)).astype(dtype)
     y = rng.integers(0, 2, n).astype(np.float64)
     y[:2] = (0.0, 1.0)
     eta0 = draw(st.floats(0.01, 2.0))
@@ -119,6 +118,25 @@ def test_sparse_fit_matches_dense_reference(problem):
     assert abs(model.bias - bias) <= tol
 
 
+@pytest.mark.parametrize(
+    "value, named",
+    [(0.5, "0.5"), (-1.0, "-1.0"), (2, "2"), (float("nan"), "nan")],
+)
+def test_non_binary_features_rejected(value, named):
+    x, y = toy_separable()
+    x = x.astype(np.int64) if isinstance(value, int) else x
+    x[7, 1] = value
+    with pytest.raises(clf.ClassifierError, match=f"features must be 0 or 1, got {named}$"):
+        clf.train(x, y)
+
+
+def test_non_binary_labels_rejected():
+    x, y = toy_separable()
+    y[3] = 0.5
+    with pytest.raises(clf.ClassifierError, match="labels must be 0 or 1, got 0.5$"):
+        clf.train(x, y)
+
+
 def test_weight_scale_fold_matches_dense_reference():
     """Constant lr with eta0 * l2 = 0.99 shrinks the scale 100-fold a
     step. Unfolded it would underflow to 0 within these 180 steps."""
@@ -128,6 +146,39 @@ def test_weight_scale_fold_matches_dense_reference():
     weights, bias = dense_sgd(x, y, hp)
     assert np.allclose(model.weights, weights, rtol=0.0, atol=1e-12)
     assert model.bias == pytest.approx(bias, rel=0.0, abs=1e-12)
+
+
+# SHA-256 of weights.tobytes() + repr(bias).encode() of the split model fit
+# on the shipped scenario's training data, one entry per comparison seed
+FIT_DIGESTS = {
+    1: "2315fcc9b400d62eb9276ed19e04e88907b1ed6671e1cd48bc723dd9716b8eeb",
+    2: "cab9763a0394e356690a1b9854c80955d094990c06f0c0be80da06fa2f5ebc20",
+    3: "d0335c34eeb08c3028fe92c8c12f189ec70025aac178a92ebddbc64017cd5d16",
+    4: "30288fa7ec8f1a3033bc618ce63645a63e763f1776e7c0668b4f03749e251140",
+    5: "4c0a48e78c5c89a351708ee07314fe57649d98cac2cee5ac378204e9f7afdda7",
+    6: "7ee3071e9bcd837ac1ad2bdb8d17c04b747b4739ef3ffe609a76f6291269d4da",
+    7: "f58154fd881157690d4118518435649eb6b600507dad579cab2be3d7e55ea39d",
+    8: "f4d8ce6070c7df1ea92260ed3ec96c0d23c0ad815bd25b2ba556deee2f0920b8",
+    9: "7df794b235449984186a88675263260b86bce137d5faf5c3d2e849194e4c4c04",
+    10: "ffde9e0cc183d6ffbafed231397a109ab9677cefcd339138fc41bf4295c28107",
+    11: "d80f6e558f7086cf3c33eec6ef1f661e50f3be454b038642c4e72d139563718d",
+    12: "f067ac79d9308c788583c318c147571840c1c27cea3b2d72c5f371a80dda5cde",
+    13: "4f11064ac601280ca69b658e0d7c003381fd1cf100e74543f4b0c6a1fc336b0f",
+    14: "1cc89c642ac4ee8fe4b0ff1ea69e8a91f81e2f171b81bae54b2496d4ebcea9e4",
+    15: "bc7e46b9621f579bb54871d1ae0266b2202c9611c455ffce65b7b78618e12047",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FIT_DIGESTS))
+def test_split_model_fit_is_pinned_bitwise(scenario, seed):
+    """The comparison's split model of each seed, bit for bit. The dense
+    reference only bounds the weights at 1e-12; this catches any change
+    of summation order or step schedule."""
+    config = replace(scenario, seed=seed)
+    features, labels = generate_training_data(config, config.train_samples)
+    model = clf.train(features, labels, clf.Hyperparams(seed=seed))
+    digest = hashlib.sha256(model.weights.tobytes() + repr(model.bias).encode())
+    assert digest.hexdigest() == FIT_DIGESTS[seed]
 
 
 @pytest.mark.parametrize("seed", range(1, 16))

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from abpipe.cli import main
+from abpipe.cli import EXIT_DOMAIN, main
 from abpipe.webstore import save_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -561,6 +561,16 @@ def test_train_degenerate_hyperparameter_fails(tmp_path, capsys, flag, value, fi
     assert main(["train", str(csv_path), flag, value, "--out", str(model_path)]) == 1
     err = capsys.readouterr().err
     assert "training failed" in err and field in err
+    assert not model_path.exists()
+
+
+def test_train_non_binary_feature_fails(tmp_path, capsys):
+    csv_path = tmp_path / "train.csv"
+    csv_path.write_text("f0,f1,label\n0,1,0\n1,0.5,1\n0,0,0\n1,1,1\n")
+    model_path = tmp_path / "m.json"
+    assert main(["train", str(csv_path), "--out", str(model_path)]) == EXIT_DOMAIN
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["training failed: features must be 0 or 1, got 0.5"]
     assert not model_path.exists()
 
 

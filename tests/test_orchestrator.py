@@ -30,9 +30,14 @@ from abpipe.orchestrator import (
     next_element,
     rule_applies,
 )
-from abpipe.report import build_summary, run_pipeline_once
+from abpipe.report import (
+    build_summary,
+    compare_pipelines,
+    run_pipeline_once,
+    write_report,
+)
 from abpipe.stats import DEFAULT_BATCH_SIZE, StatResult, StatsError, next_boundary
-from abpipe.webstore import WebStore, generate_training_data
+from abpipe.webstore import WebStore, generate_population, generate_training_data
 
 from case_generator import _make_test, _script
 
@@ -413,6 +418,34 @@ def test_run_fits_one_split_model_for_every_split(
     models = outcome.engine.runner.split_models
     assert set(models) == {"ml-purchase-filter", "second-image"}
     assert all(model is fits[0] for model in models.values())
+
+
+def test_comparison_draws_one_population_per_seed(
+    seq_spec, par_spec, small_scenario, tmp_path, monkeypatch
+):
+    """The split run reuses its seed's sequential population, and the
+    report is byte-identical to runs that each draw their own."""
+    seeds = [1, 2, 3]
+    draws = []
+
+    def counting_population(*args, **kwargs):
+        draws.append(generate_population(*args, **kwargs))
+        return draws[-1]
+
+    monkeypatch.setattr("abpipe.webstore.generate_population", counting_population)
+    report = compare_pipelines(seq_spec, par_spec, small_scenario, seeds)
+    write_report(report, tmp_path / "shared")
+    assert len(draws) == len(seeds)
+
+    def fresh_run(*args, population=None, **kwargs):
+        return run_pipeline_once(*args, **kwargs)
+
+    monkeypatch.setattr("abpipe.report.run_pipeline_once", fresh_run)
+    report = compare_pipelines(seq_spec, par_spec, small_scenario, seeds)
+    write_report(report, tmp_path / "fresh")
+    assert len(draws) == 3 * len(seeds)
+    shared, fresh = (tmp_path / name / "report.json" for name in ("shared", "fresh"))
+    assert shared.read_bytes() == fresh.read_bytes()
 
 
 def test_split_results_independent_of_drain_order(small_scenario):

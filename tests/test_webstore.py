@@ -78,6 +78,13 @@ def test_block_draws_equal_one_shot_draw(n):
         assert np.array_equal(train_y, latent)
 
 
+def test_population_is_read_only():
+    population = generate_population(ScenarioConfig(), 100)
+    for column in (population.features, population.latent):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1
+
+
 def test_noiseless_features_determine_latent_class():
     config = ScenarioConfig(seed=2, feature_noise=0.0)
     population = generate_population(config, 500)

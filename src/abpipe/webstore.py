@@ -13,7 +13,8 @@ Users are synthetic: a latent purchaser/non-purchaser class drawn at the
 configured prevalence, binary feature vectors correlated with the class
 through per-feature flip noise, and per-metric behavior probabilities
 ("engagement" and "clicks" are class-independent, "purchases" depend on
-the latent class).
+the latent class). Serving reads only the latent class, so a population
+draws its feature rows, which only a population split reads, lazily.
 """
 
 from __future__ import annotations
@@ -177,27 +178,45 @@ def save_scenario(config: ScenarioConfig, path: str | Path) -> None:
 
 
 class Population:
-    """Column-oriented store of generated user profiles."""
+    """Column-oriented store of generated user profiles.
 
-    def __init__(self, features: np.ndarray, latent: np.ndarray):
-        self.features = features
+    ``latent`` is drawn at once. ``features`` is drawn on its first read
+    from the same stream, right after ``latent`` as an eager draw would,
+    so a run without a population split never pays for it. Both columns
+    are read-only, so runs of one seed can share them.
+    """
+
+    def __init__(self, config: ScenarioConfig, latent: np.ndarray, rng):
+        self.config = config
         self.latent = latent
+        self._rng = rng  # positioned right after the latent draw
+        self._features: np.ndarray | None = None
 
     @property
     def size(self) -> int:
         return int(self.latent.shape[0])
 
     @property
-    def purchaser_fraction(self) -> float:
-        return float(self.latent.mean())
+    def features(self) -> np.ndarray:
+        if self._features is None:
+            features = _draw_features(self.config, self.latent, self._rng)
+            features.flags.writeable = False
+            self._features, self._rng = features, None
+        return self._features
 
 
 _DRAW_BLOCK = 4096  # rows of feature noise drawn per call
 
 
-def _draw_users(config: ScenarioConfig, n: int, stream: str) -> tuple[np.ndarray, np.ndarray]:
+def _draw_latent(config: ScenarioConfig, n: int, stream: str):
+    """Latent classes of n users, and the stream positioned after them."""
     rng = np.random.default_rng(prf.stream_key(config.seed, stream))
-    latent = rng.random(n) < config.purchaser_prevalence
+    return rng.random(n) < config.purchaser_prevalence, rng
+
+
+def _draw_features(config: ScenarioConfig, latent: np.ndarray, rng) -> np.ndarray:
+    """Feature rows of ``latent``'s users, from the stream of its latent draw."""
+    n = latent.shape[0]
     # Row blocks consume the stream in the same order as one (n, F) draw,
     # without its n*F float64 temporary.
     features = np.empty((n, config.n_features), dtype=np.uint8)
@@ -205,17 +224,16 @@ def _draw_users(config: ScenarioConfig, n: int, stream: str) -> tuple[np.ndarray
         hi = min(lo + _DRAW_BLOCK, n)
         flips = rng.random((hi - lo, config.n_features)) < config.feature_noise
         np.not_equal(latent[lo:hi, None], flips, out=features[lo:hi])
-    return features, latent
+    return features
 
 
 def generate_population(config: ScenarioConfig, n: int) -> Population:
     """Draw n user profiles; deterministic for a given scenario seed."""
     if n < 1:
         raise WebStoreError(f"population size must be >= 1, got {n}")
-    features, latent = _draw_users(config, n, "population")
-    # read-only, so runs of one seed can share them
-    features.flags.writeable = latent.flags.writeable = False
-    return Population(features, latent)
+    latent, rng = _draw_latent(config, n, "population")
+    latent.flags.writeable = False
+    return Population(config, latent, rng)
 
 
 def generate_training_data(config: ScenarioConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -226,8 +244,8 @@ def generate_training_data(config: ScenarioConfig, n: int) -> tuple[np.ndarray, 
     """
     if n < 2:
         raise WebStoreError(f"training data needs n >= 2, got {n}")
-    features, latent = _draw_users(config, n, "training-data")
-    return features, latent.astype(np.int64)
+    latent, rng = _draw_latent(config, n, "training-data")
+    return _draw_features(config, latent, rng), latent.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +312,14 @@ class WebStore:
     ):
         self.config = config
         self.catalog = dict(DEFAULT_CATALOG if catalog is None else catalog)
-        # a given population must be the one config draws
-        self.population = population or generate_population(config, config.population_size)
+        if population is None:
+            population = generate_population(config, config.population_size)
+        elif population.config != config or population.size != config.population_size:
+            raise WebStoreError(
+                "a given population must be the one the store's scenario draws"
+                f" (seed {config.seed}, {config.population_size} users)"
+            )
+        self.population = population
         self.arrivals = ArrivalStream(config, self.population.size)
         self._active: dict[str, _ActiveTest] = {}
         self._active_components: dict[str, str] = {}

@@ -118,6 +118,23 @@ def test_sparse_fit_matches_dense_reference(problem):
     assert abs(model.bias - bias) <= tol
 
 
+@pytest.mark.parametrize("n_features", [64, 65, 130])
+def test_wide_rows_match_dense_reference(n_features):
+    """Rows wider than 64 columns are keyed on more than one word; twins
+    that differ only in their last column must stay apart."""
+    rng = np.random.default_rng(n_features)
+    x = rng.integers(0, 2, (12, n_features), dtype=np.uint8)[rng.integers(0, 12, 300)]
+    x[::2, -1] ^= 1
+    y = (x[:, -1] == 1).astype(np.float64)
+    y[:2] = (0.0, 1.0)
+    hp = clf.Hyperparams(epochs=2, seed=5)
+    model = clf.train(x, y, hp)
+    weights, bias = dense_sgd(x, y, hp)
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(weights))))
+    assert np.max(np.abs(model.weights - weights)) <= tol
+    assert abs(model.bias - bias) <= tol
+
+
 @pytest.mark.parametrize(
     "value, named",
     [(0.5, "0.5"), (-1.0, "-1.0"), (2, "2"), (float("nan"), "nan")],

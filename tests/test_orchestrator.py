@@ -37,6 +37,7 @@ from abpipe.report import (
     write_report,
 )
 from abpipe.stats import DEFAULT_BATCH_SIZE, StatResult, StatsError, next_boundary
+from abpipe import webstore
 from abpipe.webstore import WebStore, generate_population, generate_training_data
 
 from case_generator import _make_test, _script
@@ -420,11 +421,40 @@ def test_run_fits_one_split_model_for_every_split(
     assert all(model is fits[0] for model in models.values())
 
 
+def counting_feature_draws(monkeypatch) -> list:
+    """The ``latent`` column of every feature-row draw from now on."""
+    calls = []
+    draw = webstore._draw_features
+
+    def counting(config, latent, rng):
+        calls.append(latent)
+        return draw(config, latent, rng)
+
+    monkeypatch.setattr(webstore, "_draw_features", counting)
+    return calls
+
+
+def test_sequential_runs_never_draw_feature_rows(seq_spec, small_scenario, monkeypatch):
+    feature_draws = counting_feature_draws(monkeypatch)
+    served = []
+    run_test = WebStoreRunner.run_test
+
+    def counting_run_test(self, program):
+        served.append(program)
+        return run_test(self, program)
+
+    monkeypatch.setattr(WebStoreRunner, "run_test", counting_run_test)
+    outcome = run_pipeline_once(seq_spec, small_scenario, seed=1)
+    assert outcome.summary["tests"] and served
+    assert feature_draws == []
+
+
 def test_comparison_draws_one_population_per_seed(
     seq_spec, par_spec, small_scenario, tmp_path, monkeypatch
 ):
-    """The split run reuses its seed's sequential population, and the
-    report is byte-identical to runs that each draw their own."""
+    """The split run reuses its seed's sequential population, draws its
+    feature rows once, and the report is byte-identical to runs that
+    each draw their own."""
     seeds = [1, 2, 3]
     draws = []
 
@@ -433,9 +463,15 @@ def test_comparison_draws_one_population_per_seed(
         return draws[-1]
 
     monkeypatch.setattr("abpipe.webstore.generate_population", counting_population)
+    feature_draws = counting_feature_draws(monkeypatch)
     report = compare_pipelines(seq_spec, par_spec, small_scenario, seeds)
     write_report(report, tmp_path / "shared")
     assert len(draws) == len(seeds)
+    population_rows = [
+        latent for latent in feature_draws if any(latent is p.latent for p in draws)
+    ]
+    assert len(population_rows) == len(seeds)
+    assert len(feature_draws) == 2 * len(seeds)  # and one training set each
 
     def fresh_run(*args, population=None, **kwargs):
         return run_pipeline_once(*args, **kwargs)

@@ -11,6 +11,7 @@ from abpipe.webstore import (
     UnknownTestError,
     UnknownVariantError,
     WebStore,
+    WebStoreError,
     generate_population,
     generate_training_data,
     load_scenario,
@@ -52,7 +53,7 @@ def make_store(**kw) -> WebStore:
 def test_purchaser_fraction_within_binomial_band():
     config = ScenarioConfig(seed=7)
     population = generate_population(config, 100_000)
-    assert 0.039 <= population.purchaser_fraction <= 0.045
+    assert 0.039 <= population.latent.mean() <= 0.045
 
 
 def one_shot_users(config, n, stream):
@@ -78,11 +79,36 @@ def test_block_draws_equal_one_shot_draw(n):
         assert np.array_equal(train_y, latent)
 
 
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097])
+def test_features_drawn_after_serving_equal_one_shot_draw(n):
+    """The feature rows come from the population stream wherever the
+    run stands when a split first reads them."""
+    config = ScenarioConfig(seed=7, population_size=n)
+    store = WebStore(config, CATALOG)
+    store.deploy_ab_test(make_test(metric="purchases", variants=("rec-a", "rec-b")))
+    store.serve_chunk("T", store.arrivals.next(500))
+    features, latent = one_shot_users(config, n, "population")
+    assert np.array_equal(store.population.features, features)
+    assert np.array_equal(store.population.latent, latent)
+
+
 def test_population_is_read_only():
     population = generate_population(ScenarioConfig(), 100)
-    for column in (population.features, population.latent):
+    for column in (population.latent, population.features):
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 1
+    assert population.features is population.features  # drawn once
+
+
+def test_store_rejects_a_population_of_another_scenario():
+    config = ScenarioConfig(seed=3, population_size=500)
+    WebStore(config, CATALOG, population=generate_population(config, 500))
+    for population in (
+        generate_population(ScenarioConfig(seed=4, population_size=500), 500),
+        generate_population(config, 400),
+    ):
+        with pytest.raises(WebStoreError, match="must be the one"):
+            WebStore(config, CATALOG, population=population)
 
 
 def test_noiseless_features_determine_latent_class():

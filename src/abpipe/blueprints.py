@@ -22,11 +22,10 @@ import math
 from pathlib import Path
 from typing import Any
 
-from .conditions import ConditionSyntaxError
+from .conditions import COMPARE, ConditionSyntaxError
 from .model import (
     ABTestSpec,
     ClassCondition,
-    CLASS_OPS,
     Hypothesis,
     PipelineSpec,
     PopulationSplitSpec,
@@ -183,10 +182,10 @@ def _parse_class_condition(entry: Any, path: Path) -> ClassCondition:
             f"{path}: conditionalStatements entries must be"
             " {op, value} records"
         )
-    if op not in CLASS_OPS:
+    if not (isinstance(op, str) and op in COMPARE):
         raise BlueprintFormatError(f"{path}: unknown class operator {op!r}")
     return ClassCondition(
-        op=str(op), value=_integer(value, "conditionalStatements value", path)
+        op=op, value=_integer(value, "conditionalStatements value", path)
     )
 
 
@@ -384,11 +383,9 @@ def _write_json(path: Path, record: dict) -> None:
 def serialize_blueprints(spec: PipelineSpec, bundle: str | Path) -> None:
     """Write a pipeline spec as a blueprint bundle (inverse of parse)."""
     bundle = Path(bundle)
-    sub_test_names = set()
     rule_names: dict[str, TransitionRule] = {r.name: r for r in spec.trans_rules}
     for split in spec.pop_splits:
         for sub in split.sub_pipelines:
-            sub_test_names.update(sub.ab_tests)
             for rule in sub.trans_rules:
                 rule_names[rule.name] = rule
     for test in spec.ab_tests:
@@ -401,7 +398,7 @@ def serialize_blueprints(spec: PipelineSpec, bundle: str | Path) -> None:
         "name": spec.name,
         "startingComponent": spec.start,
         "experiments": [
-            t.name for t in spec.ab_tests if t.name not in sub_test_names
+            t.name for t in spec.ab_tests if t.name not in spec.sub_pipeline_of
         ],
         "transitionRules": [r.name for r in spec.trans_rules],
         "populationSplits": [s.name for s in spec.pop_splits],

@@ -7,8 +7,13 @@ Grammar::
     field := "p_value" | "mean_a" | "mean_b" | "effect"
     op    := "<" | "<=" | ">" | ">=" | "==" | "!="
 
-where ``effect`` is ``mean_b - mean_a``. Boolean operators share one
+where each field is the :class:`~abpipe.stats.StatResult` attribute of
+that name (``effect`` is ``mean_b - mean_a``). Boolean operators share one
 precedence level and associate left to right, matching the flat grammar.
+:data:`COMPARE` is the one table of the six comparison operators: it
+evaluates these conditions and a population split's class conditions
+(``model.ClassCondition``), and the tokenizer and the blueprint parser
+accept exactly its keys.
 
 Besides evaluation, this module offers a syntactic satisfiability check
 used to flag overlapping transition rules: expressions are expanded to
@@ -21,10 +26,19 @@ can flag pairs that are not truly co-satisfiable, never the reverse.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 FIELDS = ("p_value", "mean_a", "mean_b", "effect")
-OPS = ("<=", ">=", "==", "!=", "<", ">")
+# two-character operators first, so the tokenizer never reads "<=" as "<"
+COMPARE = {
+    "<=": operator.le,
+    ">=": operator.ge,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    ">": operator.gt,
+}
 _BOUNDED = {"p_value": (0.0, 1.0)}
 
 
@@ -42,24 +56,8 @@ class Comparison:
     op: str
     value: float
 
-    def evaluate(self, fields: dict[str, float]) -> bool:
-        x = fields[self.field]
-        if self.op == "<":
-            return x < self.value
-        if self.op == "<=":
-            return x <= self.value
-        if self.op == ">":
-            return x > self.value
-        if self.op == ">=":
-            return x >= self.value
-        if self.op == "==":
-            return x == self.value
-        return x != self.value
-
-    def render(self) -> str:
-        value = self.value
-        text = repr(int(value)) if value == int(value) else repr(value)
-        return f"{self.field} {self.op} {text}"
+    def evaluate(self, result) -> bool:
+        return COMPARE[self.op](getattr(result, self.field), self.value)
 
 
 @dataclass(frozen=True)
@@ -68,13 +66,10 @@ class BoolOp:
     left: "Comparison | BoolOp"
     right: "Comparison | BoolOp"
 
-    def evaluate(self, fields: dict[str, float]) -> bool:
-        left = self.left.evaluate(fields)
-        right = self.right.evaluate(fields)
+    def evaluate(self, result) -> bool:
+        left = self.left.evaluate(result)
+        right = self.right.evaluate(result)
         return (left and right) if self.op == "and" else (left or right)
-
-    def render(self) -> str:
-        return f"({self.left.render()} {self.op} {self.right.render()})"
 
 
 Condition = Comparison | BoolOp
@@ -97,7 +92,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             i += 1
             continue
         matched = False
-        for op in OPS:
+        for op in COMPARE:
             if text.startswith(op, i):
                 tokens.append(("op", op, i))
                 i += len(op)
@@ -204,14 +199,8 @@ def parse_condition(text: str) -> Condition:
 
 
 def evaluate_condition(condition: Condition, result) -> bool:
-    """Evaluate a parsed condition against a StatResult-like object."""
-    fields = {
-        "p_value": result.p_value,
-        "mean_a": result.mean_a,
-        "mean_b": result.mean_b,
-        "effect": result.mean_b - result.mean_a,
-    }
-    return condition.evaluate(fields)
+    """Evaluate a parsed condition against a :class:`~abpipe.stats.StatResult`."""
+    return condition.evaluate(result)
 
 
 # ---------------------------------------------------------------------------

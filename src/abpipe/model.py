@@ -21,8 +21,6 @@ from .stats import DIRECTIONS, STAT_TESTS
 
 END = "end"
 
-CLASS_OPS = ("==", "!=", "<", ">", "<=", ">=")
-
 
 def is_end(name: str) -> bool:
     return isinstance(name, str) and name.lower() == END
@@ -73,17 +71,7 @@ class ClassCondition:
     value: int
 
     def matches(self, predicted_class: int) -> bool:
-        if self.op == "==":
-            return predicted_class == self.value
-        if self.op == "!=":
-            return predicted_class != self.value
-        if self.op == "<":
-            return predicted_class < self.value
-        if self.op == ">":
-            return predicted_class > self.value
-        if self.op == "<=":
-            return predicted_class <= self.value
-        return predicted_class >= self.value
+        return conditions.COMPARE[self.op](predicted_class, self.value)
 
     def render(self) -> str:
         return f"{self.op} {self.value}"
@@ -134,9 +122,23 @@ class PipelineSpec:
                 return s
         raise KeyError(name)
 
+    @cached_property
+    def split_names(self) -> frozenset[str]:
+        return frozenset(s.name for s in self.pop_splits)
+
+    @cached_property
+    def sub_pipeline_of(self) -> dict[str, str]:
+        """Each test a split runs -> the id of its sub-pipeline (read-only)."""
+        return {
+            test: sub.subpl_id
+            for split in self.pop_splits
+            for sub in split.sub_pipelines
+            for test in sub.ab_tests
+        }
+
     @property
     def element_names(self) -> set[str]:
-        return {t.name for t in self.ab_tests} | {s.name for s in self.pop_splits}
+        return {t.name for t in self.ab_tests} | self.split_names
 
 
 def canonicalize(spec: PipelineSpec) -> PipelineSpec:
@@ -288,8 +290,11 @@ def _check_split(
             f"{len(split.sub_pipelines)} sub-pipelines vs"
             f" {len(split.cond_stats)} conditions (need equal counts, >= 2)",
         )
+    unknown = [c.op for c in split.cond_stats if c.op not in conditions.COMPARE]
+    for op in unknown:
+        report.add("unknown-class-operator", split.name, f"class operator {op!r}")
     # class-condition exclusivity over the inferred class domain
-    if split.cond_stats:
+    if split.cond_stats and not unknown:
         max_value = max(c.value for c in split.cond_stats)
         for cls in range(0, max_value + 2):
             hits = [c for c in split.cond_stats if c.matches(cls)]
@@ -349,7 +354,7 @@ def _check_split(
             report,
         )
         for rule in sub.trans_rules:
-            if rule.subseq_ab_test in {s.name for s in spec.pop_splits}:
+            if rule.subseq_ab_test in spec.split_names:
                 report.add(
                     "nested-split",
                     f"{split.name}/{sub.subpl_id}/{rule.name}",
@@ -505,10 +510,6 @@ def transition_graph(spec: PipelineSpec) -> TransitionGraph:
     unlabeled. Node order is lexicographic with Start first and End
     last for stable rendering.
     """
-    split_names = {s.name for s in spec.pop_splits}
-    sub_test_names = {
-        t for s in spec.pop_splits for sub in s.sub_pipelines for t in sub.ab_tests
-    }
     edges: list[Edge] = []
 
     start_target = END_NODE if is_end(spec.start) else spec.start
@@ -518,7 +519,7 @@ def transition_graph(spec: PipelineSpec) -> TransitionGraph:
         dst = END_NODE if is_end(rule.subseq_ab_test) else rule.subseq_ab_test
         edges.append(Edge(rule.assoc_ab_test, dst, rule.cond_stat, "rule"))
 
-    root_tests = [t for t in spec.ab_tests if t.name not in sub_test_names]
+    root_tests = [t for t in spec.ab_tests if t.name not in spec.sub_pipeline_of]
     rules_by_assoc: dict[str, list[TransitionRule]] = {}
     for rule in spec.trans_rules:
         rules_by_assoc.setdefault(rule.assoc_ab_test, []).append(rule)
@@ -546,7 +547,7 @@ def transition_graph(spec: PipelineSpec) -> TransitionGraph:
                 if _can_default(sub_rules.get(name, [])):
                     edges.append(Edge(name, exit_target, None, "split-exit"))
 
-    nodes = sorted({t.name for t in spec.ab_tests} | split_names)
+    nodes = sorted(spec.element_names)
     node_order = (START_NODE, *nodes, END_NODE)
     edge_order = tuple(
         sorted(edges, key=lambda e: (e.src, e.dst, e.kind, e.label or ""))

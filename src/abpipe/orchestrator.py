@@ -241,12 +241,13 @@ class Program:
     A program deploys its start test and runs its looks: it says how
     many requests the next look needs (:meth:`requests_to_look`), and
     :meth:`look` adds a served block to the test's statistics and
-    evaluates the hypothesis. On each terminal result it records it,
-    restores the deployment and fires the first matching transition
-    rule. It is done when a rule leads to End or to a population split;
-    ``next`` then names that element. ``consumed`` is the count of
-    requests the current test has been served so far; ``acc_a`` and
-    ``acc_b`` hold its hypothesis metric per variant.
+    evaluates the hypothesis. On each terminal result it records it in
+    its knowledge instance and in ``engine.results``, restores the
+    deployment and fires the first matching transition rule. It is done
+    when a rule leads to End or to a population split; ``next`` then
+    names that element. ``consumed`` is the count of requests the
+    current test has been served so far; ``acc_a`` and ``acc_b`` hold
+    its hypothesis metric per variant.
     """
 
     def __init__(
@@ -307,6 +308,8 @@ class Program:
         if not is_terminal(result, test):
             return
         self.instance.record_result(test.name, result)
+        qualified = self.engine._qualified(self.instance_id, test.name)
+        self.engine.results[qualified] = result
         self.engine.runner.restore(test)
         target, rule = next_element(self.rules, result, test.name)
         self.engine._trace(
@@ -318,7 +321,7 @@ class Program:
                 "to": target,
             },
         )
-        if not (is_end(target) or target in self.engine.split_names):
+        if not (is_end(target) or target in self.engine.spec.split_names):
             self._deploy(target)
             return
         self.current_test = None
@@ -345,7 +348,7 @@ class ScriptedRunner:
         self.requests_total = 0
         self._positions: dict[tuple[str, str], int] = {}
 
-    def check_variants(self, spec: PipelineSpec) -> None:
+    def check_deployable(self, spec: PipelineSpec) -> None:
         pass
 
     def deploy(self, test: ABTestSpec) -> None:
@@ -409,10 +412,9 @@ class WebStoreRunner:
 
     # -- deployment hooks -----------------------------------------------------
 
-    def check_variants(self, spec: PipelineSpec) -> None:
+    def check_deployable(self, spec: PipelineSpec) -> None:
         for test in spec.ab_tests:
-            self.store.component_of(test.variant_a)
-            self.store.component_of(test.variant_b)
+            self.store.check_deployable(test)
 
     def deploy(self, test: ABTestSpec) -> None:
         self.store.deploy_ab_test(test)
@@ -589,8 +591,6 @@ class PipelineEngine:
         self.results: dict[str, StatResult] = {}
         self.batch_results: dict[str, list[StatResult]] = {}
         self.split_stats: dict[str, SplitRunStats] = {}
-        self.root_instance: KnowledgeInstance | None = None
-        self.split_names = {s.name for s in spec.pop_splits}
         self._initiated = False
         self._program: Program | None = None
 
@@ -624,13 +624,9 @@ class PipelineEngine:
             },
         )
 
-    def _fold_results(self, instance_id: str) -> None:
-        for test_name, result in self.knowledge.get(instance_id).results.items():
-            self.results[self._qualified(instance_id, test_name)] = result
-
     def _root_program(self, element: str) -> Program | None:
         """The root's tests from ``element`` on; None at a split or End."""
-        if is_end(element) or element in self.split_names:
+        if is_end(element) or element in self.spec.split_names:
             return None
         return Program(self, self.spec.name, element, self.spec.trans_rules)
 
@@ -643,14 +639,14 @@ class PipelineEngine:
         report = validate(self.spec, self.catalog)
         if not report.ok:
             raise SpecInvalidError(str(report))
-        # atomic precondition: every referenced variant must exist before
-        # anything deploys
-        self.runner.check_variants(self.spec)
-        self.root_instance = self.knowledge.add_instance(self.spec.name)
+        # atomic precondition: every test's variants and metrics must be
+        # deployable before anything deploys
+        self.runner.check_deployable(self.spec)
+        root = self.knowledge.add_instance(self.spec.name)
         self._initiated = True
         self._trace(self.spec.name, EVENT_START, {"element": self.spec.start})
         self._program = self._root_program(self.spec.start)
-        return self.root_instance
+        return root
 
     # -- main loop (pipeline execution) ---------------------------------------
 
@@ -668,7 +664,6 @@ class PipelineEngine:
                 current = split.next_component
             else:
                 self.runner.run_test(program)
-                self._fold_results(root_id)
                 current = program.next
             program = self._root_program(current)
         self._trace(root_id, EVENT_END, {"notified": True})
@@ -706,14 +701,13 @@ class PipelineEngine:
     def execute_split_exit(
         self, split: PopulationSplitSpec, programs: list[Program]
     ) -> None:
-        """Fold sub-pipeline results into the root and remove instances."""
+        """Check every sub-pipeline ended and remove their instances."""
         live = [p.instance_id for p in programs if not p.done]
         if live:
             raise ContractViolationError(
                 f"split exit invoked with live sub-pipelines: {live}"
             )
         for sub in split.sub_pipelines:
-            self._fold_results(sub.subpl_id)
             self.knowledge.remove_instance(sub.subpl_id)
         self._trace(
             self.spec.name,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import classifier as clf
@@ -91,18 +91,12 @@ def run_pipeline_once(
 def build_summary(engine: PipelineEngine, seed: int, batch_size: int) -> dict:
     """JSON-ready summary: every test's result plus split accounting."""
     spec = engine.spec
-    sub_of = {
-        test: sub.subpl_id
-        for split in spec.pop_splits
-        for sub in split.sub_pipelines
-        for test in sub.ab_tests
-    }
     tests = {}
     for qualified, result in sorted(engine.results.items()):
         name = qualified.split("/", 1)[-1]
         tests[qualified] = {
             "test": name,
-            "instance": sub_of.get(name, spec.name),
+            "instance": spec.sub_pipeline_of.get(name, spec.name),
             "requests": result.requests_consumed,
             "p_value": result.p_value,
             "mean_a": result.mean_a,
@@ -162,25 +156,15 @@ class ComparisonReport:
         return bool(self.failures)
 
     def to_json_dict(self) -> dict:
-        return {
-            "sequential_pipeline": self.sequential_pipeline,
-            "parallel_pipeline": self.parallel_pipeline,
-            "runs": self.runs,
-            "seeds": self.seeds,
-            "batch_size": self.batch_size,
-            "aggregation": "median",
-            "partial": self.partial,
-            "failures": self.failures,
-            "sequential_tests": self.sequential_tests,
-            "parallel_tests": self.parallel_tests,
-            "shared_tests": self.shared_tests,
-            "sequential_total": self.sequential_total,
-            "parallel_total": self.parallel_total,
-            "reduction_pct": self.reduction_pct,
-            "split_fractions": self.split_fractions,
-            "unrouted_fraction": self.unrouted_fraction,
-            "full_scale_reference": FULL_SCALE_REFERENCE,
-        }
+        """report.json's record: every field but the measured ``overhead``."""
+        record = asdict(self)
+        del record["overhead"]
+        record.update(
+            aggregation="median",
+            partial=self.partial,
+            full_scale_reference=FULL_SCALE_REFERENCE,
+        )
+        return record
 
     def render_text(self) -> str:
         lines = []
@@ -269,12 +253,7 @@ def compare_pipelines(
     if not seeds:
         raise ValueError("need at least one seed")
 
-    par_sub_tests = {
-        test: sub.subpl_id
-        for split in par_spec.pop_splits
-        for sub in split.sub_pipelines
-        for test in sub.ab_tests
-    }
+    par_sub_tests = par_spec.sub_pipeline_of
     par_root_tests = {
         t.name for t in par_spec.ab_tests if t.name not in par_sub_tests
     }
@@ -329,7 +308,6 @@ def compare_pipelines(
             last_model = par_out.model
             population = par_out.engine.runner.store.population.features
 
-    sub_of_test = par_sub_tests
     sequential_tests = {}
     for name in seq_names:
         if not seq_requests[name]:
@@ -344,7 +322,7 @@ def compare_pipelines(
     for name, values in par_requests.items():
         if not values:
             continue
-        sub_id = sub_of_test[name]
+        sub_id = par_sub_tests[name]
         parallel_tests[name] = {
             "decided_requests": _median_int(values),
             "total_requests": _median_int(par_streams.get(sub_id, values)),

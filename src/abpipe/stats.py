@@ -238,6 +238,27 @@ class StatResult:
         return self.mean_b - self.mean_a
 
 
+def _result(
+    a: MetricAccumulator,
+    b: MetricAccumulator,
+    p: float,
+    alpha: float,
+    test_name: str,
+    requests_consumed: int | None,
+) -> StatResult:
+    """A look's result; it consumed ``a.n + b.n`` requests unless told."""
+    return StatResult(
+        test_name=test_name,
+        p_value=p,
+        mean_a=a.mean,
+        mean_b=b.mean,
+        n_a=a.n,
+        n_b=b.n,
+        significant=p <= alpha,
+        requests_consumed=a.n + b.n if requests_consumed is None else requests_consumed,
+    )
+
+
 def welch_t_test(
     a: MetricAccumulator,
     b: MetricAccumulator,
@@ -276,17 +297,7 @@ def welch_t_test(
         wb = rb / se2
         df = 1.0 / (wa * wa / (a.n - 1) + wb * wb / (b.n - 1))
         p = _directional_p(t, direction, lambda s: student_t_sf(s, df))
-    consumed = requests_consumed if requests_consumed is not None else a.n + b.n
-    return StatResult(
-        test_name=test_name,
-        p_value=p,
-        mean_a=a.mean,
-        mean_b=b.mean,
-        n_a=a.n,
-        n_b=b.n,
-        significant=p <= alpha,
-        requests_consumed=consumed,
-    )
+    return _result(a, b, p, alpha, test_name, requests_consumed)
 
 
 def two_proportion_test(
@@ -312,17 +323,7 @@ def two_proportion_test(
     se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / a.n + 1.0 / b.n))
     z = (b.mean - a.mean) / se
     p = _directional_p(z, direction, normal_sf)
-    consumed = requests_consumed if requests_consumed is not None else a.n + b.n
-    return StatResult(
-        test_name=test_name,
-        p_value=p,
-        mean_a=a.mean,
-        mean_b=b.mean,
-        n_a=a.n,
-        n_b=b.n,
-        significant=p <= alpha,
-        requests_consumed=consumed,
-    )
+    return _result(a, b, p, alpha, test_name, requests_consumed)
 
 
 _TEST_FUNCS = {WELCH_T: welch_t_test, TWO_PROPORTION: two_proportion_test}
@@ -342,14 +343,7 @@ def run_stat_test(
         func = _TEST_FUNCS[stat_test]
     except KeyError:
         raise StatsError(f"unknown stat test {stat_test!r}") from None
-    return func(
-        a,
-        b,
-        direction=direction,
-        alpha=alpha,
-        test_name=test_name,
-        requests_consumed=requests_consumed,
-    )
+    return func(a, b, direction, alpha, test_name, requests_consumed)
 
 
 # ---------------------------------------------------------------------------

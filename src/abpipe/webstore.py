@@ -335,14 +335,18 @@ class WebStore:
                 f"variant {variant!r} not in the variant repository catalog"
             ) from None
 
-    def deploy_ab_test(self, spec: ABTestSpec) -> None:
-        comp_a = self.component_of(spec.variant_a)
-        comp_b = self.component_of(spec.variant_b)
+    def check_deployable(self, spec: ABTestSpec) -> tuple[str, str]:
+        """The components of ``spec``'s variants; raises if it cannot deploy."""
+        components = (self.component_of(spec.variant_a), self.component_of(spec.variant_b))
         for metric in spec.ab_metrics:
             if not self.config.metric_known(metric):
                 raise UnknownMetricError(
                     f"test {spec.name!r} collects unknown metric {metric!r}"
                 )
+        return components
+
+    def deploy_ab_test(self, spec: ABTestSpec) -> None:
+        comp_a, comp_b = self.check_deployable(spec)
         if spec.name in self._active:
             return  # re-executing the same deployment action is a no-op
         for comp in {comp_a, comp_b}:

@@ -613,6 +613,25 @@ def test_run_failure_keeps_partial_trace(tmp_path, seq_bundle, small_scenario_fi
     assert (out / "trace.jsonl").exists()
 
 
+def test_unknown_metric_fails_before_any_test_runs(
+    tmp_path, seq_bundle, small_scenario_file, capsys
+):
+    # the second test collects a metric the store has no behavior model for
+    bundle = tmp_path / "sessions"
+    shutil.copytree(seq_bundle, bundle)
+    path = bundle / "experiments" / "Review-upgrade.json"
+    record = json.loads(path.read_text())
+    record["abMetrics"] = ["clicks", "sessions"]
+    path.write_text(json.dumps(record))
+    out = tmp_path / "out"
+    argv = ["run", str(bundle), "--scenario", str(small_scenario_file), "--seed", "1"]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "run failed: test 'Review-upgrade' collects unknown metric 'sessions'"
+    ]
+    assert (out / "trace.jsonl").read_text() == ""
+
+
 def test_compare_with_failed_runs_is_partial(
     tmp_path, seq_bundle, par_bundle, small_scenario_file, capsys
 ):

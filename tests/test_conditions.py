@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abpipe.conditions import (
+    COMPARE,
     BoolOp,
     Comparison,
     ConditionSyntaxError,
@@ -12,6 +13,7 @@ from abpipe.conditions import (
     parse_condition,
     satisfiable,
 )
+from abpipe.model import ClassCondition
 from abpipe.stats import StatResult
 
 
@@ -64,6 +66,30 @@ def test_syntax_error_carries_position():
 def test_boundary_comparison_inclusive():
     cond = parse_condition("p_value <= 0.05")
     assert evaluate_condition(cond, result(p=0.05))
+
+
+# Python's own comparisons, written out as the oracle for the operator table
+PYTHON_COMPARE = {
+    "<": lambda x, bound: x < bound,
+    "<=": lambda x, bound: x <= bound,
+    ">": lambda x, bound: x > bound,
+    ">=": lambda x, bound: x >= bound,
+    "==": lambda x, bound: x == bound,
+    "!=": lambda x, bound: x != bound,
+}
+
+
+def test_operator_table_lists_the_six_operators():
+    assert set(COMPARE) == set(PYTHON_COMPARE)
+
+
+@pytest.mark.parametrize("x", [1, 2, 3], ids=["below", "equal", "above"])
+@pytest.mark.parametrize("op", sorted(PYTHON_COMPARE))
+def test_class_and_result_conditions_compare_like_python(op, x):
+    expected = PYTHON_COMPARE[op](x, 2)
+    assert ClassCondition(op, 2).matches(x) == expected
+    condition = parse_condition(f"mean_a {op} 2")
+    assert evaluate_condition(condition, result(mean_a=x)) == expected
 
 
 def test_overlap_detection():

@@ -142,6 +142,21 @@ def test_non_exclusive_split_conditions():
     assert any(v.code == "non-exclusive-split-conditions" for v in report)
 
 
+def test_unknown_class_operator_named_instead_of_overlap():
+    tests = [make_test("A1"), make_test("B1")]
+    subs = [
+        SubPipeline("p1", "A1", ("A1",), ()),
+        SubPipeline("p2", "B1", ("B1",), ()),
+    ]
+    conds = [ClassCondition("=~", 1), ClassCondition("==", 0)]
+    report = validate(split_pipeline(tests, subs, conds))
+    codes = [v.code for v in report]
+    assert "unknown-class-operator" in codes
+    assert "non-exclusive-split-conditions" not in codes
+    (violation,) = [v for v in report if v.code == "unknown-class-operator"]
+    assert violation.element == "S" and "'=~'" in violation.message
+
+
 def test_interfering_sub_pipelines_shared_test():
     tests = [make_test("T")]
     subs = [
@@ -301,3 +316,13 @@ def test_shipped_split_conditions_exclusive_over_class_domain(par_spec):
     split = par_spec.pop_splits[0]
     for cls in range(0, max(c.value for c in split.cond_stats) + 2):
         assert sum(1 for c in split.cond_stats if c.matches(cls)) <= 1
+
+
+def test_split_membership_of_the_shipped_bundles(par_spec, seq_spec):
+    assert par_spec.sub_pipeline_of == {
+        "Review-upgrade": "Review-pipeline",
+        "Recommendation-upgrade": "Recommendation-pipeline",
+    }
+    assert par_spec.split_names == {"Population-split-purchases-prediction"}
+    assert seq_spec.sub_pipeline_of == {}
+    assert seq_spec.split_names == set()

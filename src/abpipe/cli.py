@@ -37,6 +37,7 @@ from .webstore import (
     DEFAULT_CATALOG,
     ScenarioConfig,
     WebStoreError,
+    check_deployable,
     generate_training_data,
     load_scenario,
 )
@@ -118,6 +119,11 @@ def write_run_outputs(out: Path, engine, summary: dict) -> None:
 def cmd_validate(args) -> int:
     spec = _load_bundle(args.bundle)
     report = validate(spec, DEFAULT_CATALOG)
+    for test in spec.ab_tests:
+        try:
+            check_deployable(test, DEFAULT_CATALOG, ScenarioConfig())
+        except WebStoreError as exc:
+            report.add("undeployable-test", test.name, str(exc))
     if report.ok:
         print(f"{spec.name}: no violations")
         return EXIT_OK

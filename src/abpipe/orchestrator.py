@@ -59,7 +59,7 @@ from .stats import (
     next_boundary,
     run_stat_test,
 )
-from .webstore import WebStore
+from .webstore import WebStore, check_deployable
 
 EVENT_START = "start"
 EVENT_DEPLOY = "deploy"
@@ -414,7 +414,7 @@ class WebStoreRunner:
 
     def check_deployable(self, spec: PipelineSpec) -> None:
         for test in spec.ab_tests:
-            self.store.check_deployable(test)
+            check_deployable(test, self.store.catalog, self.store.config)
 
     def deploy(self, test: ABTestSpec) -> None:
         self.store.deploy_ab_test(test)
@@ -438,10 +438,9 @@ class WebStoreRunner:
     ) -> np.ndarray:
         """Index of each population user's sub-pipeline; len(programs) if unrouted.
 
-        The population is predicted in PREDICT_BLOCK-row blocks: one call
-        on all of it would hold a float64 copy of every feature row at once.
-        Entries take the smallest integer type that holds them, so
-        looking up a chunk of arrivals stays in cache.
+        Predicts PREDICT_BLOCK-row blocks, not one float64 copy of every row,
+        routes each class up to the largest predicted once into ``route``, and
+        gathers ``route[classes]`` in the smallest type that holds len(programs).
         """
         model = self.ensure_split_model(split)
         features = self.store.population.features
@@ -452,13 +451,14 @@ class WebStoreRunner:
             ]
         )
         by_id = {p.instance_id: i for i, p in enumerate(programs)}
-        table = np.full(
-            classes.shape[0], len(programs), dtype=np.min_scalar_type(len(programs))
+        route = np.full(
+            int(classes.max()) + 1, len(programs), dtype=np.min_scalar_type(len(programs))
         )
-        for cls in np.unique(classes):
-            sub_id = clf.route_class(split, int(cls))
+        for cls in range(route.shape[0]):
+            sub_id = clf.route_class(split, cls)
             if sub_id is not None:
-                table[classes == cls] = by_id[sub_id]
+                route[cls] = by_id[sub_id]
+        table = route[classes]
         counts = np.bincount(table, minlength=len(programs) + 1)
         empty = [p.instance_id for i, p in enumerate(programs) if not counts[i]]
         if empty:

@@ -261,6 +261,23 @@ DEFAULT_CATALOG = {
 }
 
 
+def check_deployable(
+    spec: ABTestSpec, catalog: dict[str, str], config: ScenarioConfig
+) -> tuple[str, str]:
+    """The components of ``spec``'s variants; raises if it cannot deploy."""
+    for variant in (spec.variant_a, spec.variant_b):
+        if variant not in catalog:
+            raise UnknownVariantError(
+                f"variant {variant!r} not in the variant repository catalog"
+            )
+    for metric in spec.ab_metrics:
+        if not config.metric_known(metric):
+            raise UnknownMetricError(
+                f"test {spec.name!r} collects unknown metric {metric!r}"
+            )
+    return catalog[spec.variant_a], catalog[spec.variant_b]
+
+
 # ---------------------------------------------------------------------------
 # deployment & serving
 
@@ -327,26 +344,8 @@ class WebStore:
 
     # -- deployment ---------------------------------------------------------
 
-    def component_of(self, variant: str) -> str:
-        try:
-            return self.catalog[variant]
-        except KeyError:
-            raise UnknownVariantError(
-                f"variant {variant!r} not in the variant repository catalog"
-            ) from None
-
-    def check_deployable(self, spec: ABTestSpec) -> tuple[str, str]:
-        """The components of ``spec``'s variants; raises if it cannot deploy."""
-        components = (self.component_of(spec.variant_a), self.component_of(spec.variant_b))
-        for metric in spec.ab_metrics:
-            if not self.config.metric_known(metric):
-                raise UnknownMetricError(
-                    f"test {spec.name!r} collects unknown metric {metric!r}"
-                )
-        return components
-
     def deploy_ab_test(self, spec: ABTestSpec) -> None:
-        comp_a, comp_b = self.check_deployable(spec)
+        comp_a, comp_b = check_deployable(spec, self.catalog, self.config)
         if spec.name in self._active:
             return  # re-executing the same deployment action is a no-op
         for comp in {comp_a, comp_b}:

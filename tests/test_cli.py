@@ -583,7 +583,7 @@ def test_train_missing_csv(tmp_path):
 
 
 def ghost_variant_bundle(tmp_path, seq_bundle) -> Path:
-    """Validates (variants are only mapped at runtime) but cannot deploy."""
+    """Passes ``model.validate`` but cannot deploy: its variants are not in the catalog."""
     bundle = tmp_path / "ghost"
     shutil.copytree(seq_bundle, bundle)
     path = bundle / "experiments" / "GUI-upgrade.json"
@@ -613,16 +613,21 @@ def test_run_failure_keeps_partial_trace(tmp_path, seq_bundle, small_scenario_fi
     assert (out / "trace.jsonl").exists()
 
 
-def test_unknown_metric_fails_before_any_test_runs(
-    tmp_path, seq_bundle, small_scenario_file, capsys
-):
-    # the second test collects a metric the store has no behavior model for
+def sessions_metric_bundle(tmp_path, seq_bundle) -> Path:
+    """The second test collects a metric the store has no behavior model for."""
     bundle = tmp_path / "sessions"
     shutil.copytree(seq_bundle, bundle)
     path = bundle / "experiments" / "Review-upgrade.json"
     record = json.loads(path.read_text())
     record["abMetrics"] = ["clicks", "sessions"]
     path.write_text(json.dumps(record))
+    return bundle
+
+
+def test_unknown_metric_fails_before_any_test_runs(
+    tmp_path, seq_bundle, small_scenario_file, capsys
+):
+    bundle = sessions_metric_bundle(tmp_path, seq_bundle)
     out = tmp_path / "out"
     argv = ["run", str(bundle), "--scenario", str(small_scenario_file), "--seed", "1"]
     assert main([*argv, "--out", str(out)]) == 1
@@ -630,6 +635,36 @@ def test_unknown_metric_fails_before_any_test_runs(
         "run failed: test 'Review-upgrade' collects unknown metric 'sessions'"
     ]
     assert (out / "trace.jsonl").read_text() == ""
+
+
+GHOST_LINE = (
+    "[undeployable-test] GUI-upgrade: variant 'ghost-variant-a' not in the"
+    " variant repository catalog"
+)
+SESSIONS_LINE = (
+    "[undeployable-test] Review-upgrade: test 'Review-upgrade' collects unknown"
+    " metric 'sessions'"
+)
+
+
+@pytest.mark.parametrize(
+    "make_bundle, lines",
+    [
+        (ghost_variant_bundle, [GHOST_LINE]),
+        (sessions_metric_bundle, [SESSIONS_LINE]),
+        (
+            lambda tmp, seq: sessions_metric_bundle(tmp, ghost_variant_bundle(tmp, seq)),
+            [GHOST_LINE, SESSIONS_LINE],
+        ),
+    ],
+    ids=["ghost-variant", "unknown-metric", "both"],
+)
+def test_validate_reports_each_undeployable_test(
+    tmp_path, seq_bundle, capsys, make_bundle, lines
+):
+    # the rule `run` applies at set-up, applied without a store
+    assert main(["validate", str(make_bundle(tmp_path, seq_bundle))]) == 1
+    assert capsys.readouterr().out.splitlines() == lines
 
 
 def test_compare_with_failed_runs_is_partial(

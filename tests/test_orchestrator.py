@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from abpipe.classifier import Hyperparams, train
+from abpipe.classifier import Hyperparams, route_class, train
 from abpipe.model import (
     ABTestSpec,
     ClassCondition,
@@ -360,6 +365,111 @@ def test_segment_the_model_never_routes_to_fails_before_any_arrival(
         engine.run()
     assert "Seg-0" not in str(caught.value)
     assert runner.requests_total == 0
+
+
+class _CyclingStub:
+    """Duck-typed classifier giving the population's users classes 0..k-1 in turn."""
+
+    def __init__(self, k):
+        self.k = k
+        self.offset = 0
+
+    def predict(self, features):
+        n = np.asarray(features).shape[0]
+        classes = (self.offset + np.arange(n, dtype=np.int64)) % self.k
+        self.offset += n
+        return classes
+
+
+def unique_routing_table(split, programs, classes):
+    """The routing table as one ``classes == cls`` mask per np.unique class."""
+    by_id = {p.instance_id: i for i, p in enumerate(programs)}
+    table = np.full(
+        classes.shape[0], len(programs), dtype=np.min_scalar_type(len(programs))
+    )
+    for cls in np.unique(classes):
+        sub_id = route_class(split, int(cls))
+        if sub_id is not None:
+            table[classes == cls] = by_id[sub_id]
+    return table
+
+
+def routing_inputs(k, model, scenario):
+    spec, catalog = segment_spec(k)
+    split = spec.pop_splits[0]
+    runner = WebStoreRunner(WebStore(scenario, catalog), split_models={"k-way": model})
+    programs = [SimpleNamespace(instance_id=s.subpl_id) for s in split.sub_pipelines]
+    return runner, split, programs
+
+
+def test_routing_table_leaves_an_unrouted_class_unrouted(small_scenario):
+    # two segments take classes 0 and 1; class 2 goes nowhere
+    runner, split, programs = routing_inputs(2, _ThreeWayStub(), small_scenario)
+    table = runner._routing_table(split, programs)
+    classes = _ThreeWayStub().predict(runner.store.population.features)
+    expected = unique_routing_table(split, programs, classes)
+    assert table.dtype == expected.dtype
+    assert np.array_equal(table, expected)
+    assert np.array_equal(np.bincount(table), np.bincount(classes))
+
+
+def test_routing_table_of_a_single_class_names_the_empty_segment(small_scenario):
+    runner, split, programs = routing_inputs(2, _ClassZeroStub(), small_scenario)
+    classes = _ClassZeroStub().predict(runner.store.population.features)
+    old = unique_routing_table(split, programs, classes)
+    assert np.bincount(old, minlength=3).tolist() == [classes.shape[0], 0, 0]
+    with pytest.raises(OrchestratorError) as caught:
+        runner._routing_table(split, programs)
+    assert str(caught.value) == (
+        "split 'SPLIT2': the model routes no user of the population to"
+        " sub-pipeline(s) ['Seg-1']"
+    )
+
+
+@pytest.mark.parametrize("k, dtype", [(2, np.uint8), (255, np.uint8), (256, np.uint16)])
+def test_routing_table_takes_the_smallest_type_that_holds_unrouted(
+    small_scenario, k, dtype
+):
+    runner, split, programs = routing_inputs(k, _CyclingStub(k), small_scenario)
+    table = runner._routing_table(split, programs)
+    assert table.dtype == np.min_scalar_type(len(programs)) == dtype
+    classes = np.arange(small_scenario.population_size, dtype=np.int64) % k
+    assert np.array_equal(table, unique_routing_table(split, programs, classes))
+
+
+NUMPY_MA_GUARD = """
+import sys
+from pathlib import Path
+from dataclasses import replace
+from abpipe.blueprints import parse_blueprints
+from abpipe.report import run_pipeline_once
+from abpipe.webstore import ScenarioConfig
+
+scenario = replace(ScenarioConfig(), population_size=20_000, train_samples=4_000)
+sequential, parallel = (parse_blueprints(Path(b)) for b in sys.argv[1:3])
+run_pipeline_once(sequential, scenario, seed=1)  # loads numpy.random and the rest
+loaded = set(sys.modules)
+run_pipeline_once(parallel, scenario, seed=1)
+print([m for m in sorted(set(sys.modules) - loaded) if m.split(".")[:2] == ["numpy", "ma"]])
+"""
+
+
+def test_split_run_imports_no_numpy_ma(seq_bundle, par_bundle):
+    # a fresh interpreter, so modules pytest or other tests loaded cannot hide it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                      env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_GUARD, str(seq_bundle), str(par_bundle)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines() == ["[]"]
 
 
 def test_parallel_run_collects_split_stats(par_spec, small_scenario):

@@ -21,7 +21,7 @@ from .model import (
     transition_graph,
     validate,
 )
-from .orchestrator import PipelineEngine, WebStoreRunner, execute_pipeline, rule_applies
+from .orchestrator import PipelineEngine, WebStoreRunner, execute_pipeline
 from .report import compare_pipelines, run_pipeline_once
 from .stats import (
     MetricAccumulator,
@@ -52,7 +52,6 @@ __all__ = [
     "execute_pipeline",
     "generate_population",
     "parse_blueprints",
-    "rule_applies",
     "run_pipeline_once",
     "serialize_blueprints",
     "transition_graph",

@@ -25,14 +25,14 @@ from pathlib import Path
 from . import classifier as clf
 from .blueprints import BlueprintError, parse_blueprints
 from .model import PipelineSpec, validate
-from .orchestrator import OrchestratorError
 from .report import (
+    RUN_ERRORS,
     PipelineRunError,
     compare_pipelines,
     run_pipeline_once,
     write_report,
 )
-from .stats import DEFAULT_BATCH_SIZE, StatsError, write_pvalue_trace
+from .stats import DEFAULT_BATCH_SIZE, write_pvalue_trace
 from .webstore import (
     DEFAULT_CATALOG,
     ScenarioConfig,
@@ -96,10 +96,6 @@ def _load_validated(path: str) -> PipelineSpec:
     return spec
 
 
-# what a run can fail with once its inputs have loaded
-_RUN_ERRORS = (OrchestratorError, WebStoreError, StatsError, clf.ClassifierError)
-
-
 def write_run_outputs(out: Path, engine, summary: dict) -> None:
     """Write a completed run's trace, summary and per-test p-value traces."""
     engine.trace.write_jsonl(out / "trace.jsonl")
@@ -145,7 +141,7 @@ def cmd_run(args) -> int:
         exc.engine.trace.write_jsonl(out / "trace.jsonl")  # partial trace
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except _RUN_ERRORS as exc:
+    except RUN_ERRORS as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     write_run_outputs(out, outcome.engine, outcome.summary)
@@ -186,7 +182,7 @@ def cmd_compare(args) -> int:
         report = compare_pipelines(
             seq_spec, par_spec, scenario, seeds, batch_size=batch
         )
-    except _RUN_ERRORS as exc:
+    except RUN_ERRORS as exc:
         print(f"compare failed: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     write_report(report, args.out)

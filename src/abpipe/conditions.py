@@ -198,11 +198,6 @@ def parse_condition(text: str) -> Condition:
     return _Parser(text).parse()
 
 
-def evaluate_condition(condition: Condition, result) -> bool:
-    """Evaluate a parsed condition against a :class:`~abpipe.stats.StatResult`."""
-    return condition.evaluate(result)
-
-
 # ---------------------------------------------------------------------------
 # syntactic satisfiability
 

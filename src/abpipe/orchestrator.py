@@ -6,9 +6,10 @@ apply the first matching transition rule (declaration order, implicit
 default to End), restore the deployment, continue. One state machine,
 :class:`Program`, runs that loop: the root's tests between population
 splits run as one program, and each sub-pipeline of a split as another.
-Population splits fan out into one knowledge instance per sub-pipeline;
-sub-pipelines run over disjoint user segments and rejoin at the split
-exit once all of them have ended.
+The knowledge repository holds the id of each live (sub-)pipeline: the
+root's from set-up to End, and one per sub-pipeline of a population
+split from its entry to its exit. Sub-pipelines run over disjoint user
+segments and rejoin at the split exit once all of them have ended.
 
 Execution strategy is pluggable: :class:`WebStoreRunner` drives the
 simulated store with chunks of arrivals, while :class:`ScriptedRunner`
@@ -50,7 +51,6 @@ from .model import (
     is_end,
     validate,
 )
-from .conditions import evaluate_condition
 from .stats import (
     DEFAULT_BATCH_SIZE,
     MetricAccumulator,
@@ -110,15 +110,7 @@ class TraceEvent:
     requests_total: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "instance": self.instance,
-                "event": self.event,
-                "detail": self.detail,
-                "requests_total": self.requests_total,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(vars(self), sort_keys=True)
 
 
 class ExecutionTrace:
@@ -131,72 +123,40 @@ class ExecutionTrace:
     def __iter__(self):
         return iter(self.events)
 
-    def __len__(self):
-        return len(self.events)
-
     def write_jsonl(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             for event in self.events:
                 handle.write(event.to_json() + "\n")
 
 
-class KnowledgeInstance:
-    """Per-(sub-)pipeline runtime state inside the knowledge repository."""
-
-    def __init__(self, instance_id: str, routing_config: tuple | None = None):
-        self.instance_id = instance_id
-        self.routing_config = routing_config
-        self.results: dict[str, StatResult] = {}
-
-    def record_result(self, test_name: str, result: StatResult) -> None:
-        if test_name in self.results:
-            raise WriteOnceError(
-                f"result for {test_name!r} already recorded on"
-                f" {self.instance_id!r}"
-            )
-        self.results[test_name] = result
-
-
 class KnowledgeRepository:
-    """Holds knowledge instances; an id is unique while its instance lives."""
+    """Ids of the live (sub-)pipeline instances; an id is unique while live."""
 
     def __init__(self):
-        self._instances: dict[str, KnowledgeInstance] = {}
+        self._live: set[str] = set()
 
-    def add_instance(
-        self, instance_id: str, routing_config: tuple | None = None
-    ) -> KnowledgeInstance:
-        if instance_id in self._instances:
+    def add_instances(self, instance_ids: list[str]) -> None:
+        """Add every id or, if one is already live, none of them."""
+        taken = self._live.intersection(instance_ids)
+        if taken:
             raise InstanceCollisionError(
-                f"knowledge instance {instance_id!r} already live"
+                f"knowledge instance(s) {sorted(taken)} already live"
             )
-        instance = KnowledgeInstance(instance_id, routing_config)
-        self._instances[instance_id] = instance
-        return instance
+        self._live.update(instance_ids)
 
     def remove_instance(self, instance_id: str) -> None:
-        self._instances.pop(instance_id, None)
-
-    def get(self, instance_id: str) -> KnowledgeInstance:
-        return self._instances[instance_id]
+        self._live.discard(instance_id)
 
     def has(self, instance_id: str) -> bool:
-        return instance_id in self._instances
+        return instance_id in self._live
 
     @property
     def live_count(self) -> int:
-        return len(self._instances)
+        return len(self._live)
 
 
 # ---------------------------------------------------------------------------
 # transition rules
-
-
-def rule_applies(rule: TransitionRule, result: StatResult, ab_test: str) -> bool:
-    """Whether a transition rule fires for a completed test's result."""
-    return ab_test == rule.assoc_ab_test and evaluate_condition(
-        rule.condition, result
-    )
 
 
 def next_element(
@@ -204,7 +164,7 @@ def next_element(
 ) -> tuple[str, TransitionRule | None]:
     """First matching rule in declaration order; End when none fires."""
     for rule in rules:
-        if rule_applies(rule, result, ab_test):
+        if rule.assoc_ab_test == ab_test and rule.condition.evaluate(result):
             return rule.subseq_ab_test, rule
     return "end", None
 
@@ -241,11 +201,10 @@ class Program:
     A program deploys its start test and runs its looks: it says how
     many requests the next look needs (:meth:`requests_to_look`), and
     :meth:`look` adds a served block to the test's statistics and
-    evaluates the hypothesis. On each terminal result it records it in
-    its knowledge instance and in ``engine.results``, restores the
-    deployment and fires the first matching transition rule. It is done
-    when a rule leads to End or to a population split; ``next`` then
-    names that element. ``consumed`` is the count of requests the
+    evaluates the hypothesis. On each terminal result it has the engine
+    record it, restores the deployment and fires the first matching
+    transition rule. It is done when a rule leads to End or to a
+    population split; ``next`` then names that element. ``consumed`` is the count of requests the
     current test has been served so far; ``acc_a`` and ``acc_b`` hold
     its hypothesis metric per variant.
     """
@@ -259,7 +218,6 @@ class Program:
     ):
         self.engine = engine
         self.instance_id = instance_id
-        self.instance = engine.knowledge.get(instance_id)
         self.rules = rules
         self.done = False
         self.next: str | None = None
@@ -307,9 +265,7 @@ class Program:
         self.engine._record_batch(self.instance_id, test, result)
         if not is_terminal(result, test):
             return
-        self.instance.record_result(test.name, result)
-        qualified = self.engine._qualified(self.instance_id, test.name)
-        self.engine.results[qualified] = result
+        self.engine._record_result(self.instance_id, test.name, result)
         self.engine.runner.restore(test)
         target, rule = next_element(self.rules, result, test.name)
         self.engine._trace(
@@ -607,6 +563,14 @@ class PipelineEngine:
             return test_name
         return f"{instance_id}/{test_name}"
 
+    def _record_result(
+        self, instance_id: str, test_name: str, result: StatResult
+    ) -> None:
+        qualified = self._qualified(instance_id, test_name)
+        if qualified in self.results:
+            raise WriteOnceError(f"result for {qualified!r} already recorded")
+        self.results[qualified] = result
+
     def _record_batch(
         self, instance_id: str, test: ABTestSpec, result: StatResult
     ) -> None:
@@ -632,8 +596,8 @@ class PipelineEngine:
 
     # -- setup (operator flow) -----------------------------------------------
 
-    def setup_and_initiate(self) -> KnowledgeInstance:
-        """Load the workflow, create root knowledge, deploy the first test."""
+    def setup_and_initiate(self) -> None:
+        """Load the workflow, add the root's instance, deploy the first test."""
         if self._initiated:
             raise AlreadyRunningError(f"pipeline {self.spec.name!r} already initiated")
         report = validate(self.spec, self.catalog)
@@ -642,11 +606,10 @@ class PipelineEngine:
         # atomic precondition: every test's variants and metrics must be
         # deployable before anything deploys
         self.runner.check_deployable(self.spec)
-        root = self.knowledge.add_instance(self.spec.name)
+        self.knowledge.add_instances([self.spec.name])
         self._initiated = True
         self._trace(self.spec.name, EVENT_START, {"element": self.spec.start})
         self._program = self._root_program(self.spec.start)
-        return root
 
     # -- main loop (pipeline execution) ---------------------------------------
 
@@ -673,24 +636,14 @@ class PipelineEngine:
     # -- population split ------------------------------------------------------
 
     def execute_split_entry(self, split: PopulationSplitSpec) -> list[Program]:
-        """Create per-sub-pipeline knowledge and start the sub-pipelines."""
+        """Add the sub-pipelines' instances and start the sub-pipelines."""
         self.runner.ensure_split_model(split)
-        for sub in split.sub_pipelines:
-            if self.knowledge.has(sub.subpl_id):
-                raise InstanceCollisionError(
-                    f"sub-pipeline instance {sub.subpl_id!r} already live"
-                )
-        for sub, cond in zip(split.sub_pipelines, split.cond_stats):
-            self.knowledge.add_instance(
-                sub.subpl_id, routing_config=(split.split_property, cond)
-            )
+        sub_ids = [sub.subpl_id for sub in split.sub_pipelines]
+        self.knowledge.add_instances(sub_ids)
         self._trace(
             self.spec.name,
             EVENT_SPLIT_ENTRY,
-            {
-                "split": split.name,
-                "sub_pipelines": [s.subpl_id for s in split.sub_pipelines],
-            },
+            {"split": split.name, "sub_pipelines": sub_ids},
         )
         programs = []
         for sub in split.sub_pipelines:

@@ -21,9 +21,15 @@ from pathlib import Path
 
 from . import classifier as clf
 from .model import PipelineSpec
-from .orchestrator import PipelineEngine, WebStoreRunner
-from .stats import DEFAULT_BATCH_SIZE
-from .webstore import Population, ScenarioConfig, WebStore, generate_training_data
+from .orchestrator import OrchestratorError, PipelineEngine, WebStoreRunner
+from .stats import DEFAULT_BATCH_SIZE, StatsError
+from .webstore import (
+    Population,
+    ScenarioConfig,
+    WebStore,
+    WebStoreError,
+    generate_training_data,
+)
 
 FULL_SCALE_REFERENCE = {
     "sequential": {"Recommendation update": 112_000, "Review update": 27_000},
@@ -32,6 +38,10 @@ FULL_SCALE_REFERENCE = {
     "parallel_total": 27_128,
     "reduction_pct": 80.48,
 }
+
+
+# what a run can fail with once its inputs have loaded; anything else is a bug
+RUN_ERRORS = (OrchestratorError, WebStoreError, StatsError, clf.ClassifierError)
 
 
 class PipelineRunError(RuntimeError):
@@ -49,7 +59,6 @@ class RunOutcome:
 
     engine: PipelineEngine
     summary: dict
-    train_ms: float | None
     model: clf.LinearModel | None
 
 
@@ -78,12 +87,11 @@ def run_pipeline_once(
     engine = PipelineEngine(spec, runner, catalog=store.catalog)
     try:
         engine.run()
-    except Exception as exc:
+    except RUN_ERRORS as exc:
         raise PipelineRunError(exc, engine) from exc
     return RunOutcome(
         engine=engine,
         summary=build_summary(engine, seed, batch_size),
-        train_ms=None if model is None else model.train_time_ms,
         model=model,
     )
 
@@ -301,10 +309,9 @@ def compare_pipelines(
             for sub_id, frac in split["split_fractions"].items():
                 fractions.setdefault(sub_id, []).append(frac)
             unrouted.append(split["unrouted_fraction"])
-        if par_out.train_ms is not None:
-            train_ms.append(par_out.train_ms)
         deploy_ms.extend(s.deploy_ms for s in par_out.engine.split_stats.values())
         if par_out.model is not None:
+            train_ms.append(par_out.model.train_time_ms)
             last_model = par_out.model
             population = par_out.engine.runner.store.population.features
 

@@ -168,7 +168,7 @@ def _betacf(a: float, b: float, x: float) -> float:
         h *= de
         if abs(de - 1.0) < eps:
             return h
-    raise ArithmeticError("incomplete beta continued fraction did not converge")
+    raise StatsError("incomplete beta continued fraction did not converge")
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:

@@ -386,10 +386,8 @@ class WebStore:
         record = self._active.get(test_name)
         if record is None:
             raise NoActiveTestError(f"test {test_name!r} is not active")
-        uids = np.asarray(users)
+        uids = np.asarray(users, dtype=np.int64)
         n = uids.shape[0]
-        if n == 0:
-            return {"is_a": np.zeros(0, dtype=bool), "samples": {}}
         frac_a = record.spec.ab_assignment[0]
         is_a = prf.uniforms(record.assign_key, uids) < frac_a
         purchaser = self.population.latent[uids]

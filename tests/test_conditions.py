@@ -9,7 +9,6 @@ from abpipe.conditions import (
     ConditionSyntaxError,
     conditions_overlap,
     covers_everything,
-    evaluate_condition,
     parse_condition,
     satisfiable,
 )
@@ -33,20 +32,20 @@ def test_parse_and_chain():
 
 def test_parse_parentheses():
     cond = parse_condition("(p_value < 0.01 or p_value > 0.9) and mean_b >= 0.2")
-    assert evaluate_condition(cond, result(p=0.005, mean_b=0.3))
-    assert not evaluate_condition(cond, result(p=0.005, mean_b=0.1))
+    assert cond.evaluate(result(p=0.005, mean_b=0.3))
+    assert not cond.evaluate(result(p=0.005, mean_b=0.1))
 
 
 def test_boolean_ops_flat_left_associative():
     # single precedence level: a or b and c == (a or b) and c
     cond = parse_condition("p_value < 0.1 or p_value > 0.9 and mean_b > 100")
-    assert not evaluate_condition(cond, result(p=0.05, mean_b=0.0))
+    assert not cond.evaluate(result(p=0.05, mean_b=0.0))
 
 
 def test_effect_is_mean_difference():
     cond = parse_condition("effect > 0.01")
-    assert evaluate_condition(cond, result(mean_a=0.10, mean_b=0.12))
-    assert not evaluate_condition(cond, result(mean_a=0.12, mean_b=0.10))
+    assert cond.evaluate(result(mean_a=0.10, mean_b=0.12))
+    assert not cond.evaluate(result(mean_a=0.12, mean_b=0.10))
 
 
 def test_syntax_error_carries_position():
@@ -65,7 +64,7 @@ def test_syntax_error_carries_position():
 
 def test_boundary_comparison_inclusive():
     cond = parse_condition("p_value <= 0.05")
-    assert evaluate_condition(cond, result(p=0.05))
+    assert cond.evaluate(result(p=0.05))
 
 
 # Python's own comparisons, written out as the oracle for the operator table
@@ -89,7 +88,7 @@ def test_class_and_result_conditions_compare_like_python(op, x):
     expected = PYTHON_COMPARE[op](x, 2)
     assert ClassCondition(op, 2).matches(x) == expected
     condition = parse_condition(f"mean_a {op} 2")
-    assert evaluate_condition(condition, result(mean_a=x)) == expected
+    assert condition.evaluate(result(mean_a=x)) == expected
 
 
 def test_overlap_detection():
@@ -140,7 +139,7 @@ def condition_text(draw, depth=0):
 def test_random_conditions_roundtrip_and_evaluate(text):
     cond = parse_condition(text)
     # evaluation is total over well-formed results
-    evaluate_condition(cond, result(p=0.3, mean_a=1.0, mean_b=-0.5))
+    cond.evaluate(result(p=0.3, mean_a=1.0, mean_b=-0.5))
     # a condition always overlaps itself when satisfiable
     if satisfiable(cond):
         assert conditions_overlap(cond, cond)

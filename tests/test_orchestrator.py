@@ -26,6 +26,7 @@ from abpipe.orchestrator import (
     KnowledgeRepository,
     OrchestratorError,
     PipelineEngine,
+    Program,
     ScriptedRunner,
     SpecInvalidError,
     UntrainedModelError,
@@ -33,15 +34,21 @@ from abpipe.orchestrator import (
     WriteOnceError,
     execute_pipeline,
     next_element,
-    rule_applies,
 )
 from abpipe.report import (
+    PipelineRunError,
     build_summary,
     compare_pipelines,
     run_pipeline_once,
     write_report,
 )
-from abpipe.stats import DEFAULT_BATCH_SIZE, StatResult, StatsError, next_boundary
+from abpipe.stats import (
+    DEFAULT_BATCH_SIZE,
+    InsufficientSamplesError,
+    StatResult,
+    StatsError,
+    next_boundary,
+)
 from abpipe import webstore
 from abpipe.webstore import WebStore, generate_population, generate_training_data
 
@@ -60,17 +67,18 @@ def result_for(test="T1", p=0.5, effect=0.0, requests=1000, significant=None):
 
 def test_rule_applies_on_matching_test_and_condition():
     rule = TransitionRule("r", "T1", "p_value <= 0.05 and effect > 0", "T2")
-    assert rule_applies(rule, result_for(p=0.01, effect=0.015), "T1")
+    assert next_element((rule,), result_for(p=0.01, effect=0.015), "T1") == ("T2", rule)
 
 
 def test_rule_rejects_other_test():
     rule = TransitionRule("r", "T1", "p_value <= 0.05 and effect > 0", "T2")
-    assert not rule_applies(rule, result_for(test="T9", p=0.01, effect=0.015), "T9")
+    result = result_for(test="T9", p=0.01, effect=0.015)
+    assert next_element((rule,), result, "T9") == ("end", None)
 
 
 def test_rule_boundary_is_inclusive():
     rule = TransitionRule("r", "T1", "p_value <= 0.05", "T2")
-    assert rule_applies(rule, result_for(p=0.05), "T1")
+    assert next_element((rule,), result_for(p=0.05), "T1") == ("T2", rule)
 
 
 def test_first_matching_rule_wins():
@@ -161,10 +169,12 @@ def test_invalid_spec_rejected_before_running():
 
 
 def test_write_once_results():
-    instance = KnowledgeRepository().add_instance("I")
-    instance.record_result("T", result_for())
+    spec, scripts = single_test_spec()
+    engine = PipelineEngine(spec, ScriptedRunner(scripts))
+    engine._record_result("Solo", "T1", result_for())
     with pytest.raises(WriteOnceError):
-        instance.record_result("T", result_for())
+        engine._record_result("Solo", "T1", result_for())
+    assert list(engine.results) == ["T1"]
 
 
 def test_duplicate_initiation_rejected():
@@ -218,12 +228,22 @@ def test_split_creates_one_instance_per_sub_pipeline():
     programs = engine.execute_split_entry(spec.pop_splits[0])
     assert engine.knowledge.has("Seg-A") and engine.knowledge.has("Seg-B")
     assert engine.knowledge.live_count == 3  # root + two sub-pipelines
-    routing = engine.knowledge.get("Seg-A").routing_config
-    assert routing == ("likelihood", ClassCondition("==", 0))
     with pytest.raises(InstanceCollisionError):
         engine.execute_split_entry(spec.pop_splits[0])
     with pytest.raises(ContractViolationError):
         engine.execute_split_exit(spec.pop_splits[0], programs)
+
+
+def test_colliding_split_entry_adds_no_instance():
+    spec, scripts = split_spec()
+    knowledge = KnowledgeRepository()
+    knowledge.add_instances(["Seg-B"])  # Seg-A is free, Seg-B collides
+    engine = PipelineEngine(spec, ScriptedRunner(scripts), knowledge=knowledge)
+    engine.setup_and_initiate()
+    with pytest.raises(InstanceCollisionError):
+        engine.execute_split_entry(spec.pop_splits[0])
+    assert knowledge.live_count == 2 and not knowledge.has("Seg-A")
+    assert [e.event for e in engine.trace] == ["start"]
 
 
 def test_split_exit_copies_namespaced_results_and_clears_instances():
@@ -667,6 +687,38 @@ def test_runs_do_not_depend_on_the_arrival_chunk_size(
     assert bool(spec.pop_splits) == bool(outcomes[0][3])
     for outcome in outcomes[1:]:
         assert outcome == outcomes[0]
+
+
+# ---------------------------------------------------------------------------
+# run failures: a domain error fails the run, a programming error propagates
+
+
+def broken_look(self, served, requests_consumed):
+    raise TypeError("a bug in the engine")
+
+
+def test_programming_error_propagates_out_of_a_run(seq_spec, small_scenario, monkeypatch):
+    monkeypatch.setattr(Program, "look", broken_look)
+    with pytest.raises(TypeError, match="a bug in the engine"):
+        run_pipeline_once(seq_spec, small_scenario, seed=1)
+
+
+def test_programming_error_propagates_out_of_a_comparison(
+    seq_spec, par_spec, small_scenario, monkeypatch
+):
+    monkeypatch.setattr(Program, "look", broken_look)
+    with pytest.raises(TypeError, match="a bug in the engine"):
+        compare_pipelines(seq_spec, par_spec, small_scenario, seeds=[1, 2])
+
+
+def test_insufficient_samples_fail_the_run_with_its_partial_trace(
+    seq_spec, small_scenario
+):
+    # one request per look leaves a variant without samples at the first look
+    with pytest.raises(PipelineRunError) as err:
+        run_pipeline_once(seq_spec, small_scenario, seed=1, batch_size=1)
+    assert isinstance(err.value.cause, InsufficientSamplesError)
+    assert [e.event for e in err.value.engine.trace] == ["start", "deploy"]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from abpipe.stats import (
     StatsError,
     next_boundary,
     normal_sf,
+    regularized_incomplete_beta,
     student_t_sf,
     two_proportion_test,
     welch_t_test,
@@ -203,6 +204,12 @@ def test_p_value_in_unit_interval(n_a, n_b, ma, mb, m2a, m2b, direction):
     b = MetricAccumulator("B", "m", n_b, mb, m2b)
     p = welch_t_test(a, b, direction).p_value
     assert 0.0 <= p <= 1.0
+
+
+def test_incomplete_beta_non_convergence_is_a_stats_error():
+    # at a = b = 1e6 the continued fraction needs more than its 300 terms
+    with pytest.raises(StatsError, match="did not converge"):
+        regularized_incomplete_beta(1e6, 1e6, 0.5)
 
 
 def test_t_sf_against_reference():

@@ -259,6 +259,31 @@ def test_conservation_requests_equal_samples():
     assert out["samples"]["clicks"].shape[0] == store.probe("T") == 2_500
 
 
+@pytest.mark.parametrize("users", [np.empty(0, dtype=np.int64), []], ids=["array", "list"])
+def test_empty_block_serves_an_empty_sample_per_metric(users):
+    store = make_store()
+    store.deploy_ab_test(make_test())
+    out = store.serve_chunk("T", users)
+    assert out["is_a"].shape == (0,) and out["is_a"].dtype == bool
+    assert set(out["samples"]) == {"clicks"}
+    assert out["samples"]["clicks"].shape == (0,)
+    assert store.probe("T") == 0
+
+
+def test_empty_block_leaves_the_next_draws_unchanged():
+    outs = []
+    for empty_first in (False, True):
+        store = make_store(seed=5)
+        store.deploy_ab_test(make_test())
+        if empty_first:
+            store.serve_chunk("T", np.empty(0, dtype=np.int64))
+        out = store.serve_chunk("T", store.arrivals.next(500))
+        outs.append((out["is_a"], out["samples"]["clicks"], store.probe("T")))
+    assert np.array_equal(outs[0][0], outs[1][0])
+    assert np.array_equal(outs[0][1], outs[1][1])
+    assert outs[0][2] == outs[1][2] == 500
+
+
 def test_serving_requires_active_test():
     store = make_store()
     with pytest.raises(NoActiveTestError):

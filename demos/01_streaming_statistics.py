@@ -21,28 +21,28 @@ rng = np.random.default_rng(7)
 
 # --- 1. accumulators: constant-memory running moments ----------------------
 
-acc = MetricAccumulator("A", "clicks")
+acc = MetricAccumulator()
 for sample in rng.random(10_000) < 0.15:
     acc.add(float(sample))
 print(f"accumulated {acc.n} samples: mean={acc.mean:.4f} variance={acc.variance:.4f}")
 
 # merging two accumulators is the same as one concatenated stream
-left = MetricAccumulator("A", "clicks")
+left = MetricAccumulator()
 left.add_many([0, 1, 1, 0, 1])
-right = MetricAccumulator("A", "clicks")
+right = MetricAccumulator()
 right.add_many([1, 0, 0])
 merged = left.merge(right)
 print(f"merge check: n={merged.n} mean={merged.mean:.4f} (expect 0.5)")
 
 # --- 2. Welch's t-test on two variants --------------------------------------
 
-def binary_accumulator(variant, rate, n):
-    acc = MetricAccumulator(variant, "clicks")
+def binary_accumulator(rate, n):
+    acc = MetricAccumulator()
     acc.add_many((rng.random(n) < rate).astype(float))
     return acc
 
-a = binary_accumulator("A", 0.1470, 60_000)
-b = binary_accumulator("B", 0.1617, 60_000)
+a = binary_accumulator(0.1470, 60_000)
+b = binary_accumulator(0.1617, 60_000)
 result = welch_t_test(a, b, direction="B_greater", alpha=0.05)
 print(
     f"\nWelch on click rates {a.mean:.4f} vs {b.mean:.4f}: "

@@ -1,0 +1,8 @@
+"""``python -m abpipe``: the ``abpipe`` command."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

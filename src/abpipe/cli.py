@@ -6,11 +6,13 @@ Subcommands::
     abpipe run <bundle> --scenario <file> --seed <n> --out <dir>
     abpipe compare <seq-bundle> <par-bundle> --scenario <file>
                    --runs <n> --seeds <list|base> --out <dir>
-    abpipe train <csv> --epochs <n> --eta0 <x> --l2 <x> --seed <n> --out <file>
+    abpipe train <csv> --seed <n> --out <file>
     abpipe gen-data --scenario <file> --n <count> --out <csv>
 
-Exit codes: 0 success, 1 domain error (invalid blueprints, failed runs,
-bad training data), 2 I/O or usage errors. ``ABPIPE_BATCH_SIZE``
+Also run as ``python -m abpipe``. ``train`` fits on the fixed schedule
+of ``classifier.Hyperparams``. Exit codes: 0 success, 1 domain error
+(invalid blueprints, failed runs, bad training data, a negative seed
+for a split model fit), 2 I/O or usage errors. ``ABPIPE_BATCH_SIZE``
 overrides the default monitoring batch of 1000 requests.
 """
 
@@ -204,17 +206,7 @@ def cmd_train(args) -> int:
         raise CliError(f"training CSV not found: {csv_path}", EXIT_IO)
     try:
         features, labels = clf.load_training_csv(csv_path)
-        model = clf.train(
-            features,
-            labels,
-            clf.Hyperparams(
-                eta0=args.eta0,
-                power_t=args.power_t,
-                l2=args.l2,
-                epochs=args.epochs,
-                seed=args.seed,
-            ),
-        )
+        model = clf.train(features, labels, clf.Hyperparams(seed=args.seed))
     except clf.ClassifierError as exc:
         print(f"training failed: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -276,10 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the split classifier from a CSV")
     p.add_argument("csv")
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--eta0", type=float, default=0.5)
-    p.add_argument("--l2", type=float, default=1e-4)
-    p.add_argument("--power-t", type=float, default=0.25, dest="power_t")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
@@ -304,7 +292,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_IO
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -108,7 +108,6 @@ class PipelineSpec:
     trans_rules: tuple[TransitionRule, ...]
     pop_splits: tuple[PopulationSplitSpec, ...]
     start: str
-    end: str = END
 
     def test(self, name: str) -> ABTestSpec:
         for t in self.ab_tests:

@@ -226,9 +226,8 @@ class Program:
     def _deploy(self, test_name: str) -> None:
         self.current_test: ABTestSpec | None = self.engine.spec.test(test_name)
         self.consumed = 0
-        metric = self.current_test.hypothesis.metric
-        self.acc_a = MetricAccumulator("A", metric)
-        self.acc_b = MetricAccumulator("B", metric)
+        self.acc_a = MetricAccumulator()
+        self.acc_b = MetricAccumulator()
         self.engine.runner.deploy(self.current_test)
         self.engine._trace(self.instance_id, EVENT_DEPLOY, {"test": test_name})
 
@@ -250,7 +249,6 @@ class Program:
                 self.acc_b,
                 direction=test.hypothesis.direction,
                 alpha=test.hypothesis.alpha,
-                test_name=test.name,
                 requests_consumed=requests_consumed,
             )
         )

@@ -58,14 +58,12 @@ class DegeneratePooledProportionError(StatsError):
 
 @dataclass
 class MetricAccumulator:
-    """Single-pass mean/variance accumulator for one (variant, metric).
+    """Single-pass mean/variance accumulator for one variant's metric.
 
     ``m2`` is the running sum of squared deviations from the mean, so
     ``variance == m2 / (n - 1)`` for ``n >= 2``.
     """
 
-    variant: str
-    metric: str
     n: int = 0
     mean: float = 0.0
     m2: float = 0.0
@@ -88,9 +86,7 @@ class MetricAccumulator:
             return
         if not np.all(np.isfinite(xs)):
             raise StatsError("non-finite sample rejected")
-        chunk = MetricAccumulator(self.variant, self.metric)
-        chunk.n = int(xs.size)
-        chunk.mean = float(xs.mean())
+        chunk = MetricAccumulator(int(xs.size), float(xs.mean()))
         chunk.m2 = float(((xs - chunk.mean) ** 2).sum())
         chunk.binary = bool(np.all((xs == 0.0) | (xs == 1.0)))
         merged = self.merge(chunk)
@@ -104,20 +100,14 @@ class MetricAccumulator:
     def merge(self, other: "MetricAccumulator") -> "MetricAccumulator":
         """Combine two accumulators as if their streams were concatenated."""
         if other.n == 0:
-            return MetricAccumulator(
-                self.variant, self.metric, self.n, self.mean, self.m2, self.binary
-            )
+            return MetricAccumulator(self.n, self.mean, self.m2, self.binary)
         if self.n == 0:
-            return MetricAccumulator(
-                self.variant, self.metric, other.n, other.mean, other.m2, other.binary
-            )
+            return MetricAccumulator(other.n, other.mean, other.m2, other.binary)
         n = self.n + other.n
         delta = other.mean - self.mean
         mean = self.mean + delta * other.n / n
         m2 = self.m2 + other.m2 + delta * delta * self.n * other.n / n
-        return MetricAccumulator(
-            self.variant, self.metric, n, mean, m2, self.binary and other.binary
-        )
+        return MetricAccumulator(n, mean, m2, self.binary and other.binary)
 
     @property
     def variance(self) -> float:
@@ -224,7 +214,6 @@ def _directional_p(stat: float, direction: str, tail) -> float:
 class StatResult:
     """Outcome of one hypothesis evaluation."""
 
-    test_name: str
     p_value: float
     mean_a: float
     mean_b: float
@@ -243,12 +232,10 @@ def _result(
     b: MetricAccumulator,
     p: float,
     alpha: float,
-    test_name: str,
     requests_consumed: int | None,
 ) -> StatResult:
     """A look's result; it consumed ``a.n + b.n`` requests unless told."""
     return StatResult(
-        test_name=test_name,
         p_value=p,
         mean_a=a.mean,
         mean_b=b.mean,
@@ -264,7 +251,6 @@ def welch_t_test(
     b: MetricAccumulator,
     direction: str = B_NOT_EQUAL,
     alpha: float = 0.05,
-    test_name: str = "",
     requests_consumed: int | None = None,
 ) -> StatResult:
     """Welch's unequal-variance t-test on two accumulators.
@@ -297,7 +283,7 @@ def welch_t_test(
         wb = rb / se2
         df = 1.0 / (wa * wa / (a.n - 1) + wb * wb / (b.n - 1))
         p = _directional_p(t, direction, lambda s: student_t_sf(s, df))
-    return _result(a, b, p, alpha, test_name, requests_consumed)
+    return _result(a, b, p, alpha, requests_consumed)
 
 
 def two_proportion_test(
@@ -305,7 +291,6 @@ def two_proportion_test(
     b: MetricAccumulator,
     direction: str = B_NOT_EQUAL,
     alpha: float = 0.05,
-    test_name: str = "",
     requests_consumed: int | None = None,
 ) -> StatResult:
     """Pooled two-proportion z-test on binary accumulators."""
@@ -323,7 +308,7 @@ def two_proportion_test(
     se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / a.n + 1.0 / b.n))
     z = (b.mean - a.mean) / se
     p = _directional_p(z, direction, normal_sf)
-    return _result(a, b, p, alpha, test_name, requests_consumed)
+    return _result(a, b, p, alpha, requests_consumed)
 
 
 _TEST_FUNCS = {WELCH_T: welch_t_test, TWO_PROPORTION: two_proportion_test}
@@ -335,7 +320,6 @@ def run_stat_test(
     b: MetricAccumulator,
     direction: str,
     alpha: float,
-    test_name: str = "",
     requests_consumed: int | None = None,
 ) -> StatResult:
     """Dispatch to the configured statistical procedure."""
@@ -343,7 +327,7 @@ def run_stat_test(
         func = _TEST_FUNCS[stat_test]
     except KeyError:
         raise StatsError(f"unknown stat test {stat_test!r}") from None
-    return func(a, b, direction, alpha, test_name, requests_consumed)
+    return func(a, b, direction, alpha, requests_consumed)
 
 
 # ---------------------------------------------------------------------------

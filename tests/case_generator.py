@@ -61,7 +61,6 @@ def _script(rng, instance, test, significant):
         requests = k * BATCH
         results.append(
             StatResult(
-                test_name=test.name,
                 p_value=p,
                 mean_a=mean_a,
                 mean_b=mean_b,

@@ -232,8 +232,8 @@ def test_criterion_3_statistics_oracle():
     table = json.loads((DATA / "welch_oracle.json").read_text())
     worst = 0.0
     for case in table["cases"]:
-        a = MetricAccumulator("A", "m", case["n_a"], case["mean_a"], case["m2_a"])
-        b = MetricAccumulator("B", "m", case["n_b"], case["mean_b"], case["m2_b"])
+        a = MetricAccumulator(case["n_a"], case["mean_a"], case["m2_a"])
+        b = MetricAccumulator(case["n_b"], case["mean_b"], case["m2_b"])
         result = welch_t_test(a, b, case["direction"])
         worst = max(worst, abs(result.p_value - case["expected_p"]))
 
@@ -241,9 +241,9 @@ def test_criterion_3_statistics_oracle():
     rng = np.random.default_rng(8)
     xa = rng.normal(0, 1, 25)
     xb = -xa + 0.3
-    acc_a = MetricAccumulator("A", "m")
+    acc_a = MetricAccumulator()
     acc_a.add_many(xa)
-    acc_b = MetricAccumulator("B", "m")
+    acc_b = MetricAccumulator()
     acc_b.add_many(xb)
     ra = acc_a.variance / acc_a.n
     rb = acc_b.variance / acc_b.n
@@ -251,9 +251,9 @@ def test_criterion_3_statistics_oracle():
     df = 1.0 / ((ra / se2) ** 2 / (acc_a.n - 1) + (rb / se2) ** 2 / (acc_b.n - 1))
     df_gap = abs(df - (acc_a.n + acc_b.n - 2))
 
-    clicks_a = MetricAccumulator("A", "clicks")
+    clicks_a = MetricAccumulator()
     clicks_a.add_many([1.0] * 1470 + [0.0] * 8530)
-    clicks_b = MetricAccumulator("B", "clicks")
+    clicks_b = MetricAccumulator()
     clicks_b.add_many([1.0] * 1617 + [0.0] * 8383)
     proportion = two_proportion_test(clicks_a, clicks_b, "B_not_equal")
 

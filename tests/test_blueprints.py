@@ -153,3 +153,67 @@ def test_malformed_condition_entry_names_the_record_shape(tmp_path, par_bundle):
         parse_blueprints(bundle)
     assert "{op, value}" in str(err.value)
     assert "{{" not in str(err.value)
+
+
+SPLIT_FILE = "splits/Population-split-purchases-prediction.json"
+
+
+@pytest.mark.parametrize(
+    "path, edit, error, message",
+    [
+        (
+            "rules/GUI-upgrade-to-split.json",
+            lambda r: r.update(name="GUI-upgrade"),
+            DuplicateNameError,
+            "duplicate element name 'GUI-upgrade' (experiment and rule)",
+        ),
+        (
+            SPLIT_FILE,
+            lambda r: r.update(name="GUI-upgrade"),
+            DuplicateNameError,
+            "duplicate element name 'GUI-upgrade' (experiment and split)",
+        ),
+        (
+            "pipeline.json",
+            lambda r: r.update(transitionRules=["nope"]),
+            UnresolvedReferenceError,
+            "unresolved reference 'nope' (pipeline transitionRules)",
+        ),
+        (
+            "pipeline.json",
+            lambda r: r["subPipelines"][1].update(id="Review-pipeline"),
+            DuplicateNameError,
+            "duplicate element name 'Review-pipeline' (subPipelines)",
+        ),
+        (
+            "pipeline.json",
+            lambda r: r.update(experiments=["GUI-upgrade", "GUI-upgrade"]),
+            DuplicateNameError,
+            "duplicate element name 'GUI-upgrade' (pipeline experiments)",
+        ),
+        (
+            "pipeline.json",
+            lambda r: r.update(populationSplits=["nope"]),
+            UnresolvedReferenceError,
+            "unresolved reference 'nope' (pipeline populationSplits)",
+        ),
+        (
+            SPLIT_FILE,
+            lambda r: r["pipelines"].append("nope"),
+            UnresolvedReferenceError,
+            "unresolved reference 'nope' (split Population-split-purchases-prediction pipelines)",
+        ),
+    ],
+    ids=["experiment-named-like-rule", "experiment-named-like-split", "unresolved-rule",
+         "duplicate-sub-pipeline-id", "duplicate-pipeline-experiment", "unresolved-split",
+         "unresolved-split-sub-pipeline"],
+)
+def test_each_linking_error_names_its_element(tmp_path, par_bundle, path, edit, error, message):
+    bundle = tmp_path / "broken"
+    shutil.copytree(par_bundle, bundle)
+    record = json.loads((bundle / path).read_text())
+    edit(record)
+    (bundle / path).write_text(json.dumps(record))
+    with pytest.raises(error) as caught:
+        parse_blueprints(bundle)
+    assert str(caught.value) == message

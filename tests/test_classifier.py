@@ -1,6 +1,7 @@
 import hashlib
 import json
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ def toy_separable(n=200, seed=0):
 
 def test_linearly_separable_reaches_full_accuracy():
     x, y = toy_separable()
-    model = clf.train(x, y, clf.Hyperparams(epochs=10, seed=1))
+    model = clf.train(x, y, clf.Hyperparams(seed=1))
     assert (model.predict(x) == y).mean() == 1.0
 
 
@@ -45,9 +46,16 @@ def test_linearly_separable_reaches_full_accuracy():
     ],
 )
 def test_degenerate_hyperparameters_rejected(field, value):
+    """The schedule is fixed: no fit can be given one, legal or not."""
+    with pytest.raises(TypeError, match=field):
+        clf.Hyperparams(**{field: value})
+
+
+@pytest.mark.parametrize("seed", [-1, -3, -(2**40)])
+def test_negative_seed_rejected(seed):
     x, y = toy_separable()
-    with pytest.raises(clf.ClassifierError, match=field):
-        clf.train(x, y, clf.Hyperparams(**{field: value}))
+    with pytest.raises(clf.ClassifierError, match=f"^seed must be >= 0, got {seed}$"):
+        clf.train(x, y, clf.Hyperparams(seed=seed))
 
 
 def test_single_class_rejected():
@@ -77,7 +85,8 @@ def test_training_is_bitwise_deterministic():
 
 @st.composite
 def sgd_problems(draw):
-    """Small fits: 0/1 rows of any numeric dtype, legal hyperparameters.
+    """Small fits: 0/1 rows of any numeric dtype, a seed and a legal
+    schedule, which the test patches into ``Hyperparams`` for the fit.
 
     The heavy-L2 branch (eta0 * l2 in [0.5, 0.999)) shrinks the weight
     scale below 1e-9 within a few dozen steps, so the fold runs.
@@ -97,22 +106,23 @@ def sgd_problems(draw):
             st.floats(0.5, 0.999).map(lambda c: c / eta0),
         )
     )
-    hp = clf.Hyperparams(
+    schedule = dict(
         eta0=eta0,
         power_t=draw(st.floats(0.0, 1.0)),
         l2=l2,
         epochs=draw(st.integers(1, 3)),
-        seed=draw(st.integers(0, 1000)),
     )
-    return x, y, hp
+    return x, y, draw(st.integers(0, 1000)), schedule
 
 
 @given(sgd_problems())
 @settings(max_examples=200, deadline=None)
 def test_sparse_fit_matches_dense_reference(problem):
-    x, y, hp = problem
-    model = clf.train(x, y, hp)
-    weights, bias = dense_sgd(x, y, hp)
+    x, y, seed, schedule = problem
+    hp = clf.Hyperparams(seed=seed)
+    with mock.patch.multiple(clf.Hyperparams, **schedule):
+        model = clf.train(x, y, hp)
+        weights, bias = dense_sgd(x, y, hp)
     tol = 1e-12 * max(1.0, float(np.max(np.abs(weights))))
     assert np.max(np.abs(model.weights - weights)) <= tol
     assert abs(model.bias - bias) <= tol
@@ -127,7 +137,7 @@ def test_wide_rows_match_dense_reference(n_features):
     x[::2, -1] ^= 1
     y = (x[:, -1] == 1).astype(np.float64)
     y[:2] = (0.0, 1.0)
-    hp = clf.Hyperparams(epochs=2, seed=5)
+    hp = clf.Hyperparams(seed=5)
     model = clf.train(x, y, hp)
     weights, bias = dense_sgd(x, y, hp)
     tol = 1e-12 * max(1.0, float(np.max(np.abs(weights))))
@@ -158,9 +168,11 @@ def test_weight_scale_fold_matches_dense_reference():
     """Constant lr with eta0 * l2 = 0.99 shrinks the scale 100-fold a
     step. Unfolded it would underflow to 0 within these 180 steps."""
     x, y = toy_separable(n=60, seed=6)
-    hp = clf.Hyperparams(eta0=0.5, power_t=0.0, l2=1.98, epochs=3, seed=6)
-    model = clf.train(x, y, hp)
-    weights, bias = dense_sgd(x, y, hp)
+    hp = clf.Hyperparams(seed=6)
+    schedule = dict(eta0=0.5, power_t=0.0, l2=1.98, epochs=3)
+    with mock.patch.multiple(clf.Hyperparams, **schedule):
+        model = clf.train(x, y, hp)
+        weights, bias = dense_sgd(x, y, hp)
     assert np.allclose(model.weights, weights, rtol=0.0, atol=1e-12)
     assert model.bias == pytest.approx(bias, rel=0.0, abs=1e-12)
 
@@ -326,6 +338,6 @@ def test_empty_csv_rejected(tmp_path):
 def test_prediction_latency_under_a_millisecond():
     config = ScenarioConfig(seed=3)
     features, labels = generate_training_data(config, 2_000)
-    model = clf.train(features, labels, clf.Hyperparams(seed=3, epochs=2))
+    model = clf.train(features, labels, clf.Hyperparams(seed=3))
     median_ms = clf.measure_predict_latency_ms(model, features[:64].astype(float))
     assert median_ms <= 1.0

@@ -555,12 +555,15 @@ def test_train_empty_csv_fails(tmp_path, capsys):
     ],
 )
 def test_train_degenerate_hyperparameter_fails(tmp_path, capsys, flag, value, field):
+    """The schedule is fixed, so ``train`` takes no schedule option at all."""
     csv_path = tmp_path / "train.csv"
     csv_path.write_text("f0,label\n0,0\n1,1\n0,0\n1,1\n")
     model_path = tmp_path / "m.json"
-    assert main(["train", str(csv_path), flag, value, "--out", str(model_path)]) == 1
+    with pytest.raises(SystemExit) as exit_info:
+        main(["train", str(csv_path), flag, value, "--out", str(model_path)])
+    assert exit_info.value.code == 2
     err = capsys.readouterr().err
-    assert "training failed" in err and field in err
+    assert f"unrecognized arguments: {flag}" in err
     assert not model_path.exists()
 
 
@@ -709,6 +712,28 @@ def test_untrainable_split_model_fails_cleanly(
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"{command} failed: training set contains a single class"]
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "train"])
+def test_negative_seed_split_fit_fails_in_one_line(
+    tmp_path, seq_bundle, par_bundle, small_scenario_file, command, capsys
+):
+    """A split model fit shuffles with the run seed, which must be >= 0."""
+    csv_path = tmp_path / "train.csv"
+    csv_path.write_text("f0,label\n0,0\n1,1\n0,0\n1,1\n")
+    scenario = ["--scenario", str(small_scenario_file)]
+    argv, line = {
+        "run": (["run", str(par_bundle), *scenario, "--seed", "-3"], "run failed: seed must be >= 0, got -3"),
+        "compare": (
+            ["compare", str(seq_bundle), str(par_bundle), *scenario, "--runs", "2", "--seeds=-2,-1"],
+            "compare failed: seed must be >= 0, got -2",
+        ),
+        "train": (["train", str(csv_path), "--seed", "-1"], "training failed: seed must be >= 0, got -1"),
+    }[command]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == EXIT_DOMAIN
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not out.is_file() and not (out / "report.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -326,3 +326,43 @@ def test_split_membership_of_the_shipped_bundles(par_spec, seq_spec):
     assert par_spec.split_names == {"Population-split-purchases-prediction"}
     assert seq_spec.sub_pipeline_of == {}
     assert seq_spec.split_names == set()
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (
+            lambda: pipeline([make_test("T1", hypothesis=Hypothesis("clicks", "sideways", 0.05))], start="T1"),
+            ("unknown-direction", "T1", "direction 'sideways'"),
+        ),
+        (
+            lambda: pipeline([make_test("T1", stat_test="chi2")], start="T1"),
+            ("unknown-stat-test", "T1", "stat_test 'chi2'"),
+        ),
+        (
+            lambda: pipeline([make_test("T1")], [rule("r", "X", "p_value <= 0.05", "end")], start="T1"),
+            ("unresolved-reference", "P/r", "associated test 'X' is not declared"),
+        ),
+        (
+            lambda: split_pipeline(
+                [make_test("A1"), make_test("B1")],
+                [SubPipeline("p1", "B1", ("A1",), ()), SubPipeline("p2", "B1", ("B1",), ())],
+                [ClassCondition("==", 0), ClassCondition("==", 1)],
+            ),
+            ("sub-pipeline-start", "S/p1", "start 'B1' is not one of the sub-pipeline's tests"),
+        ),
+        (
+            lambda: split_pipeline(
+                [make_test("A1"), make_test("B1")],
+                [SubPipeline("A1", "A1", ("A1",), ()), SubPipeline("p2", "B1", ("B1",), ())],
+                [ClassCondition("==", 0), ClassCondition("==", 1)],
+            ),
+            ("duplicate-name", "A1", "declared as both test and sub-pipeline"),
+        ),
+    ],
+    ids=["unknown-direction", "unknown-stat-test", "undeclared-associated-test",
+         "sub-pipeline-start", "sub-pipeline-id-clash"],
+)
+def test_each_violation_is_reported_with_its_code_and_message(build, expected):
+    report = validate(build())
+    assert [(v.code, v.element, v.message) for v in report] == [expected]

@@ -55,10 +55,9 @@ from abpipe.webstore import WebStore, generate_population, generate_training_dat
 from case_generator import _make_test, _script
 
 
-def result_for(test="T1", p=0.5, effect=0.0, requests=1000, significant=None):
+def result_for(p=0.5, effect=0.0, requests=1000, significant=None):
     significant = p <= 0.05 if significant is None else significant
-    return StatResult(test, p, 0.1, 0.1 + effect, requests // 2, requests // 2,
-                      significant, requests)
+    return StatResult(p, 0.1, 0.1 + effect, requests // 2, requests // 2, significant, requests)
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +71,7 @@ def test_rule_applies_on_matching_test_and_condition():
 
 def test_rule_rejects_other_test():
     rule = TransitionRule("r", "T1", "p_value <= 0.05 and effect > 0", "T2")
-    result = result_for(test="T9", p=0.01, effect=0.015)
+    result = result_for(p=0.01, effect=0.015)
     assert next_element((rule,), result, "T9") == ("end", None)
 
 
@@ -125,8 +124,8 @@ def test_two_test_chain_in_order():
     rules = (TransitionRule("r1", "T1", "p_value <= 0.05", "T2"),)
     spec = PipelineSpec("Chain", (t1, t2), rules, (), "T1")
     scripts = {
-        ("Chain", "T1"): [result_for("T1", p=0.01)],
-        ("Chain", "T2"): [result_for("T2", p=0.01)],
+        ("Chain", "T1"): [result_for(p=0.01)],
+        ("Chain", "T2"): [result_for(p=0.01)],
     }
     trace, results = execute_pipeline(spec, ScriptedRunner(scripts))
     deploys = [e.detail["test"] for e in trace if e.event == "deploy"]
@@ -139,7 +138,7 @@ def test_unfired_rules_default_to_end_without_deploying_next():
     rules = (TransitionRule("r1", "T1", "p_value <= 0.05", "T2"),)
     spec = PipelineSpec("Halt", (t1, t2), rules, (), "T1")
     scripts = {
-        ("Halt", "T1"): [result_for("T1", p=0.4, significant=False)],
+        ("Halt", "T1"): [result_for(p=0.4, significant=False)],
     }
     trace, results = execute_pipeline(spec, ScriptedRunner(scripts))
     deploys = [e.detail["test"] for e in trace if e.event == "deploy"]
@@ -210,14 +209,14 @@ def split_spec(next_component="end"):
     )
     spec = PipelineSpec("Split", (a1, b1) + extra, (), (split,), "SPLIT")
     scripts = {
-        ("Seg-A", "A1"): [result_for("A1", p=0.01)],
+        ("Seg-A", "A1"): [result_for(p=0.01)],
         ("Seg-B", "B1"): [
-            result_for("B1", p=0.5, significant=False),
-            result_for("B1", p=0.01, requests=2000),
+            result_for(p=0.5, significant=False),
+            result_for(p=0.01, requests=2000),
         ],
     }
     if next_component == "POST":
-        scripts[("Split", "POST")] = [result_for("POST", p=0.01)]
+        scripts[("Split", "POST")] = [result_for(p=0.01)]
     return spec, scripts
 
 
@@ -385,6 +384,29 @@ def test_segment_the_model_never_routes_to_fails_before_any_arrival(
         engine.run()
     assert "Seg-0" not in str(caught.value)
     assert runner.requests_total == 0
+
+
+@pytest.mark.parametrize(
+    "routed, starved",
+    [(None, ["Seg-0", "Seg-1"]), (0, ["Seg-1"])],
+    ids=["no-arrival-routed", "all-to-seg-0"],
+)
+def test_a_program_no_arrival_reaches_is_starved(
+    small_scenario, monkeypatch, routed, starved
+):
+    spec, catalog = segment_spec(2)
+    store = WebStore(small_scenario, catalog)
+    runner = WebStoreRunner(store)
+    engine = PipelineEngine(spec, runner, catalog=catalog)
+    programs = [Program(engine, f"Seg-{i}", f"T{i}", ()) for i in range(2)]
+    # 2 means unrouted; index 0 sends every user to Seg-0
+    table = np.full(store.population.size, 2 if routed is None else routed, dtype=np.uint8)
+    monkeypatch.setattr(WebStoreRunner, "STARVATION_LIMIT", 10_000)
+    with pytest.raises(OrchestratorError) as caught:
+        runner._serve(programs, table)
+    idle = 3 * WebStoreRunner.CHUNK  # the first whole count of idle chunks above the limit
+    assert str(caught.value) == f"pipeline(s) {starved} starved: no batch served in {idle} arrivals"
+    assert [p.done for p in programs] == [routed == 0, False]
 
 
 class _CyclingStub:

@@ -24,8 +24,8 @@ from abpipe.stats import (
 DATA = Path(__file__).parent / "data"
 
 
-def acc_from(values, variant="A", metric="m"):
-    acc = MetricAccumulator(variant, metric)
+def acc_from(values):
+    acc = MetricAccumulator()
     for v in values:
         acc.add(v)
     return acc
@@ -36,7 +36,7 @@ def acc_from(values, variant="A", metric="m"):
 
 
 def test_first_sample():
-    acc = MetricAccumulator("A", "clicks")
+    acc = MetricAccumulator()
     acc.add(5.0)
     assert (acc.n, acc.mean, acc.m2) == (1, 5.0, 0.0)
 
@@ -59,7 +59,7 @@ def test_merge_matches_concatenation():
 
 
 def test_rejects_non_finite():
-    acc = MetricAccumulator("A", "m")
+    acc = MetricAccumulator()
     with pytest.raises(StatsError):
         acc.add(float("nan"))
     with pytest.raises(StatsError):
@@ -94,7 +94,7 @@ def test_merge_associativity_property(values, cut):
 )
 @settings(max_examples=100, deadline=None)
 def test_bulk_equals_stream(values):
-    bulk = MetricAccumulator("A", "m")
+    bulk = MetricAccumulator()
     bulk.add_many(values)
     stream = acc_from(values)
     assert bulk.n == stream.n
@@ -107,8 +107,8 @@ def test_bulk_equals_stream(values):
 
 
 def test_identical_accumulators_p_one():
-    a = acc_from([1.0, 2.0, 3.0], "A")
-    b = acc_from([1.0, 2.0, 3.0], "B")
+    a = acc_from([1.0, 2.0, 3.0])
+    b = acc_from([1.0, 2.0, 3.0])
     result = welch_t_test(a, b, "B_not_equal")
     assert result.p_value == pytest.approx(1.0)
     assert not result.significant
@@ -119,8 +119,8 @@ def test_seeded_offset_matches_reference_package():
     rng = np.random.default_rng(42)
     xa = rng.normal(0.0, 1.0, 50)
     xb = xa + 1.0
-    a = acc_from(xa, "A")
-    b = acc_from(xb, "B")
+    a = acc_from(xa)
+    b = acc_from(xb)
     result = welch_t_test(a, b, "B_not_equal")
     expected = scipy_stats.ttest_ind(xb, xa, equal_var=False).pvalue
     assert abs(result.p_value - expected) < 1e-9
@@ -154,8 +154,8 @@ def test_frozen_oracle_table():
     table = json.loads((DATA / "welch_oracle.json").read_text())
     assert len(table["cases"]) == 100
     for case in table["cases"]:
-        a = MetricAccumulator("A", "m", case["n_a"], case["mean_a"], case["m2_a"])
-        b = MetricAccumulator("B", "m", case["n_b"], case["mean_b"], case["m2_b"])
+        a = MetricAccumulator(case["n_a"], case["mean_a"], case["m2_a"])
+        b = MetricAccumulator(case["n_b"], case["mean_b"], case["m2_b"])
         result = welch_t_test(a, b, case["direction"])
         assert abs(result.p_value - case["expected_p"]) < 1e-9, case["case"]
 
@@ -164,8 +164,8 @@ def test_welch_reduces_to_student_on_equal_variance_and_n():
     rng = np.random.default_rng(3)
     xa = rng.normal(0, 1, 30)
     xb = xa * -1.0 + 0.4  # same sample variance, same n
-    a = acc_from(xa, "A")
-    b = acc_from(xb, "B")
+    a = acc_from(xa)
+    b = acc_from(xb)
     assert a.variance == pytest.approx(b.variance, rel=1e-12)
     se2 = a.variance / a.n + b.variance / b.n
     df = se2**2 / (
@@ -181,9 +181,9 @@ def test_welch_reduces_to_student_on_equal_variance_and_n():
 @settings(max_examples=60, deadline=None)
 def test_monotone_evidence(delta_small, extra):
     # fixed variances and counts: a larger |mean difference| cannot raise p
-    base = MetricAccumulator("A", "m", 40, 0.0, 39.0)
-    near = MetricAccumulator("B", "m", 40, delta_small, 39.0)
-    far = MetricAccumulator("B", "m", 40, delta_small + extra, 39.0)
+    base = MetricAccumulator(40, 0.0, 39.0)
+    near = MetricAccumulator(40, delta_small, 39.0)
+    far = MetricAccumulator(40, delta_small + extra, 39.0)
     p_near = welch_t_test(base, near, "B_not_equal").p_value
     p_far = welch_t_test(base, far, "B_not_equal").p_value
     assert p_far <= p_near + 1e-12
@@ -200,8 +200,8 @@ def test_monotone_evidence(delta_small, extra):
 )
 @settings(max_examples=200, deadline=None)
 def test_p_value_in_unit_interval(n_a, n_b, ma, mb, m2a, m2b, direction):
-    a = MetricAccumulator("A", "m", n_a, ma, m2a)
-    b = MetricAccumulator("B", "m", n_b, mb, m2b)
+    a = MetricAccumulator(n_a, ma, m2a)
+    b = MetricAccumulator(n_b, mb, m2b)
     p = welch_t_test(a, b, direction).p_value
     assert 0.0 <= p <= 1.0
 
@@ -223,24 +223,24 @@ def test_t_sf_against_reference():
 # two-proportion
 
 
-def binary_acc(p, n, variant):
-    acc = MetricAccumulator(variant, "m")
+def binary_acc(p, n):
+    acc = MetricAccumulator()
     ones = round(p * n)
     acc.add_many([1.0] * ones + [0.0] * (n - ones))
     return acc
 
 
 def test_equal_proportions_p_one():
-    a = binary_acc(0.3, 100, "A")
-    b = binary_acc(0.3, 100, "B")
+    a = binary_acc(0.3, 100)
+    b = binary_acc(0.3, 100)
     result = two_proportion_test(a, b, "B_not_equal")
     assert result.p_value == pytest.approx(1.0)
 
 
 def test_published_click_rates_significant():
     # z = (0.1617-0.1470)/sqrt(p(1-p)(2/10000)) ~= 2.88 -> p << 0.05
-    a = binary_acc(0.1470, 10_000, "A")
-    b = binary_acc(0.1617, 10_000, "B")
+    a = binary_acc(0.1470, 10_000)
+    b = binary_acc(0.1617, 10_000)
     result = two_proportion_test(a, b, "B_not_equal")
     assert result.p_value < 0.05
     pooled = (a.mean * a.n + b.mean * b.n) / (a.n + b.n)
@@ -250,15 +250,15 @@ def test_published_click_rates_significant():
 
 
 def test_degenerate_pooled_proportion():
-    a = binary_acc(0.0, 50, "A")
-    b = binary_acc(0.0, 50, "B")
+    a = binary_acc(0.0, 50)
+    b = binary_acc(0.0, 50)
     with pytest.raises(DegeneratePooledProportionError):
         two_proportion_test(a, b, "B_not_equal")
 
 
 def test_non_binary_rejected():
-    a = acc_from([0.0, 0.5, 1.0], "A")
-    b = binary_acc(0.5, 10, "B")
+    a = acc_from([0.0, 0.5, 1.0])
+    b = binary_acc(0.5, 10)
     with pytest.raises(NonBinarySamplesError):
         two_proportion_test(a, b, "B_not_equal")
 

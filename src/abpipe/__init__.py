@@ -21,7 +21,7 @@ from .model import (
     transition_graph,
     validate,
 )
-from .orchestrator import PipelineEngine, WebStoreRunner, execute_pipeline
+from .orchestrator import PipelineEngine, WebStoreRunner
 from .report import compare_pipelines, run_pipeline_once
 from .stats import (
     MetricAccumulator,
@@ -49,7 +49,6 @@ __all__ = [
     "WebStore",
     "WebStoreRunner",
     "compare_pipelines",
-    "execute_pipeline",
     "generate_population",
     "parse_blueprints",
     "run_pipeline_once",

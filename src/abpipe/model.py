@@ -11,7 +11,7 @@ linted in one pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
@@ -138,37 +138,6 @@ class PipelineSpec:
     @property
     def element_names(self) -> set[str]:
         return {t.name for t in self.ab_tests} | self.split_names
-
-
-def canonicalize(spec: PipelineSpec) -> PipelineSpec:
-    """Sort element collections by name for order-insensitive comparison."""
-    splits = tuple(
-        replace(
-            s,
-            sub_pipelines=tuple(
-                sorted(
-                    (
-                        replace(
-                            sp,
-                            ab_tests=tuple(sorted(sp.ab_tests)),
-                            trans_rules=tuple(
-                                sorted(sp.trans_rules, key=lambda r: r.name)
-                            ),
-                        )
-                        for sp in s.sub_pipelines
-                    ),
-                    key=lambda sp: sp.subpl_id,
-                )
-            ),
-        )
-        for s in sorted(spec.pop_splits, key=lambda s: s.name)
-    )
-    return replace(
-        spec,
-        ab_tests=tuple(sorted(spec.ab_tests, key=lambda t: t.name)),
-        trans_rules=tuple(sorted(spec.trans_rules, key=lambda r: r.name)),
-        pop_splits=splits,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +362,13 @@ def validate(
             names[name] = kind
     for split in spec.pop_splits:
         for sub in split.sub_pipelines:
-            if sub.subpl_id in names:
+            # a sub-pipeline's instance id must differ from the root's too
+            clash = "pipeline" if sub.subpl_id == spec.name else names.get(sub.subpl_id)
+            if clash:
                 report.add(
                     "duplicate-name",
                     sub.subpl_id,
-                    f"declared as both {names[sub.subpl_id]} and sub-pipeline",
+                    f"declared as both {clash} and sub-pipeline",
                 )
             names[sub.subpl_id] = "sub-pipeline"
 
@@ -413,6 +384,22 @@ def validate(
 
     test_names = {t.name for t in spec.ab_tests}
     _check_rules(spec.name, spec.trans_rules, test_names, spec.element_names, report)
+
+    # a sub-pipeline's tests run only inside their split, from its entry
+    outside = [(spec.name, "start", spec.start)]
+    for rule in spec.trans_rules:
+        element = f"{spec.name}/{rule.name}"
+        outside.append((element, "associated test", rule.assoc_ab_test))
+        outside.append((element, "subsequent element", rule.subseq_ab_test))
+    outside += [(s.name, "nextComponent", s.next_component) for s in spec.pop_splits]
+    for element, role, name in outside:
+        sub_id = spec.sub_pipeline_of.get(name)
+        if sub_id is not None:
+            report.add(
+                "sub-pipeline-test-outside-split",
+                element,
+                f"{role} {name!r} runs only in sub-pipeline {sub_id!r}",
+            )
 
     for split in spec.pop_splits:
         _check_split(split, spec, catalog, report)

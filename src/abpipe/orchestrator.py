@@ -11,25 +11,20 @@ root's from set-up to End, and one per sub-pipeline of a population
 split from its entry to its exit. Sub-pipelines run over disjoint user
 segments and rejoin at the split exit once all of them have ended.
 
-Execution strategy is pluggable: :class:`WebStoreRunner` drives the
-simulated store with chunks of arrivals, while :class:`ScriptedRunner`
-replays precomputed statistical outcomes tick-by-tick so control-flow
-behavior can be checked against an independent interpreter.
-
-:class:`WebStoreRunner` has one serving loop for root segments and split
-branches alike. It draws the shared arrival stream in chunks, routes
-each arrival to one program (a root segment has one program that takes
-every arrival), serves each program's traffic up to its next check
-boundary, holds what is left in one array per program, and pushes the
-unconsumed tail back once every program is done, so the consumed
-prefix does not depend on the chunk size. The runner only draws, routes
-and serves arrivals; each program runs its own looks. It says how many
-requests its next look needs, adds the served samples to its own
-accumulators, evaluates the hypothesis and applies the stopping rule.
-The store keeps no statistics. Every draw is counter-based and each
-program owns its tests' state, so results and summaries do not depend
-on the order in which a chunk is drained; only the order of trace
-events does.
+:class:`WebStoreRunner` drives the simulated store, with one serving
+loop for root segments and split branches alike. It draws the shared
+arrival stream in chunks, routes each arrival to one program (a root
+segment has one program that takes every arrival), serves each program's
+traffic up to its next check boundary, holds what is left in one array
+per program, and pushes the unconsumed tail back once every program is
+done, so the consumed prefix does not depend on the chunk size. The
+runner only draws, routes and serves arrivals; each program runs its own
+looks. It says how many requests its next look needs, adds the served
+samples to its own accumulators, evaluates the hypothesis and applies
+the stopping rule. The store keeps no statistics. Every draw is
+counter-based and each program owns its tests' state, so results and
+summaries do not depend on the order in which a chunk is drained; only
+the order of trace events does.
 """
 
 from __future__ import annotations
@@ -286,65 +281,7 @@ class Program:
 
 
 # ---------------------------------------------------------------------------
-# runners
-
-
-class ScriptedRunner:
-    """Replays precomputed per-(instance, test) result sequences.
-
-    Programs advance round-robin in declaration order, one batch per
-    tick. Used to check engine control flow against the reference
-    interpreter without a managed system.
-    """
-
-    def __init__(self, scripts: dict[tuple[str, str], list[StatResult]]):
-        self.scripts = scripts
-        self.requests_total = 0
-        self._positions: dict[tuple[str, str], int] = {}
-
-    def check_deployable(self, spec: PipelineSpec) -> None:
-        pass
-
-    def deploy(self, test: ABTestSpec) -> None:
-        pass
-
-    def restore(self, test: ABTestSpec) -> None:
-        pass
-
-    def ensure_split_model(self, split: PopulationSplitSpec) -> None:
-        pass
-
-    def _round_robin(self, programs: list[Program]) -> None:
-        while any(not p.done for p in programs):
-            for program in programs:
-                if program.done:
-                    continue
-                key = (program.instance_id, program.current_test.name)
-                position = self._positions.get(key, 0)
-                script = self.scripts[key]
-                if position >= len(script):
-                    raise ContractViolationError(
-                        f"script for {key} exhausted without a terminal result"
-                    )
-                result = script[position]
-                self._positions[key] = position + 1
-                self.requests_total += result.requests_consumed - program.consumed
-                program.on_batch(result)
-
-    def run_test(self, program: Program) -> None:
-        self._round_robin([program])
-
-    def run_split(
-        self, split: PopulationSplitSpec, programs: list[Program]
-    ) -> SplitRunStats:
-        base = self.requests_total
-        self._round_robin(programs)
-        return SplitRunStats(
-            stream_total=self.requests_total - base,
-            dispatched={p.instance_id: 0 for p in programs},
-            unrouted=0,
-            sub_stream_totals={p.instance_id: 0 for p in programs},
-        )
+# runner
 
 
 class WebStoreRunner:
@@ -672,9 +609,3 @@ class PipelineEngine:
         self.split_stats[split.name] = stats
         self.execute_split_exit(split, programs)
 
-
-def execute_pipeline(
-    spec: PipelineSpec, runner
-) -> tuple[ExecutionTrace, dict[str, StatResult]]:
-    """Set up and run a pipeline to End; returns (trace, results map)."""
-    return PipelineEngine(spec, runner).run()

@@ -112,6 +112,7 @@ def make_case(seed: int):
     with_split = bool(rng.random() < 0.6) or n_root == 0
 
     tests = list(root_tests)
+    split_tests = []
     splits = []
     sub_defs = []
     if with_split:
@@ -120,7 +121,7 @@ def make_case(seed: int):
                 f"SB{j}T{i}" for i in range(int(rng.integers(1, 3)))
             ]
             sub_tests = [_make_test(n, int(rng.integers(2, 4))) for n in sub_names]
-            tests.extend(sub_tests)
+            split_tests.extend(sub_tests)
             rules = tuple(_chain_rules(rng, f"sub{j}", sub_names, "end"))
             sub_defs.append(
                 SubPipeline(f"Segment-{j}", sub_names[0], tuple(sub_names), rules)
@@ -139,6 +140,7 @@ def make_case(seed: int):
                 split_component=SplitComponent("split-svc", "split-img"),
             )
         )
+    tests.extend(split_tests)  # root tests first, as parse_blueprints lists them
 
     root_names = [t.name for t in root_tests]
     final_target = "SPLIT" if with_split else "end"

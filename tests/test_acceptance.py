@@ -12,9 +12,13 @@ recommendation test decides at its first look only about 55% of the
 time, the reduction pooled over seeds 1-300 is about 48%, and single
 15-seed windows range from strongly negative to well above 50%. The
 verdict line still prints the measured reduction beside the 50% bar
-and the full-scale 80.48%.
+and the full-scale 80.48%. The same comparison, written as
+``abpipe compare`` writes it, must match the ``report.json`` and
+``report.txt`` digests and the reduction that the benchmark pins in
+``perfbench/reference.json``.
 """
 
+import hashlib
 import json
 import multiprocessing
 import shutil
@@ -34,6 +38,7 @@ from abpipe.report import (
     build_summary,
     compare_pipelines,
     run_pipeline_once,
+    write_report,
 )
 from abpipe.stats import MetricAccumulator, two_proportion_test, welch_t_test
 from abpipe.webstore import WebStore, generate_training_data
@@ -41,9 +46,10 @@ from abpipe.webstore import WebStore, generate_training_data
 import reference_protocol
 from case_generator import make_case
 from reference_interpreter import reference_trace
-from abpipe.orchestrator import ScriptedRunner, execute_pipeline
+from scripted_runner import ScriptedRunner
 
 DATA = Path(__file__).parent / "data"
+PINNED = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 SEEDS = list(range(1, 16))
 
 
@@ -52,10 +58,17 @@ def verdict(number: int, name: str, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def desk_compare(seq_spec, par_spec, scenario):
+def desk_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("desk-compare")
+
+
+@pytest.fixture(scope="module")
+def desk_compare(seq_spec, par_spec, scenario, desk_dir):
+    """The desk comparison, written to ``desk_dir`` as ``abpipe compare`` writes it."""
     started = time.perf_counter()
     report = compare_pipelines(seq_spec, par_spec, scenario, SEEDS, batch_size=1000)
     report.elapsed_s = time.perf_counter() - started
+    write_report(report, desk_dir)
     return report
 
 
@@ -205,6 +218,15 @@ def test_criterion_1_request_reduction(
     assert runtime_ok
 
 
+def test_desk_compare_reports_match_the_pinned_digests(desk_compare, desk_dir):
+    """The benchmark's pinned ``desk-compare`` artifacts, checked in tier 1."""
+    pinned = json.loads(PINNED.read_text())["desk-compare"]
+    assert pinned["base"] == SEEDS[0]
+    for name in ("report.json", "report.txt"):
+        assert hashlib.sha256((desk_dir / name).read_bytes()).hexdigest() == pinned[name], name
+    assert desk_compare.reduction_pct == pinned["reduction_pct"]
+
+
 # ---------------------------------------------------------------------------
 # 2. split fractions
 
@@ -279,7 +301,7 @@ def test_criterion_4_algorithm_conformance():
     mismatches = 0
     for seed in range(200):
         spec, scripts = make_case(seed)
-        trace, _ = execute_pipeline(spec, ScriptedRunner(scripts))
+        trace, _ = PipelineEngine(spec, ScriptedRunner(scripts)).run()
         got = [(e.instance, e.event, e.detail, e.requests_total) for e in trace]
         if got != reference_trace(spec, scripts):
             mismatches += 1

@@ -12,7 +12,7 @@ from abpipe.blueprints import (
     parse_blueprints,
     serialize_blueprints,
 )
-from abpipe.model import ClassCondition, canonicalize
+from abpipe.model import ClassCondition
 
 
 def test_parse_shipped_parallel_bundle(par_bundle):
@@ -45,8 +45,7 @@ def test_round_trip_is_semantically_equal(seq_spec, par_spec, tmp_path):
     for i, spec in enumerate((seq_spec, par_spec)):
         out = tmp_path / f"bundle{i}"
         serialize_blueprints(spec, out)
-        back = parse_blueprints(out)
-        assert canonicalize(back) == canonicalize(spec)
+        assert parse_blueprints(out) == spec
 
 
 @pytest.mark.parametrize("seed", range(0, 24, 2))
@@ -56,7 +55,7 @@ def test_round_trip_on_randomized_specs(seed, tmp_path):
     spec, _ = make_case(seed)
     out = tmp_path / "bundle"
     serialize_blueprints(spec, out)
-    assert canonicalize(parse_blueprints(out)) == canonicalize(spec)
+    assert parse_blueprints(out) == spec
 
 
 def test_empty_pipeline_bundle(tmp_path):

@@ -242,6 +242,48 @@ def test_transition_cycle_fails_validate_and_run(tmp_path, loop, capsys):
     assert not out.exists()  # failed before anything was served or written
 
 
+def _name_review_pipeline_as_the_root(bundle: Path) -> None:
+    for path in (bundle / "pipeline.json", *(bundle / "splits").iterdir()):
+        text = path.read_text().replace('"Review-pipeline"', '"Parallel-evaluation-pipeline"')
+        path.write_text(text)
+
+
+def _enter_review_test_from_the_root(bundle: Path) -> None:
+    path = bundle / "rules" / "GUI-upgrade-to-split.json"
+    record = json.loads(path.read_text())
+    record["subseqAbTest"] = "Review-upgrade"
+    path.write_text(json.dumps(record))
+
+
+MISPLACED_SUB_PIPELINES = {
+    "sub-pipeline-named-as-the-pipeline": (
+        _name_review_pipeline_as_the_root,
+        "[duplicate-name] Parallel-evaluation-pipeline: declared as both pipeline"
+        " and sub-pipeline",
+    ),
+    "sub-pipeline-test-entered-from-the-root": (
+        _enter_review_test_from_the_root,
+        "[sub-pipeline-test-outside-split]"
+        " Parallel-evaluation-pipeline/GUI-upgrade-to-split: subsequent element"
+        " 'Review-upgrade' runs only in sub-pipeline 'Review-pipeline'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISPLACED_SUB_PIPELINES))
+def test_misplaced_sub_pipeline_fails_validate_and_run(tmp_path, case, capsys):
+    mutate, line = MISPLACED_SUB_PIPELINES[case]
+    bundle = tmp_path / case
+    shutil.copytree(SCENARIOS / "parallel", bundle)
+    mutate(bundle)
+    assert main(["validate", str(bundle)]) == 1
+    assert capsys.readouterr().out.splitlines() == [line]
+    out = tmp_path / "out"
+    assert main(["run", str(bundle), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"{bundle}:", line]
+    assert not out.exists()  # failed before anything was deployed or written
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -565,6 +607,20 @@ def test_train_degenerate_hyperparameter_fails(tmp_path, capsys, flag, value, fi
     err = capsys.readouterr().err
     assert f"unrecognized arguments: {flag}" in err
     assert not model_path.exists()
+
+
+def test_unknown_option_is_reported_with_the_subcommand_usage(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    csv_path = tmp_path / "train.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["train", str(csv_path), "--out", str(tmp_path / "m.json"), "--epochs", "3"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "usage: abpipe train [-h] [--seed SEED] --out OUT csv",
+        "abpipe train: error: unrecognized arguments: --epochs 3",
+    ]
 
 
 def test_train_non_binary_feature_fails(tmp_path, capsys):

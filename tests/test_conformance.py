@@ -5,14 +5,15 @@ import pytest
 
 import abpipe.orchestrator as orch
 from abpipe.model import PipelineSpec, validate
-from abpipe.orchestrator import PipelineEngine, ScriptedRunner, execute_pipeline
+from abpipe.orchestrator import PipelineEngine
 
 from case_generator import make_case
 from reference_interpreter import reference_trace
+from scripted_runner import ScriptedRunner
 
 
 def engine_trace(spec, scripts):
-    trace, _ = execute_pipeline(spec, ScriptedRunner(scripts))
+    trace, _ = PipelineEngine(spec, ScriptedRunner(scripts)).run()
     return [(e.instance, e.event, e.detail, e.requests_total) for e in trace]
 
 
@@ -47,7 +48,7 @@ def test_validated_specs_execute_to_end_cleanly(seed):
     """Accepted specs reach End with no undeclared-element lookups."""
     spec, scripts = make_case(seed)
     assert validate(spec).ok
-    trace, _ = execute_pipeline(spec, ScriptedRunner(scripts))
+    trace, _ = PipelineEngine(spec, ScriptedRunner(scripts)).run()
     assert trace.events[-1].event == "end"
     assert trace.events[-1].instance == spec.name
 

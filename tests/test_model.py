@@ -12,8 +12,10 @@ from abpipe.model import (
     transition_graph,
     validate,
 )
-from abpipe.orchestrator import PipelineEngine, ScriptedRunner, SpecInvalidError
+from abpipe.orchestrator import PipelineEngine, SpecInvalidError
 from abpipe.webstore import DEFAULT_CATALOG
+
+from scripted_runner import ScriptedRunner
 
 
 def make_test(name, variant_a=None, variant_b=None, metric="clicks", **kw):
@@ -129,6 +131,14 @@ def make_split(subs, conds, name="S", next_component="end"):
 
 def split_pipeline(tests, subs, conds, start="S"):
     return pipeline(tests, [], [make_split(subs, conds)], start=start)
+
+
+def two_branch_pipeline(root_tests=(), rules=(), start="S", next_component="end"):
+    """``root_tests`` and a split S whose sub-pipeline p1 runs A1 and p2 runs B1."""
+    subs = [SubPipeline("p1", "A1", ("A1",), ()), SubPipeline("p2", "B1", ("B1",), ())]
+    conds = [ClassCondition("==", 0), ClassCondition("==", 1)]
+    split = make_split(subs, conds, next_component=next_component)
+    return pipeline([*root_tests, make_test("A1"), make_test("B1")], rules, [split], start)
 
 
 def test_non_exclusive_split_conditions():
@@ -359,10 +369,46 @@ def test_split_membership_of_the_shipped_bundles(par_spec, seq_spec):
             ),
             ("duplicate-name", "A1", "declared as both test and sub-pipeline"),
         ),
+        (
+            lambda: split_pipeline(
+                [make_test("A1"), make_test("B1")],
+                [SubPipeline("P", "A1", ("A1",), ()), SubPipeline("p2", "B1", ("B1",), ())],
+                [ClassCondition("==", 0), ClassCondition("==", 1)],
+            ),
+            ("duplicate-name", "P", "declared as both pipeline and sub-pipeline"),
+        ),
+        (
+            lambda: two_branch_pipeline(start="A1"),
+            ("sub-pipeline-test-outside-split", "P", "start 'A1' runs only in sub-pipeline 'p1'"),
+        ),
+        (
+            lambda: two_branch_pipeline(rules=[rule("r", "A1", "p_value <= 0.05", "end")]),
+            ("sub-pipeline-test-outside-split", "P/r",
+             "associated test 'A1' runs only in sub-pipeline 'p1'"),
+        ),
+        (
+            lambda: two_branch_pipeline(
+                [make_test("R")], [rule("r", "R", "p_value <= 0.05", "B1")], start="R"
+            ),
+            ("sub-pipeline-test-outside-split", "P/r",
+             "subsequent element 'B1' runs only in sub-pipeline 'p2'"),
+        ),
+        (
+            lambda: two_branch_pipeline(next_component="B1"),
+            ("sub-pipeline-test-outside-split", "S",
+             "nextComponent 'B1' runs only in sub-pipeline 'p2'"),
+        ),
     ],
     ids=["unknown-direction", "unknown-stat-test", "undeclared-associated-test",
-         "sub-pipeline-start", "sub-pipeline-id-clash"],
+         "sub-pipeline-start", "sub-pipeline-id-clash", "sub-pipeline-id-is-the-pipeline",
+         "start-in-a-sub-pipeline", "root-rule-on-a-sub-pipeline-test",
+         "root-rule-into-a-sub-pipeline", "split-continues-in-a-sub-pipeline"],
 )
 def test_each_violation_is_reported_with_its_code_and_message(build, expected):
     report = validate(build())
     assert [(v.code, v.element, v.message) for v in report] == [expected]
+
+
+def test_a_test_may_share_the_pipeline_name():
+    # only a sub-pipeline's id is a knowledge instance beside the root's
+    assert validate(pipeline([make_test("P")], start="P")).ok

@@ -27,12 +27,10 @@ from abpipe.orchestrator import (
     OrchestratorError,
     PipelineEngine,
     Program,
-    ScriptedRunner,
     SpecInvalidError,
     UntrainedModelError,
     WebStoreRunner,
     WriteOnceError,
-    execute_pipeline,
     next_element,
 )
 from abpipe.report import (
@@ -53,6 +51,7 @@ from abpipe import webstore
 from abpipe.webstore import WebStore, generate_population, generate_training_data
 
 from case_generator import _make_test, _script
+from scripted_runner import ScriptedRunner
 
 
 def result_for(p=0.5, effect=0.0, requests=1000, significant=None):
@@ -109,7 +108,7 @@ def single_test_spec(significant=True):
 
 def test_single_test_trace_shape():
     spec, scripts = single_test_spec()
-    trace, results = execute_pipeline(spec, ScriptedRunner(scripts))
+    trace, results = PipelineEngine(spec, ScriptedRunner(scripts)).run()
     kinds = [e.event for e in trace]
     batches = len(scripts[("Solo", "T1")])
     assert kinds == ["start", "deploy"] + ["batch_result"] * batches + [
@@ -127,7 +126,7 @@ def test_two_test_chain_in_order():
         ("Chain", "T1"): [result_for(p=0.01)],
         ("Chain", "T2"): [result_for(p=0.01)],
     }
-    trace, results = execute_pipeline(spec, ScriptedRunner(scripts))
+    trace, results = PipelineEngine(spec, ScriptedRunner(scripts)).run()
     deploys = [e.detail["test"] for e in trace if e.event == "deploy"]
     assert deploys == ["T1", "T2"]
     assert set(results) == {"T1", "T2"}
@@ -140,7 +139,7 @@ def test_unfired_rules_default_to_end_without_deploying_next():
     scripts = {
         ("Halt", "T1"): [result_for(p=0.4, significant=False)],
     }
-    trace, results = execute_pipeline(spec, ScriptedRunner(scripts))
+    trace, results = PipelineEngine(spec, ScriptedRunner(scripts)).run()
     deploys = [e.detail["test"] for e in trace if e.event == "deploy"]
     assert deploys == ["T1"]
     transitions = [e for e in trace if e.event == "transition"]
@@ -150,21 +149,21 @@ def test_unfired_rules_default_to_end_without_deploying_next():
 
 def test_degenerate_pipeline_start_end():
     spec = PipelineSpec("Noop", (), (), (), "end")
-    trace, results = execute_pipeline(spec, ScriptedRunner({}))
+    trace, results = PipelineEngine(spec, ScriptedRunner({})).run()
     assert [e.event for e in trace] == ["start", "end"]
     assert results == {}
 
 
 def test_root_end_event_carries_notification():
     spec, scripts = single_test_spec()
-    trace, _ = execute_pipeline(spec, ScriptedRunner(scripts))
+    trace, _ = PipelineEngine(spec, ScriptedRunner(scripts)).run()
     assert trace.events[-1].detail == {"notified": True}
 
 
 def test_invalid_spec_rejected_before_running():
     spec = PipelineSpec("Bad", (), (), (), "missing")
     with pytest.raises(SpecInvalidError):
-        execute_pipeline(spec, ScriptedRunner({}))
+        PipelineEngine(spec, ScriptedRunner({})).run()
 
 
 def test_write_once_results():
@@ -247,7 +246,7 @@ def test_colliding_split_entry_adds_no_instance():
 
 def test_split_exit_copies_namespaced_results_and_clears_instances():
     spec, scripts = split_spec()
-    trace, results = execute_pipeline(spec, ScriptedRunner(scripts))
+    trace, results = PipelineEngine(spec, ScriptedRunner(scripts)).run()
     assert set(results) == {"Seg-A/A1", "Seg-B/B1"}
     ends = [e.instance for e in trace if e.event == "end"]
     assert ends == ["Seg-A", "Seg-B", "Split"]
@@ -255,7 +254,7 @@ def test_split_exit_copies_namespaced_results_and_clears_instances():
 
 def test_split_next_component_deployed_after_exit():
     spec, scripts = split_spec(next_component="POST")
-    trace, results = execute_pipeline(spec, ScriptedRunner(scripts))
+    trace, results = PipelineEngine(spec, ScriptedRunner(scripts)).run()
     kinds = [(e.event, e.detail.get("test")) for e in trace]
     exit_at = kinds.index(("split_exit", None))
     assert ("deploy", "POST") in kinds[exit_at:]
@@ -264,7 +263,7 @@ def test_split_next_component_deployed_after_exit():
 
 def test_trace_is_well_nested():
     spec, scripts = split_spec()
-    trace, _ = execute_pipeline(spec, ScriptedRunner(scripts))
+    trace, _ = PipelineEngine(spec, ScriptedRunner(scripts)).run()
     events = [(e.instance, e.event) for e in trace]
     entry = events.index(("Split", "split_entry"))
     exits = events.index(("Split", "split_exit"))

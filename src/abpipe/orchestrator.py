@@ -15,16 +15,18 @@ segments and rejoin at the split exit once all of them have ended.
 loop for root segments and split branches alike. It draws the shared
 arrival stream in chunks, routes each arrival to one program (a root
 segment has one program that takes every arrival), serves each program's
-traffic up to its next check boundary, holds what is left in one array
-per program, and pushes the unconsumed tail back once every program is
-done, so the consumed prefix does not depend on the chunk size. The
-runner only draws, routes and serves arrivals; each program runs its own
-looks. It says how many requests its next look needs, adds the served
-samples to its own accumulators, evaluates the hypothesis and applies
-the stopping rule. The store keeps no statistics. Every draw is
-counter-based and each program owns its tests' state, so results and
-summaries do not depend on the order in which a chunk is drained; only
-the order of trace events does.
+queue up to the last look it reaches in one block, holds what is left in
+one array per program, and pushes the unconsumed tail back once every
+program is done, so the consumed prefix does not depend on the chunk
+size. The runner only draws, routes and serves arrivals; each program
+runs its own looks. It lists where the looks its queue reaches end, adds
+each look's slice of the block to its own accumulators, evaluates the
+hypothesis and applies the stopping rule; after a terminal look the rest
+of the queue goes to its next test. The store keeps no statistics. Every
+draw is counter-based, so a block's samples equal those of serving it
+look by look, and each program owns its tests' state, so results and
+summaries do not depend on the chunk size or on the order in which a
+chunk is drained; only the order of trace events does.
 """
 
 from __future__ import annotations
@@ -193,15 +195,16 @@ class SplitRunStats:
 class Program:
     """Control flow of one run of tests, advanced look by look.
 
-    A program deploys its start test and runs its looks: it says how
-    many requests the next look needs (:meth:`requests_to_look`), and
-    :meth:`look` adds a served block to the test's statistics and
-    evaluates the hypothesis. On each terminal result it has the engine
-    record it, restores the deployment and fires the first matching
-    transition rule. It is done when a rule leads to End or to a
-    population split; ``next`` then names that element. ``consumed`` is the count of requests the
-    current test has been served so far; ``acc_a`` and ``acc_b`` hold
-    its hypothesis metric per variant.
+    A program deploys its start test and runs its looks: it lists where
+    the looks a queue of requests reaches end (:meth:`look_ends`), and
+    :meth:`look` adds one look's slice of a served block to the test's
+    statistics and evaluates the hypothesis. On each terminal result it
+    has the engine record it, restores the deployment and fires the
+    first matching transition rule. It is done when a rule leads to End
+    or to a population split; ``next`` then names that element.
+    ``consumed`` is the count of requests the current test has looked at
+    so far; ``acc_a`` and ``acc_b`` hold its hypothesis metric per
+    variant.
     """
 
     def __init__(
@@ -226,18 +229,33 @@ class Program:
         self.engine.runner.deploy(self.current_test)
         self.engine._trace(self.instance_id, EVENT_DEPLOY, {"test": test_name})
 
-    def requests_to_look(self, batch_size: int) -> int:
-        """Requests the current test still needs before its next look."""
-        length = self.current_test.exp_length
-        return next_boundary(self.consumed, length, batch_size) - self.consumed
+    def look_ends(self, available: int, batch_size: int) -> list[int]:
+        """Ends of the current test's looks that ``available`` more requests reach.
 
-    def look(self, served: dict, requests_consumed: int) -> None:
-        """Add a served block's hypothesis samples to the pair and look."""
+        Each end counts requests from the test's current count, so the
+        last one is how many of them a block serving those looks takes.
+        """
+        length = self.current_test.exp_length
+        ends: list[int] = []
+        at = self.consumed
+        while at < length:
+            at = next_boundary(at, length, batch_size)
+            if at - self.consumed > available:
+                break
+            ends.append(at - self.consumed)
+        return ends
+
+    def look(self, served: dict, block: slice, requests_consumed: int) -> bool:
+        """Add the hypothesis samples of ``served[block]`` and look.
+
+        Returns whether the look was terminal.
+        """
         test = self.current_test
-        values, is_a = served["samples"][test.hypothesis.metric], served["is_a"]
+        values = served["samples"][test.hypothesis.metric][block]
+        is_a = served["is_a"][block]
         self.acc_a.add_many(values[is_a])
         self.acc_b.add_many(values[~is_a])
-        self.on_batch(
+        return self.on_batch(
             run_stat_test(
                 test.stat_test,
                 self.acc_a,
@@ -248,7 +266,8 @@ class Program:
             )
         )
 
-    def on_batch(self, result: StatResult) -> None:
+    def on_batch(self, result: StatResult) -> bool:
+        """Record a look's result; True if it was terminal."""
         if self.done:
             raise ContractViolationError(
                 f"program {self.instance_id!r} fed after completion"
@@ -257,7 +276,7 @@ class Program:
         self.consumed = result.requests_consumed
         self.engine._record_batch(self.instance_id, test, result)
         if not is_terminal(result, test):
-            return
+            return False
         self.engine._record_result(self.instance_id, test.name, result)
         self.engine.runner.restore(test)
         target, rule = next_element(self.rules, result, test.name)
@@ -272,12 +291,13 @@ class Program:
         )
         if not (is_end(target) or target in self.engine.spec.split_names):
             self._deploy(target)
-            return
+            return True
         self.current_test = None
         self.done = True
         self.next = target
         if is_end(target) and self.instance_id != self.engine.spec.name:
             self.engine._trace(self.instance_id, EVENT_END, {})  # the engine ends the root
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +398,13 @@ class WebStoreRunner:
 
         ``table[user]`` is the index of the program that serves the
         user, or ``len(programs)`` if none does. Arrivals are drawn in
-        CHUNK-sized blocks; each program serves its routed traffic up to
-        its next check boundary, holds the rest in one ``pending`` array,
-        and the tail after the last program completes is pushed back
-        onto the stream.
+        CHUNK-sized blocks. Each program serves its routed queue up to
+        the last look the queue reaches in one ``serve_chunk`` call and
+        runs those looks in order on slices of the block. A terminal
+        look ends the block: its test is restored, so the draws past it
+        are never read, and the rest of the queue goes to the next test.
+        What no look reaches stays in one ``pending`` array, and the tail
+        after the last program completes is pushed back onto the stream.
 
         A look is stamped with the stream position just after its last
         user, and that user always lies in the current chunk: when a
@@ -410,16 +433,22 @@ class WebStoreRunner:
                 queue = np.concatenate((pending[i], users[positions]))
                 taken = 0
                 while not program.done:
-                    need = program.requests_to_look(self.batch_size)
-                    if queue.shape[0] - taken < need:
+                    ends = program.look_ends(queue.shape[0] - taken, self.batch_size)
+                    if not ends:
                         break
                     name = program.current_test.name
-                    served = self.store.serve_chunk(name, queue[taken : taken + need])
-                    taken += need
+                    first = self.store.probe(name)
+                    served = self.store.serve_chunk(name, queue[taken : taken + ends[-1]])
                     batches_served += 1
-                    position = chunk_base + int(positions[taken - held - 1]) + 1
-                    self.requests_total = max(self.requests_total, position)
-                    program.look(served, self.store.probe(name))
+                    start = 0
+                    for end in ends:
+                        position = chunk_base + int(positions[taken + end - held - 1]) + 1
+                        self.requests_total = max(self.requests_total, position)
+                        terminal = program.look(served, slice(start, end), first + end)
+                        start = end
+                        if terminal:
+                            break
+                    taken += start
                     if program.done:
                         completion_pos[program.instance_id] = position
                 pending[i] = queue[taken:]

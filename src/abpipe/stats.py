@@ -80,16 +80,21 @@ class MetricAccumulator:
         self.m2 += delta * (sample - self.mean)
 
     def add_many(self, samples) -> None:
-        """Bulk update; equivalent to adding each sample in turn."""
+        """Bulk update; equal to adding each sample in turn up to rounding.
+
+        A 0/1 block is finite, so only another block is checked for NaN
+        and infinity.
+        """
         xs = np.asarray(samples, dtype=np.float64)
-        if xs.size == 0:
+        n = xs.size
+        if n == 0:
             return
-        if not np.all(np.isfinite(xs)):
+        binary = bool(((xs == 0.0) | (xs == 1.0)).all())
+        if not (binary or np.isfinite(xs).all()):
             raise StatsError("non-finite sample rejected")
-        chunk = MetricAccumulator(int(xs.size), float(xs.mean()))
-        chunk.m2 = float(((xs - chunk.mean) ** 2).sum())
-        chunk.binary = bool(np.all((xs == 0.0) | (xs == 1.0)))
-        merged = self.merge(chunk)
+        mean = float(xs.sum()) / n  # what xs.mean() computes
+        d = xs - mean
+        merged = self.merge(MetricAccumulator(n, mean, float((d * d).sum()), binary))
         self.n, self.mean, self.m2, self.binary = (
             merged.n,
             merged.mean,

@@ -3,10 +3,12 @@
 The store plays the role of the "A/B-testing-enabled" managed system:
 variants are deployed onto named components, each served block of
 requests returns its variant assignments and metric samples, an active
-test's request counter is exposed through a probe, and every behavioral
-draw is a counter-based hash of (scenario seed, stream, counter) so
-reruns, and any order in which the sub-pipelines of a split are drained,
-produce identical numbers. The store keeps no statistics: the managing
+test's request counter is exposed through a probe (the managing system
+reads it once per served block, as the count the block starts from), and
+every behavioral draw is a counter-based hash of (scenario seed, stream,
+counter), so reruns, any order in which the sub-pipelines of a split are
+drained, and any cut of a block into consecutive serves produce
+identical numbers. The store keeps no statistics: the managing
 system evaluates each test from the samples it was served.
 
 Users are synthetic: a latent purchaser/non-purchaser class drawn at the

@@ -34,6 +34,7 @@ from abpipe.orchestrator import (
     next_element,
 )
 from abpipe.report import (
+    RUN_ERRORS,
     PipelineRunError,
     build_summary,
     compare_pipelines,
@@ -659,13 +660,28 @@ def test_split_results_independent_of_drain_order(small_scenario):
     assert reversed_.batch_results == normal.batch_results
 
 
-@pytest.fixture(scope="module")
-def seed_one_models(par_spec, scenario):
+def seed_one_models(par_spec, config):
     """The parallel bundle's split model trained on seed 1, as a run trains it."""
-    config = replace(scenario, seed=1)
+    config = replace(config, seed=1)
     features, labels = generate_training_data(config, config.train_samples)
     model = train(features, labels, Hyperparams(seed=1))
     return {s.split_component.image_name: model for s in par_spec.pop_splits}
+
+
+@pytest.fixture(scope="module")
+def chunk_cases(par_spec, scenario, small_scenario):
+    """(scenario, split models, batch size) of each run the chunk test repeats.
+
+    Batch 1000 runs the full scenario; batches 37 and 100 run the small
+    one, where the sequential bundle's batch-37 run aborts partway.
+    """
+    full = seed_one_models(par_spec, scenario)
+    small = seed_one_models(par_spec, small_scenario)
+    return [
+        (replace(scenario, seed=1), full, 1000),
+        (replace(small_scenario, seed=1), small, 37),
+        (replace(small_scenario, seed=1), small, 100),
+    ]
 
 
 def _events_by_instance(engine):
@@ -684,37 +700,50 @@ def _events_by_instance(engine):
 
 @pytest.mark.parametrize("bundle", ["seq_spec", "par_spec"])
 def test_runs_do_not_depend_on_the_arrival_chunk_size(
-    bundle, request, scenario, seed_one_models, monkeypatch
+    bundle, request, chunk_cases, monkeypatch
 ):
     # root tests and split branches both draw CHUNK-sized blocks and push
-    # the unconsumed tail back; what they consume must not depend on it
+    # the unconsumed tail back; what they consume must not depend on it.
+    # A program serves every look its queue reaches in one block, so
+    # CHUNK=1 (one look per block at most) is the look-by-look reference.
     spec = request.getfixturevalue(bundle)
-    outcomes = []
-    for chunk in (1, 37, 997, 1000, 4096, 65_536):
-        monkeypatch.setattr(WebStoreRunner, "CHUNK", chunk)
-        store = WebStore(replace(scenario, seed=1))
-        runner = WebStoreRunner(store, split_models=seed_one_models)
-        engine = PipelineEngine(spec, runner, catalog=store.catalog)
-        engine.run()
-        outcomes.append(
-            (
+    aborted = []
+    for config, models, batch_size in chunk_cases:
+        outcomes = {}
+        for chunk in (1, 37, 997, 1000, 4096, 65_536):
+            monkeypatch.setattr(WebStoreRunner, "CHUNK", chunk)
+            store = WebStore(config)
+            runner = WebStoreRunner(store, batch_size=batch_size, split_models=models)
+            engine = PipelineEngine(spec, runner, catalog=store.catalog)
+            try:
+                engine.run()
+                error = None
+            except RUN_ERRORS as exc:
+                error = (type(exc), str(exc))
+            outcomes[chunk] = (
                 _events_by_instance(engine),
+                error,
                 engine.results,
                 engine.batch_results,
                 engine.split_stats,
                 runner.requests_total,
             )
-        )
-    assert bool(spec.pop_splits) == bool(outcomes[0][3])
-    for outcome in outcomes[1:]:
-        assert outcome == outcomes[0]
+        reference = outcomes.pop(1)
+        if reference[1] is None:
+            assert bool(spec.pop_splits) == bool(reference[4])
+        else:
+            aborted.append(batch_size)
+        for chunk, outcome in outcomes.items():
+            assert outcome == reference, f"batch {batch_size}, CHUNK {chunk}"
+    # the partial trace and the error of an aborting run are compared too
+    assert bundle != "seq_spec" or 37 in aborted
 
 
 # ---------------------------------------------------------------------------
 # run failures: a domain error fails the run, a programming error propagates
 
 
-def broken_look(self, served, requests_consumed):
+def broken_look(self, served, block, requests_consumed):
     raise TypeError("a bug in the engine")
 
 

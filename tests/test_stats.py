@@ -102,6 +102,70 @@ def test_bulk_equals_stream(values):
     assert math.isclose(bulk.m2, stream.m2, rel_tol=1e-9, abs_tol=1e-6)
 
 
+def previous_add_many(acc, samples):
+    """``add_many``'s earlier block moments: ``xs.mean()`` and a squared power."""
+    xs = np.asarray(samples, dtype=np.float64)
+    if xs.size == 0:
+        return acc
+    chunk = MetricAccumulator(int(xs.size), float(xs.mean()))
+    chunk.m2 = float(((xs - chunk.mean) ** 2).sum())
+    chunk.binary = bool(np.all((xs == 0.0) | (xs == 1.0)))
+    return acc.merge(chunk)
+
+
+def bits(acc):
+    return acc.n, acc.mean.hex(), acc.m2.hex(), acc.binary
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    sizes=st.lists(st.integers(min_value=0, max_value=3_000), min_size=1, max_size=4),
+    binary=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_bulk_moments_are_bitwise_the_previous_formula(seed, sizes, binary):
+    rng = np.random.default_rng(seed)
+    new, old = MetricAccumulator(), MetricAccumulator()
+    for size in sizes:
+        if binary:
+            xs = (rng.random(size) < rng.random()).astype(np.float64)
+        else:
+            xs = rng.normal(rng.normal(0.0, 1e3), rng.lognormal(0.0, 3.0), size)
+        new.add_many(xs)
+        old = previous_add_many(old, xs)
+        assert bits(new) == bits(old)
+
+
+@given(
+    st.lists(
+        # squares of up to 1e150 sum to at most 4e301: no overflow
+        st.lists(st.floats(min_value=-1e150, max_value=1e150), max_size=40),
+        min_size=1,
+        max_size=4,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_bulk_moments_of_any_finite_floats_are_the_previous_formula(blocks):
+    new, old = MetricAccumulator(), MetricAccumulator()
+    for block in blocks:
+        new.add_many(block)
+        old = previous_add_many(old, block)
+        assert bits(new) == bits(old)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("at", [0, 500, 999])
+def test_non_finite_sample_in_a_binary_block_is_rejected(bad, at):
+    acc = MetricAccumulator()
+    acc.add_many([0.0, 1.0, 1.0])
+    before = bits(acc)
+    xs = (np.arange(1_000) % 3 == 0).astype(np.float64)
+    xs[at] = bad
+    with pytest.raises(StatsError, match="non-finite"):
+        acc.add_many(xs)
+    assert bits(acc) == before
+
+
 # ---------------------------------------------------------------------------
 # welch
 

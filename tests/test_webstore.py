@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abpipe import prf
 from abpipe.model import ABTestSpec, Hypothesis
@@ -282,6 +284,44 @@ def test_empty_block_leaves_the_next_draws_unchanged():
     assert np.array_equal(outs[0][0], outs[1][0])
     assert np.array_equal(outs[0][1], outs[1][1])
     assert outs[0][2] == outs[1][2] == 500
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    n=st.integers(min_value=0, max_value=3_000),
+    cut=st.floats(min_value=0.0, max_value=1.0),
+    share_a=st.sampled_from([0.04, 0.5, 0.96]),
+)
+@settings(max_examples=40, deadline=None)
+def test_one_block_serves_what_a_prefix_and_its_remainder_serve(seed, n, cut, share_a):
+    # the engine serves every look a queue reaches in one block; the draws
+    # are counter-based, so the block must equal serving it look by look
+    test = ABTestSpec(
+        name="T",
+        exp_length=1_000_000,
+        ab_assignment=(share_a, 1.0 - share_a),
+        hypothesis=Hypothesis("purchases", "B_greater", 0.05),
+        ab_metrics=("purchases", "clicks", "engagement"),
+        stat_test="welch_t",
+        variant_a="rec-a",
+        variant_b="rec-b",
+    )
+    split = int(cut * n)
+    whole, parts = make_store(seed=seed), make_store(seed=seed)
+    users = whole.arrivals.next(n)
+    whole.deploy_ab_test(test)
+    parts.deploy_ab_test(test)
+    block = whole.serve_chunk("T", users)
+    prefix = parts.serve_chunk("T", users[:split])
+    assert parts.probe("T") == split
+    rest = parts.serve_chunk("T", users[split:])
+    assert parts.probe("T") == whole.probe("T") == n
+    assert np.array_equal(block["is_a"], np.concatenate((prefix["is_a"], rest["is_a"])))
+    assert set(block["samples"]) == set(test.ab_metrics)
+    for metric, values in block["samples"].items():
+        joined = np.concatenate((prefix["samples"][metric], rest["samples"][metric]))
+        assert values.dtype == joined.dtype
+        assert values.tobytes() == joined.tobytes()
 
 
 def test_serving_requires_active_test():

@@ -120,8 +120,8 @@ def train(
         raise ClassifierError(f"seed must be >= 0, got {hp.seed}")
     x = np.asarray(x)
     y = np.asarray(y, dtype=np.float64).ravel()
-    if x.ndim != 2:
-        raise ClassifierError("training features must be a 2-D array")
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise ClassifierError("training features must be a 2-D array of at least one column")
     if x.shape[0] != y.shape[0]:
         raise DimensionMismatchError(
             f"{x.shape[0]} feature rows vs {y.shape[0]} labels"

@@ -20,13 +20,15 @@ one array per program, and pushes the unconsumed tail back once every
 program is done, so the consumed prefix does not depend on the chunk
 size. The runner only draws, routes and serves arrivals; each program
 runs its own looks. It lists where the looks its queue reaches end, adds
-each look's slice of the block to its own accumulators, evaluates the
-hypothesis and applies the stopping rule; after a terminal look the rest
-of the queue goes to its next test. The store keeps no statistics. Every
-draw is counter-based, so a block's samples equal those of serving it
-look by look, and each program owns its tests' state, so results and
-summaries do not depend on the chunk size or on the order in which a
-chunk is drained; only the order of trace events does.
+each look's slice of the block (its variant mask and hypothesis samples)
+to its own accumulators, evaluates the hypothesis and applies the
+stopping rule; after a terminal look the rest of the queue goes to its
+next test. The store keeps no statistics, and a split's stats only the
+counts serving measures. Every draw is counter-based, so a block's
+samples equal those of serving it look by look, and each program owns
+its tests' state, so results and summaries do not depend on the chunk
+size or on the order in which a chunk is drained; only the order of
+trace events does.
 """
 
 from __future__ import annotations
@@ -174,18 +176,9 @@ def next_element(
 class SplitRunStats:
     stream_total: int
     dispatched: dict[str, int]
-    unrouted: int
     sub_stream_totals: dict[str, int]
     # wall time of deploying the split component: building the routing table
     deploy_ms: float = field(default=0.0, compare=False)
-
-    def fractions(self) -> dict[str, float]:
-        if self.stream_total <= 0:
-            return {name: 0.0 for name in self.dispatched}
-        return {
-            name: count / self.stream_total
-            for name, count in self.dispatched.items()
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +238,13 @@ class Program:
             ends.append(at - self.consumed)
         return ends
 
-    def look(self, served: dict, block: slice, requests_consumed: int) -> bool:
-        """Add the hypothesis samples of ``served[block]`` and look.
+    def look(self, served: tuple, block: slice, requests_consumed: int) -> bool:
+        """Add the ``block`` slice of a served ``(is_a, samples)`` pair and look.
 
         Returns whether the look was terminal.
         """
         test = self.current_test
-        values = served["samples"][test.hypothesis.metric][block]
-        is_a = served["is_a"][block]
+        is_a, values = served[0][block], served[1][block]
         self.acc_a.add_many(values[is_a])
         self.acc_b.add_many(values[~is_a])
         return self.on_batch(
@@ -479,7 +471,6 @@ class WebStoreRunner:
             dispatched={
                 p.instance_id: dispatched[i] for i, p in enumerate(programs)
             },
-            unrouted=stream_pos - base - sum(dispatched),
             sub_stream_totals={
                 p.instance_id: completion_pos[p.instance_id] - base
                 for p in programs
@@ -522,7 +513,8 @@ class PipelineEngine:
         if self.observer is not None:
             self.observer(event_obj, self.knowledge)
 
-    def _qualified(self, instance_id: str, test_name: str) -> str:
+    def qualified(self, instance_id: str, test_name: str) -> str:
+        """The key of a test's results: its name, prefixed by a sub-pipeline's id."""
         if instance_id == self.spec.name:
             return test_name
         return f"{instance_id}/{test_name}"
@@ -530,7 +522,7 @@ class PipelineEngine:
     def _record_result(
         self, instance_id: str, test_name: str, result: StatResult
     ) -> None:
-        qualified = self._qualified(instance_id, test_name)
+        qualified = self.qualified(instance_id, test_name)
         if qualified in self.results:
             raise WriteOnceError(f"result for {qualified!r} already recorded")
         self.results[qualified] = result
@@ -539,7 +531,7 @@ class PipelineEngine:
         self, instance_id: str, test: ABTestSpec, result: StatResult
     ) -> None:
         self.batch_results.setdefault(
-            self._qualified(instance_id, test.name), []
+            self.qualified(instance_id, test.name), []
         ).append(result)
         self._trace(
             instance_id,

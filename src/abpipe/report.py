@@ -97,14 +97,21 @@ def run_pipeline_once(
 
 
 def build_summary(engine: PipelineEngine, seed: int, batch_size: int) -> dict:
-    """JSON-ready summary: every test's result plus split accounting."""
+    """JSON-ready summary: every test's result plus split accounting.
+
+    A split's unrouted count and traffic shares are derived here."""
     spec = engine.spec
+    sub_pipeline_of = spec.sub_pipeline_of
     tests = {}
-    for qualified, result in sorted(engine.results.items()):
-        name = qualified.split("/", 1)[-1]
+    for test in spec.ab_tests:
+        instance = sub_pipeline_of.get(test.name, spec.name)
+        qualified = engine.qualified(instance, test.name)
+        result = engine.results.get(qualified)
+        if result is None:
+            continue
         tests[qualified] = {
-            "test": name,
-            "instance": spec.sub_pipeline_of.get(name, spec.name),
+            "test": test.name,
+            "instance": instance,
             "requests": result.requests_consumed,
             "p_value": result.p_value,
             "mean_a": result.mean_a,
@@ -115,15 +122,18 @@ def build_summary(engine: PipelineEngine, seed: int, batch_size: int) -> dict:
         }
     splits = {}
     for split_name, stats in sorted(engine.split_stats.items()):
-        fractions = stats.fractions()
+        total = stats.stream_total
+        dispatched = dict(sorted(stats.dispatched.items()))
+        unrouted = total - sum(dispatched.values())
         splits[split_name] = {
-            "stream_total": stats.stream_total,
-            "dispatched": dict(sorted(stats.dispatched.items())),
-            "unrouted": stats.unrouted,
-            "split_fractions": dict(sorted(fractions.items())),
-            "unrouted_fraction": (
-                stats.unrouted / stats.stream_total if stats.stream_total else 0.0
-            ),
+            "stream_total": total,
+            "dispatched": dispatched,
+            "unrouted": unrouted,
+            "split_fractions": {
+                name: count / total if total else 0.0
+                for name, count in dispatched.items()
+            },
+            "unrouted_fraction": unrouted / total if total else 0.0,
             "sub_stream_totals": dict(sorted(stats.sub_stream_totals.items())),
         }
     return {
@@ -131,7 +141,7 @@ def build_summary(engine: PipelineEngine, seed: int, batch_size: int) -> dict:
         "seed": seed,
         "batch_size": batch_size,
         "requests_total": engine.runner.requests_total,
-        "tests": tests,
+        "tests": dict(sorted(tests.items())),
         "splits": splits,
     }
 
@@ -144,7 +154,6 @@ def build_summary(engine: PipelineEngine, seed: int, batch_size: int) -> dict:
 class ComparisonReport:
     sequential_pipeline: str
     parallel_pipeline: str
-    runs: int
     seeds: list[int]
     batch_size: int
     # per test name -> {"decided_requests": median, "total_requests": median}
@@ -169,6 +178,7 @@ class ComparisonReport:
         del record["overhead"]
         record.update(
             aggregation="median",
+            runs=len(self.seeds),
             partial=self.partial,
             full_scale_reference=FULL_SCALE_REFERENCE,
         )
@@ -222,7 +232,7 @@ class ComparisonReport:
                 " predict median {predict_ms_median:.3f} ms".format(**self.overhead)
             )
         lines.append(
-            f"Runs: {self.runs} (median aggregation), seeds {self.seeds}"
+            f"Runs: {len(self.seeds)} (median aggregation), seeds {self.seeds}"
         )
         ref = FULL_SCALE_REFERENCE
         lines.append(
@@ -287,7 +297,7 @@ def compare_pipelines(
                 {"seed": seed, "pipeline": seq_spec.name, "error": str(exc)}
             )
             continue
-        for qualified, row in seq_out.summary["tests"].items():
+        for row in seq_out.summary["tests"].values():
             if row["test"] in seq_requests:
                 seq_requests[row["test"]].append(row["requests"])
         try:
@@ -300,7 +310,7 @@ def compare_pipelines(
                 {"seed": seed, "pipeline": par_spec.name, "error": str(exc)}
             )
             continue
-        for qualified, row in par_out.summary["tests"].items():
+        for row in par_out.summary["tests"].values():
             if row["test"] in par_requests:
                 par_requests[row["test"]].append(row["requests"])
         for split in par_out.summary["splits"].values():
@@ -366,7 +376,6 @@ def compare_pipelines(
     return ComparisonReport(
         sequential_pipeline=seq_spec.name,
         parallel_pipeline=par_spec.name,
-        runs=len(seeds),
         seeds=list(seeds),
         batch_size=batch_size,
         sequential_tests=sequential_tests,

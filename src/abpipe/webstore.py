@@ -1,11 +1,13 @@
 """Deterministic simulated web-store with deployable A/B variants.
 
 The store plays the role of the "A/B-testing-enabled" managed system:
-variants are deployed onto named components, each served block of
-requests returns its variant assignments and metric samples, an active
-test's request counter is exposed through a probe (the managing system
-reads it once per served block, as the count the block starts from), and
-every behavioral draw is a counter-based hash of (scenario seed, stream,
+variants are deployed onto named components (every metric a test
+collects must have a behavior model), each served block of requests
+returns its variant assignments and its samples of the one metric the
+managing system reads, the test's hypothesis metric, an active test's
+request counter is exposed through a probe (the managing system reads it
+once per served block, as the count the block starts from), and every
+behavioral draw is a counter-based hash of (scenario seed, stream,
 counter), so reruns, any order in which the sub-pipelines of a split are
 drained, and any cut of a block into consecutive serves produce
 identical numbers. The store keeps no statistics: the managing
@@ -290,10 +292,8 @@ class _ActiveTest:
         self.components = components
         self.requests = 0
         self.assign_key = prf.stream_key(seed, "assign", spec.name, epoch)
-        self.draw_keys = {
-            metric: prf.stream_key(seed, "draw", spec.name, metric, epoch)
-            for metric in spec.ab_metrics
-        }
+        metric = spec.hypothesis.metric
+        self.draw_key = prf.stream_key(seed, "draw", spec.name, metric, epoch)
 
 
 class ArrivalStream:
@@ -378,33 +378,31 @@ class WebStore:
 
     # -- serving ------------------------------------------------------------
 
-    def serve_chunk(self, test_name: str, users: np.ndarray) -> dict:
+    def serve_chunk(self, test_name: str, users: np.ndarray) -> tuple:
         """Serve a block of requests to the active test.
 
         Variant assignment is a sticky hash of (seed, test, user); each
-        metric sample is one Bernoulli draw from the user's propensity
-        under the assigned variant. Returns the variant mask and samples.
+        sample is one Bernoulli draw from the user's propensity for the
+        test's hypothesis metric under the assigned variant. Returns the
+        variant-A mask and the samples, one entry per request.
         """
         record = self._active.get(test_name)
         if record is None:
             raise NoActiveTestError(f"test {test_name!r} is not active")
         uids = np.asarray(users, dtype=np.int64)
         n = uids.shape[0]
-        frac_a = record.spec.ab_assignment[0]
-        is_a = prf.uniforms(record.assign_key, uids) < frac_a
+        is_a = prf.uniforms(record.assign_key, uids) < record.spec.ab_assignment[0]
         purchaser = self.population.latent[uids]
+        metric = record.spec.hypothesis.metric
+        p = np.where(
+            is_a,
+            self.config.rate(metric, "A", purchaser),
+            self.config.rate(metric, "B", purchaser),
+        )
         indices = record.requests + np.arange(n, dtype=np.uint64)
-        samples: dict[str, np.ndarray] = {}
-        for metric in record.spec.ab_metrics:
-            p = np.where(
-                is_a,
-                self.config.rate(metric, "A", purchaser),
-                self.config.rate(metric, "B", purchaser),
-            )
-            draws = prf.uniforms(record.draw_keys[metric], indices)
-            samples[metric] = (draws < p).astype(np.float64)
+        samples = (prf.uniforms(record.draw_key, indices) < p).astype(np.float64)
         record.requests += n
-        return {"is_a": is_a, "samples": samples}
+        return is_a, samples
 
     def probe(self, test_name: str) -> int:
         """Count of requests the active test has been served."""

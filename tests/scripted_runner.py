@@ -58,6 +58,5 @@ class ScriptedRunner:
         return SplitRunStats(
             stream_total=self.requests_total - base,
             dispatched={p.instance_id: 0 for p in programs},
-            unrouted=0,
             sub_stream_totals={p.instance_id: 0 for p in programs},
         )

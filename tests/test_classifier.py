@@ -64,6 +64,12 @@ def test_single_class_rejected():
         clf.train(x, np.ones(10))
 
 
+def test_no_feature_columns_rejected():
+    # a CSV whose only column is the label loads as n rows of 0 features
+    with pytest.raises(clf.ClassifierError, match="at least one column$"):
+        clf.train(np.zeros((4, 0)), np.array([0, 1, 0, 1]))
+
+
 def test_dimension_mismatch():
     x, y = toy_separable()
     model = clf.train(x, y)

@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -467,6 +468,28 @@ def test_compare_report_structure(tmp_path, seq_bundle, par_bundle, small_scenar
     assert "Reference, full-scale study" in text
 
 
+def test_a_slash_in_a_test_name_keeps_its_label_and_its_comparison(
+    tmp_path, par_bundle, small_scenario_file
+):
+    # a result is labelled from the spec, never by parsing its key on "/"
+    bundle = tmp_path / "slash"
+    shutil.copytree(SCENARIOS / "sequential", bundle)
+    for path in bundle.rglob("*.json"):
+        path.write_text(path.read_text().replace('"Review-upgrade"', '"Review/upgrade"'))
+    scenario = ["--scenario", str(small_scenario_file)]
+    run_out = tmp_path / "run"
+    assert main(["run", str(bundle), *scenario, "--seed", "2", "--out", str(run_out)]) == 0
+    summary = json.loads((run_out / "summary.json").read_text())
+    row = summary["tests"]["Review/upgrade"]
+    assert (row["test"], row["instance"]) == ("Review/upgrade", summary["pipeline"])
+    out = tmp_path / "cmp"
+    seeds = ["--runs", "3", "--seeds", "1,2,3"]
+    assert main(["compare", str(bundle), str(par_bundle), *scenario, *seeds, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["sequential_tests"]["Review/upgrade"]["compared"]
+    assert report["failures"] == [] and math.isfinite(report["reduction_pct"])
+
+
 def test_compare_seed_list_length_mismatch(
     seq_bundle, par_bundle, small_scenario_file, tmp_path
 ):
@@ -630,6 +653,17 @@ def test_train_non_binary_feature_fails(tmp_path, capsys):
     assert main(["train", str(csv_path), "--out", str(model_path)]) == EXIT_DOMAIN
     err = capsys.readouterr().err.splitlines()
     assert err == ["training failed: features must be 0 or 1, got 0.5"]
+    assert not model_path.exists()
+
+
+def test_train_csv_without_feature_columns_fails_in_one_line(tmp_path, capsys):
+    csv_path = tmp_path / "train.csv"
+    csv_path.write_text("label\n0\n1\n0\n1\n")
+    model_path = tmp_path / "m.json"
+    assert main(["train", str(csv_path), "--out", str(model_path)]) == EXIT_DOMAIN
+    assert capsys.readouterr().err.splitlines() == [
+        "training failed: training features must be a 2-D array of at least one column"
+    ]
     assert not model_path.exists()
 
 

@@ -1,4 +1,6 @@
+import math
 import os
+import statistics
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 from abpipe.classifier import Hyperparams, route_class, train
+from abpipe.cli import write_run_outputs
 from abpipe.model import (
     ABTestSpec,
     ClassCondition,
@@ -44,9 +47,11 @@ from abpipe.report import (
 from abpipe.stats import (
     DEFAULT_BATCH_SIZE,
     InsufficientSamplesError,
+    MetricAccumulator,
     StatResult,
     StatsError,
     next_boundary,
+    welch_t_test,
 )
 from abpipe import webstore
 from abpipe.webstore import WebStore, generate_population, generate_training_data
@@ -527,6 +532,18 @@ def test_parallel_run_collects_split_stats(par_spec, small_scenario):
     assert "Recommendation-pipeline/Recommendation-upgrade" in qualified
 
 
+def test_split_accounting_adds_up(par_spec, small_scenario):
+    for seed in range(1, 6):
+        summary = run_pipeline_once(par_spec, small_scenario, seed=seed).summary
+        assert summary["splits"]
+        for split in summary["splits"].values():
+            total = split["stream_total"]
+            assert sum(split["dispatched"].values()) + split["unrouted"] == total
+            shares = sum(split["split_fractions"].values()) + split["unrouted_fraction"]
+            assert abs(shares - 1.0) <= 1e-12
+            assert total == max(split["sub_stream_totals"].values())
+
+
 def test_run_fits_one_split_model_for_every_split(
     par_spec, small_scenario, monkeypatch
 ):
@@ -850,6 +867,70 @@ def test_in_segment_recommendation_decides_within_first_batches(small_scenario):
     last = engine.batch_results["T"][-1]
     assert last.significant
     assert last.requests_consumed <= 5000
+
+
+def test_metrics_a_test_collects_besides_its_hypothesis_change_no_artifact(
+    small_scenario, tmp_path
+):
+    # the store serves only the hypothesis metric, on the draws it always had
+    artifacts = []
+    for metrics in (("clicks",), ("clicks", "engagement", "purchases")):
+        test = replace(look_test(20_000), ab_metrics=metrics)
+        spec = PipelineSpec("Solo", (test,), (), (), test.name)
+        for seed in (1, 2, 3):
+            out = tmp_path / f"{len(metrics)}-{seed}"
+            out.mkdir()
+            outcome = run_pipeline_once(spec, small_scenario, seed=seed)
+            write_run_outputs(out, outcome.engine, outcome.summary)
+            artifacts.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert artifacts[:3] == artifacts[3:]
+    assert {"summary.json", "trace.jsonl", "pvalues_T.csv"} == set(artifacts[0])
+
+
+def test_engine_a_a_rate_matches_a_stats_only_simulation(seq_spec, small_scenario):
+    # With no true effect, looking after every batch lifts the share of
+    # runs that end significant far above alpha (Kohavi, Tang & Xu 2020,
+    # ch. 19). The engine must give the share the statistics alone give
+    # on the same look schedule; nothing is asserted about alpha itself.
+    gui = seq_spec.test("GUI-upgrade")
+    spec = PipelineSpec("A-A", (gui,), (), (), gui.name)
+    scenario = replace(small_scenario, gui_rates={"A": 0.5, "B": 0.5})
+    runs = 100
+    engine_hits = 0
+    for seed in range(1, runs + 1):
+        outcome = run_pipeline_once(spec, scenario, seed, batch_size=1000)
+        engine_hits += outcome.engine.results[gui.name].significant
+    # i.i.d. Bernoulli(0.5) samples under a 50/50 assignment, drawn as the
+    # per-look counts they sum to: requests to A, then successes per variant
+    ends = [0]
+    while ends[-1] < gui.exp_length:
+        ends.append(next_boundary(ends[-1], gui.exp_length, 1000))
+    sizes = np.diff(ends)
+    sims = 500
+    rng = np.random.default_rng(2020)
+    to_a = rng.binomial(sizes, 0.5, size=(sims, sizes.size))
+    hits_a, hits_b = rng.binomial(to_a, 0.5), rng.binomial(sizes - to_a, 0.5)
+    n_a, k_a, n_b, k_b = (
+        np.cumsum(x, axis=1).tolist() for x in (to_a, hits_a, sizes - to_a, hits_b)
+    )
+
+    def acc(n, k):  # the moments of k ones among n samples
+        return MetricAccumulator(n, k / n, k * (n - k) / n)
+
+    hyp = gui.hypothesis
+    sim_hits = sum(
+        any(
+            welch_t_test(acc(*a), acc(*b), hyp.direction, hyp.alpha).significant
+            for a, b in zip(zip(n_a[r], k_a[r]), zip(n_b[r], k_b[r]))
+        )
+        for r in range(sims)
+    )
+    engine_rate, sim_rate = engine_hits / runs, sim_hits / sims
+    print(f"A/A significant share: engine {engine_rate:.3f}, simulation {sim_rate:.3f}")
+    pooled = (engine_hits + sim_hits) / (runs + sims)
+    z = statistics.NormalDist().inv_cdf(0.9995)
+    bound = z * math.sqrt(pooled * (1 - pooled) * (1 / runs + 1 / sims))
+    assert abs(engine_rate - sim_rate) <= bound
 
 
 def test_bad_batch_size(small_scenario):

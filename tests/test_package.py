@@ -1,6 +1,8 @@
 """The public surface of the ``abpipe`` package."""
 
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +31,18 @@ def test_python_dash_m_runs_the_cli():
     done = run_python(["-m", "abpipe", "validate", "scenarios/sequential"], ROOT)
     assert done.returncode == 0, done.stderr
     assert "no violations" in done.stdout
+
+
+def test_the_console_script_names_a_callable():
+    # read with a regex: Python 3.10 has no tomllib
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    table = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    assert table is not None, "pyproject.toml has no [project.scripts] table"
+    entry = re.search(r'^abpipe\s*=\s*"([\w.]+):(\w+)"\s*$', table.group(1), re.M)
+    assert entry is not None, "[project.scripts] declares no abpipe command"
+    module, attr = entry.groups()
+    assert (module, attr) == ("abpipe.cli", "main")
+    assert callable(getattr(importlib.import_module(module), attr))
 
 
 def test_failing_property_test_is_reported_under_the_repo_config(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,28 +220,28 @@ def test_variant_share_tracks_assignment():
     store = make_store(population_size=100_000)
     store.deploy_ab_test(make_test())
     users = store.arrivals.next(100_000)
-    out = store.serve_chunk("T", users)
-    share_a = out["is_a"].mean()
+    is_a, _ = store.serve_chunk("T", users)
+    share_a = is_a.mean()
     assert 0.49 <= share_a <= 0.51
 
 
 def test_variant_assignment_is_sticky():
     store = make_store()
     store.deploy_ab_test(make_test())
-    first = store.serve_chunk("T", np.asarray([42]))
-    second = store.serve_chunk("T", np.asarray([42]))
-    assert first["is_a"][0] == second["is_a"][0]
+    first, _ = store.serve_chunk("T", np.asarray([42]))
+    second, _ = store.serve_chunk("T", np.asarray([42]))
+    assert first[0] == second[0]
     # the assignment is per user, not per request or per chunk position
-    mixed = store.serve_chunk("T", np.asarray([7, 42, 42, 99]))
-    assert mixed["is_a"][1] == mixed["is_a"][2] == first["is_a"][0]
+    mixed, _ = store.serve_chunk("T", np.asarray([7, 42, 42, 99]))
+    assert mixed[1] == mixed[2] == first[0]
 
 
 def test_review_variant_b_click_rate_converges():
     store = make_store(population_size=50_000)
     store.deploy_ab_test(make_test(assignment=(0.0, 1.0)))
     users = store.arrivals.next(100_000)
-    out = store.serve_chunk("T", users)
-    clicks_b = out["samples"]["clicks"][~out["is_a"]]
+    is_a, clicks = store.serve_chunk("T", users)
+    clicks_b = clicks[~is_a]
     assert clicks_b.shape[0] == 100_000
     # 3-sigma band around the configured 0.1617 at n = 100k
     assert abs(clicks_b.mean() - 0.1617) <= 3 * np.sqrt(0.1617 * (1 - 0.1617) / 100_000)
@@ -256,19 +258,18 @@ def test_probe_counts_and_stability():
 def test_conservation_requests_equal_samples():
     store = make_store()
     store.deploy_ab_test(make_test())
-    out = store.serve_chunk("T", store.arrivals.next(2_500))
-    assert out["is_a"].shape[0] == out["samples"]["clicks"].shape[0]
-    assert out["samples"]["clicks"].shape[0] == store.probe("T") == 2_500
+    is_a, clicks = store.serve_chunk("T", store.arrivals.next(2_500))
+    assert is_a.shape[0] == clicks.shape[0]
+    assert clicks.shape[0] == store.probe("T") == 2_500
 
 
 @pytest.mark.parametrize("users", [np.empty(0, dtype=np.int64), []], ids=["array", "list"])
 def test_empty_block_serves_an_empty_sample_per_metric(users):
     store = make_store()
     store.deploy_ab_test(make_test())
-    out = store.serve_chunk("T", users)
-    assert out["is_a"].shape == (0,) and out["is_a"].dtype == bool
-    assert set(out["samples"]) == {"clicks"}
-    assert out["samples"]["clicks"].shape == (0,)
+    is_a, samples = store.serve_chunk("T", users)
+    assert is_a.shape == (0,) and is_a.dtype == bool
+    assert samples.shape == (0,) and samples.dtype == np.float64
     assert store.probe("T") == 0
 
 
@@ -279,8 +280,8 @@ def test_empty_block_leaves_the_next_draws_unchanged():
         store.deploy_ab_test(make_test())
         if empty_first:
             store.serve_chunk("T", np.empty(0, dtype=np.int64))
-        out = store.serve_chunk("T", store.arrivals.next(500))
-        outs.append((out["is_a"], out["samples"]["clicks"], store.probe("T")))
+        is_a, clicks = store.serve_chunk("T", store.arrivals.next(500))
+        outs.append((is_a, clicks, store.probe("T")))
     assert np.array_equal(outs[0][0], outs[1][0])
     assert np.array_equal(outs[0][1], outs[1][1])
     assert outs[0][2] == outs[1][2] == 500
@@ -291,16 +292,20 @@ def test_empty_block_leaves_the_next_draws_unchanged():
     n=st.integers(min_value=0, max_value=3_000),
     cut=st.floats(min_value=0.0, max_value=1.0),
     share_a=st.sampled_from([0.04, 0.5, 0.96]),
+    metric=st.sampled_from(["purchases", "clicks", "engagement"]),
 )
 @settings(max_examples=40, deadline=None)
-def test_one_block_serves_what_a_prefix_and_its_remainder_serve(seed, n, cut, share_a):
+def test_one_block_serves_what_a_prefix_and_its_remainder_serve(
+    seed, n, cut, share_a, metric
+):
     # the engine serves every look a queue reaches in one block; the draws
-    # are counter-based, so the block must equal serving it look by look
+    # are counter-based, so the block must equal serving it look by look,
+    # whichever behavior model the hypothesis metric follows
     test = ABTestSpec(
         name="T",
         exp_length=1_000_000,
         ab_assignment=(share_a, 1.0 - share_a),
-        hypothesis=Hypothesis("purchases", "B_greater", 0.05),
+        hypothesis=Hypothesis(metric, "B_greater", 0.05),
         ab_metrics=("purchases", "clicks", "engagement"),
         stat_test="welch_t",
         variant_a="rec-a",
@@ -316,12 +321,28 @@ def test_one_block_serves_what_a_prefix_and_its_remainder_serve(seed, n, cut, sh
     assert parts.probe("T") == split
     rest = parts.serve_chunk("T", users[split:])
     assert parts.probe("T") == whole.probe("T") == n
-    assert np.array_equal(block["is_a"], np.concatenate((prefix["is_a"], rest["is_a"])))
-    assert set(block["samples"]) == set(test.ab_metrics)
-    for metric, values in block["samples"].items():
-        joined = np.concatenate((prefix["samples"][metric], rest["samples"][metric]))
-        assert values.dtype == joined.dtype
-        assert values.tobytes() == joined.tobytes()
+    for served, head, tail in zip(block, prefix, rest):
+        joined = np.concatenate((head, tail))
+        assert served.dtype == joined.dtype
+        assert served.tobytes() == joined.tobytes()
+
+
+def test_a_block_draws_only_the_hypothesis_metric(monkeypatch):
+    # one pass for the assignment and one for the metric a look reads,
+    # however many metrics the test collects
+    test = replace(make_test(metric="clicks"), ab_metrics=("clicks", "engagement", "purchases"))
+    store = make_store()
+    store.deploy_ab_test(test)
+    calls = []
+    uniforms = prf.uniforms
+
+    def counting(key, counters):
+        calls.append(key)
+        return uniforms(key, counters)
+
+    monkeypatch.setattr(prf, "uniforms", counting)
+    store.serve_chunk("T", store.arrivals.next(1000))
+    assert len(calls) == 2
 
 
 def test_serving_requires_active_test():
@@ -338,8 +359,8 @@ def test_identical_config_gives_identical_event_stream():
         store = make_store(seed=21)
         store.deploy_ab_test(make_test())
         users = store.arrivals.next(3_000)
-        out = store.serve_chunk("T", users)
-        outs.append((users, out["is_a"], out["samples"]["clicks"]))
+        is_a, clicks = store.serve_chunk("T", users)
+        outs.append((users, is_a, clicks))
     assert np.array_equal(outs[0][0], outs[1][0])
     assert np.array_equal(outs[0][1], outs[1][1])
     assert np.array_equal(outs[0][2], outs[1][2])

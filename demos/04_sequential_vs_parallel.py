@@ -26,9 +26,9 @@ print("=== single run, seed 1")
 for spec in (seq_spec, par_spec):
     outcome = run_pipeline_once(spec, scenario, seed=1)
     print(f"{spec.name}:")
-    for qualified, row in outcome.summary["tests"].items():
+    for key, row in outcome.summary["tests"].items():
         flag = "significant" if row["significant"] else "inconclusive"
-        print(f"  {qualified}: {row['requests']:>7,} requests ({flag})")
+        print(f"  {key}: {row['requests']:>7,} requests ({flag})")
     for name, split in outcome.summary["splits"].items():
         shares = ", ".join(
             f"{k} {v * 100:.1f}%" for k, v in split["split_fractions"].items()

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 from typing import Any
 
@@ -380,6 +381,16 @@ def _write_json(path: Path, record: dict) -> None:
     path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
 
 
+def _write_records(directory: Path, records: list[dict]) -> None:
+    """One file per record, named after it; a name that is no plain file name
+    (``/``, ``..``) is replaced by its position and ``~``, which no plain name holds."""
+    for index, record in enumerate(records):
+        name = record["name"]
+        if not re.fullmatch(r"[A-Za-z0-9_-]{1,100}", name):
+            name = f"{index:03d}~{re.sub(r'[^A-Za-z0-9_-]', '_', name)[:64]}"
+        _write_json(directory / f"{name}.json", record)
+
+
 def serialize_blueprints(spec: PipelineSpec, bundle: str | Path) -> None:
     """Write a pipeline spec as a blueprint bundle (inverse of parse)."""
     bundle = Path(bundle)
@@ -388,12 +399,9 @@ def serialize_blueprints(spec: PipelineSpec, bundle: str | Path) -> None:
         for sub in split.sub_pipelines:
             for rule in sub.trans_rules:
                 rule_names[rule.name] = rule
-    for test in spec.ab_tests:
-        _write_json(bundle / "experiments" / f"{test.name}.json", _experiment_record(test))
-    for rule in rule_names.values():
-        _write_json(bundle / "rules" / f"{rule.name}.json", _rule_record(rule))
-    for split in spec.pop_splits:
-        _write_json(bundle / "splits" / f"{split.name}.json", _split_record(split))
+    _write_records(bundle / "experiments", [_experiment_record(t) for t in spec.ab_tests])
+    _write_records(bundle / "rules", [_rule_record(r) for r in rule_names.values()])
+    _write_records(bundle / "splits", [_split_record(s) for s in spec.pop_splits])
     root = {
         "name": spec.name,
         "startingComponent": spec.start,

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import classifier as clf
 from .blueprints import BlueprintError, parse_blueprints
-from .model import PipelineSpec, validate
+from .model import PipelineSpec, pvalue_file_name, validate
 from .report import (
     RUN_ERRORS,
     PipelineRunError,
@@ -105,9 +105,8 @@ def write_run_outputs(out: Path, engine, summary: dict) -> None:
         json.dumps(summary, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
-    for qualified, results in sorted(engine.batch_results.items()):
-        safe = qualified.replace("/", "__")
-        write_pvalue_trace(out / f"pvalues_{safe}.csv", results)
+    for key, results in sorted(engine.batch_results.items()):
+        write_pvalue_trace(out / pvalue_file_name(key), results)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +176,9 @@ def cmd_compare(args) -> int:
         raise CliError(f"--runs must be >= 1, got {args.runs}", EXIT_IO)
     seq_spec = _load_validated(args.seq_bundle)
     par_spec = _load_validated(args.par_bundle)
+    if not par_spec.pop_splits:
+        message = f"{args.par_bundle}: parallel pipeline has no population split"
+        raise CliError(message, EXIT_DOMAIN)
     scenario = _load_scenario(args.scenario)
     seeds = _parse_seeds(args.seeds, args.runs)
     batch = _batch_size()

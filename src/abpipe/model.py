@@ -135,9 +135,19 @@ class PipelineSpec:
             for test in sub.ab_tests
         }
 
+    def result_key(self, test_name: str) -> str:
+        """The key of a test's results: its name, prefixed by its sub-pipeline's id."""
+        sub_id = self.sub_pipeline_of.get(test_name)
+        return test_name if sub_id is None else f"{sub_id}/{test_name}"
+
     @property
     def element_names(self) -> set[str]:
         return {t.name for t in self.ab_tests} | self.split_names
+
+
+def pvalue_file_name(result_key: str) -> str:
+    """The file a run writes a test's per-look p-values to."""
+    return f"pvalues_{result_key.replace('/', '__')}.csv"
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +346,29 @@ def _check_split(
         )
 
 
+def _check_result_keys(spec: PipelineSpec, report: ValidationReport) -> None:
+    """Each test's results need a key and a p-value file of their own."""
+    split_of: dict[str, str] = {}
+    for split in spec.pop_splits:
+        for name in dict.fromkeys(n for sub in split.sub_pipelines for n in sub.ab_tests):
+            other = split_of.setdefault(name, split.name)
+            if other != split.name:  # twice in one split is interference, reported once
+                message = f"listed by sub-pipelines of splits {other!r} and {split.name!r}"
+                report.add("result-key-collision", name, message)
+    owner: dict[str, str] = {}
+    for name in dict.fromkeys(t.name for t in spec.ab_tests):
+        key = spec.result_key(name)
+        file_name = pvalue_file_name(key)
+        other = owner.setdefault(file_name, name)
+        if other != name:
+            report.add(
+                "result-key-collision",
+                name,
+                f"results keyed {key!r} share p-value file {file_name!r} with"
+                f" test {other!r}, keyed {spec.result_key(other)!r}",
+            )
+
+
 def validate(
     spec: PipelineSpec, catalog: dict[str, str] | None = None
 ) -> ValidationReport:
@@ -403,6 +436,7 @@ def validate(
 
     for split in spec.pop_splits:
         _check_split(split, spec, catalog, report)
+    _check_result_keys(spec, report)
 
     if report.ok:
         graph = transition_graph(spec)

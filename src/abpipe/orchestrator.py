@@ -191,13 +191,13 @@ class Program:
     A program deploys its start test and runs its looks: it lists where
     the looks a queue of requests reaches end (:meth:`look_ends`), and
     :meth:`look` adds one look's slice of a served block to the test's
-    statistics and evaluates the hypothesis. On each terminal result it
-    has the engine record it, restores the deployment and fires the
+    statistics and evaluates the hypothesis. It records each terminal
+    result in the engine's results, restores the deployment and fires the
     first matching transition rule. It is done when a rule leads to End
     or to a population split; ``next`` then names that element.
-    ``consumed`` is the count of requests the current test has looked at
-    so far; ``acc_a`` and ``acc_b`` hold its hypothesis metric per
-    variant.
+    ``key`` names the current test's results (``PipelineSpec.result_key``),
+    ``consumed`` is the count of requests it has looked at so far, and
+    ``acc_a`` and ``acc_b`` hold its hypothesis metric per variant.
     """
 
     def __init__(
@@ -216,6 +216,7 @@ class Program:
 
     def _deploy(self, test_name: str) -> None:
         self.current_test: ABTestSpec | None = self.engine.spec.test(test_name)
+        self.key = self.engine.spec.result_key(test_name)
         self.consumed = 0
         self.acc_a = MetricAccumulator()
         self.acc_b = MetricAccumulator()
@@ -259,20 +260,35 @@ class Program:
         )
 
     def on_batch(self, result: StatResult) -> bool:
-        """Record a look's result; True if it was terminal."""
+        """Record a look's result; True if it was terminal.
+
+        A terminal result is recorded once, under the test's key.
+        """
         if self.done:
             raise ContractViolationError(
                 f"program {self.instance_id!r} fed after completion"
             )
-        test = self.current_test
+        engine, test = self.engine, self.current_test
         self.consumed = result.requests_consumed
-        self.engine._record_batch(self.instance_id, test, result)
+        engine.batch_results.setdefault(self.key, []).append(result)
+        engine._trace(
+            self.instance_id,
+            EVENT_BATCH,
+            {
+                "test": test.name,
+                "requests": result.requests_consumed,
+                "p_value": result.p_value,
+                "significant": result.significant,
+            },
+        )
         if not is_terminal(result, test):
             return False
-        self.engine._record_result(self.instance_id, test.name, result)
-        self.engine.runner.restore(test)
+        if self.key in engine.results:
+            raise WriteOnceError(f"result for {self.key!r} already recorded")
+        engine.results[self.key] = result
+        engine.runner.restore(test)
         target, rule = next_element(self.rules, result, test.name)
-        self.engine._trace(
+        engine._trace(
             self.instance_id,
             EVENT_TRANSITION,
             {
@@ -281,14 +297,14 @@ class Program:
                 "to": target,
             },
         )
-        if not (is_end(target) or target in self.engine.spec.split_names):
+        if not (is_end(target) or target in engine.spec.split_names):
             self._deploy(target)
             return True
         self.current_test = None
         self.done = True
         self.next = target
-        if is_end(target) and self.instance_id != self.engine.spec.name:
-            self.engine._trace(self.instance_id, EVENT_END, {})  # the engine ends the root
+        if is_end(target) and self.instance_id != engine.spec.name:
+            engine._trace(self.instance_id, EVENT_END, {})  # the engine ends the root
         return True
 
 
@@ -483,7 +499,7 @@ class WebStoreRunner:
 
 
 class PipelineEngine:
-    """Executes one pipeline spec against a runner."""
+    """Executes one pipeline spec against a runner, once."""
 
     def __init__(
         self,
@@ -502,8 +518,6 @@ class PipelineEngine:
         self.results: dict[str, StatResult] = {}
         self.batch_results: dict[str, list[StatResult]] = {}
         self.split_stats: dict[str, SplitRunStats] = {}
-        self._initiated = False
-        self._program: Program | None = None
 
     # -- trace helpers ------------------------------------------------------
 
@@ -513,86 +527,38 @@ class PipelineEngine:
         if self.observer is not None:
             self.observer(event_obj, self.knowledge)
 
-    def qualified(self, instance_id: str, test_name: str) -> str:
-        """The key of a test's results: its name, prefixed by a sub-pipeline's id."""
-        if instance_id == self.spec.name:
-            return test_name
-        return f"{instance_id}/{test_name}"
+    # -- pipeline execution ---------------------------------------------------
 
-    def _record_result(
-        self, instance_id: str, test_name: str, result: StatResult
-    ) -> None:
-        qualified = self.qualified(instance_id, test_name)
-        if qualified in self.results:
-            raise WriteOnceError(f"result for {qualified!r} already recorded")
-        self.results[qualified] = result
+    def run(self) -> tuple[ExecutionTrace, dict[str, StatResult]]:
+        """Validate, add the root's instance and run every element to End.
 
-    def _record_batch(
-        self, instance_id: str, test: ABTestSpec, result: StatResult
-    ) -> None:
-        self.batch_results.setdefault(
-            self.qualified(instance_id, test.name), []
-        ).append(result)
-        self._trace(
-            instance_id,
-            EVENT_BATCH,
-            {
-                "test": test.name,
-                "requests": result.requests_consumed,
-                "p_value": result.p_value,
-                "significant": result.significant,
-            },
-        )
-
-    def _root_program(self, element: str) -> Program | None:
-        """The root's tests from ``element`` on; None at a split or End."""
-        if is_end(element) or element in self.spec.split_names:
-            return None
-        return Program(self, self.spec.name, element, self.spec.trans_rules)
-
-    # -- setup (operator flow) -----------------------------------------------
-
-    def setup_and_initiate(self) -> None:
-        """Load the workflow, add the root's instance, deploy the first test."""
-        if self._initiated:
-            raise AlreadyRunningError(f"pipeline {self.spec.name!r} already initiated")
+        Nothing deploys unless every test can; a second call raises.
+        """
+        root_id = self.spec.name
+        if self.trace.events:  # the start event is traced once set-up passed
+            raise AlreadyRunningError(f"pipeline {root_id!r} already run")
         report = validate(self.spec, self.catalog)
         if not report.ok:
             raise SpecInvalidError(str(report))
-        # atomic precondition: every test's variants and metrics must be
-        # deployable before anything deploys
         self.runner.check_deployable(self.spec)
-        self.knowledge.add_instances([self.spec.name])
-        self._initiated = True
-        self._trace(self.spec.name, EVENT_START, {"element": self.spec.start})
-        self._program = self._root_program(self.spec.start)
-
-    # -- main loop (pipeline execution) ---------------------------------------
-
-    def run(self) -> tuple[ExecutionTrace, dict[str, StatResult]]:
-        if not self._initiated:
-            self.setup_and_initiate()
-        root_id = self.spec.name
-        # a program refers back to the engine; holding on to it would make
-        # a cycle that keeps the run's store alive until the next collection
-        current, program, self._program = self.spec.start, self._program, None
+        self.knowledge.add_instances([root_id])
+        self._trace(root_id, EVENT_START, {"element": self.spec.start})
+        current = self.spec.start
         while not is_end(current):
-            if program is None:
+            if current in self.spec.split_names:
                 split = self.spec.split(current)
                 self._run_split(split)
                 current = split.next_component
             else:
+                program = Program(self, root_id, current, self.spec.trans_rules)
                 self.runner.run_test(program)
                 current = program.next
-            program = self._root_program(current)
         self._trace(root_id, EVENT_END, {"notified": True})
         self.knowledge.remove_instance(root_id)
         return self.trace, dict(self.results)
 
-    # -- population split ------------------------------------------------------
-
-    def execute_split_entry(self, split: PopulationSplitSpec) -> list[Program]:
-        """Add the sub-pipelines' instances and start the sub-pipelines."""
+    def _run_split(self, split: PopulationSplitSpec) -> None:
+        """Add the sub-pipelines' instances, run them all to End, remove them."""
         self.runner.ensure_split_model(split)
         sub_ids = [sub.subpl_id for sub in split.sub_pipelines]
         self.knowledge.add_instances(sub_ids)
@@ -605,28 +571,16 @@ class PipelineEngine:
         for sub in split.sub_pipelines:
             self._trace(sub.subpl_id, EVENT_START, {"element": sub.start})
             programs.append(Program(self, sub.subpl_id, sub.start, sub.trans_rules))
-        return programs
-
-    def execute_split_exit(
-        self, split: PopulationSplitSpec, programs: list[Program]
-    ) -> None:
-        """Check every sub-pipeline ended and remove their instances."""
+        self.split_stats[split.name] = self.runner.run_split(split, programs)
         live = [p.instance_id for p in programs if not p.done]
         if live:
             raise ContractViolationError(
-                f"split exit invoked with live sub-pipelines: {live}"
+                f"split {split.name!r} exited with live sub-pipelines: {live}"
             )
-        for sub in split.sub_pipelines:
-            self.knowledge.remove_instance(sub.subpl_id)
+        for sub_id in sub_ids:
+            self.knowledge.remove_instance(sub_id)
         self._trace(
             self.spec.name,
             EVENT_SPLIT_EXIT,
             {"split": split.name, "next": split.next_component},
         )
-
-    def _run_split(self, split: PopulationSplitSpec) -> None:
-        programs = self.execute_split_entry(split)
-        stats = self.runner.run_split(split, programs)
-        self.split_stats[split.name] = stats
-        self.execute_split_exit(split, programs)
-

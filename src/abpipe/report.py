@@ -101,17 +101,15 @@ def build_summary(engine: PipelineEngine, seed: int, batch_size: int) -> dict:
 
     A split's unrouted count and traffic shares are derived here."""
     spec = engine.spec
-    sub_pipeline_of = spec.sub_pipeline_of
     tests = {}
     for test in spec.ab_tests:
-        instance = sub_pipeline_of.get(test.name, spec.name)
-        qualified = engine.qualified(instance, test.name)
-        result = engine.results.get(qualified)
+        key = spec.result_key(test.name)
+        result = engine.results.get(key)
         if result is None:
             continue
-        tests[qualified] = {
+        tests[key] = {
             "test": test.name,
-            "instance": instance,
+            "instance": spec.sub_pipeline_of.get(test.name, spec.name),
             "requests": result.requests_consumed,
             "p_value": result.p_value,
             "mean_a": result.mean_a,

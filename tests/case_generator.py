@@ -4,7 +4,9 @@ Each case is a validated spec (up to a few root tests and at most one
 two-branch split) plus one scripted result sequence per (instance,
 test): intermediate inconclusive batches followed by either a
 significant batch or a cap-reaching inconclusive one. Used to compare
-engine traces against the reference interpreter.
+engine traces against the reference interpreter. A third of the cases
+put "/" in their test and sub-pipeline names and a third "__", the two
+strings that result keys and p-value file names join names with.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ BATCH = 1000
 
 SUCCESS_CONDS = ["p_value <= 0.05", "p_value <= 0.05 and effect > 0"]
 FAIL_CONDS = ["p_value > 0.6", "p_value > 0.05"]
+SEPARATORS = ("", "/", "__")  # by seed, so the draws do not depend on it
 
 
 def _make_test(name, exp_batches):
@@ -101,6 +104,7 @@ def make_case(seed: int):
     """Returns (spec, scripts) for one randomized validated case."""
     rng = np.random.default_rng(seed)
     name = f"Case-{seed}"
+    sep = SEPARATORS[seed % len(SEPARATORS)]
 
     if rng.random() < 0.03:
         spec = PipelineSpec(name, (), (), (), "end")
@@ -108,7 +112,9 @@ def make_case(seed: int):
         return spec, {}
 
     n_root = int(rng.integers(0, 4))
-    root_tests = [_make_test(f"RT{i}", int(rng.integers(2, 5))) for i in range(n_root)]
+    root_tests = [
+        _make_test(f"RT{sep}{i}", int(rng.integers(2, 5))) for i in range(n_root)
+    ]
     with_split = bool(rng.random() < 0.6) or n_root == 0
 
     tests = list(root_tests)
@@ -118,13 +124,15 @@ def make_case(seed: int):
     if with_split:
         for j in range(2):
             sub_names = [
-                f"SB{j}T{i}" for i in range(int(rng.integers(1, 3)))
+                f"SB{j}{sep}T{i}" for i in range(int(rng.integers(1, 3)))
             ]
             sub_tests = [_make_test(n, int(rng.integers(2, 4))) for n in sub_names]
             split_tests.extend(sub_tests)
             rules = tuple(_chain_rules(rng, f"sub{j}", sub_names, "end"))
             sub_defs.append(
-                SubPipeline(f"Segment-{j}", sub_names[0], tuple(sub_names), rules)
+                SubPipeline(
+                    f"Segment{sep or '-'}{j}", sub_names[0], tuple(sub_names), rules
+                )
             )
         post = None
         if rng.random() < 0.4:

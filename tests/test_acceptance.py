@@ -372,15 +372,14 @@ def test_criterion_5_split_semantics(par_spec, small_scenario):
     # (on seed 4 review ends first), so an order-dependent draw would show.
     normal = run_pipeline_once(par_spec, small_scenario, seed=1)
     reversed_store = WebStore(replace(small_scenario, seed=1))
-    reversed_engine = PipelineEngine(
-        par_spec,
-        WebStoreRunner(
-            reversed_store, split_models={"ml-purchase-filter": normal.model}
-        ),
-        catalog=reversed_store.catalog,
+    reversed_runner = WebStoreRunner(
+        reversed_store, split_models={"ml-purchase-filter": normal.model}
     )
-    entry = reversed_engine.execute_split_entry
-    reversed_engine.execute_split_entry = lambda s: entry(s)[::-1]
+    run_split = reversed_runner.run_split
+    reversed_runner.run_split = lambda s, programs: run_split(s, programs[::-1])
+    reversed_engine = PipelineEngine(
+        par_spec, reversed_runner, catalog=reversed_store.catalog
+    )
     reversed_engine.run()
     order_free = (
         reversed_engine.results == normal.engine.results

@@ -1,5 +1,6 @@
 import json
 import shutil
+from dataclasses import replace
 
 import pytest
 
@@ -12,7 +13,7 @@ from abpipe.blueprints import (
     parse_blueprints,
     serialize_blueprints,
 )
-from abpipe.model import ClassCondition
+from abpipe.model import ClassCondition, validate
 
 
 def test_parse_shipped_parallel_bundle(par_bundle):
@@ -41,11 +42,15 @@ def test_parse_shipped_sequential_bundle(seq_spec):
     assert len(seq_spec.trans_rules) == 3
 
 
-def test_round_trip_is_semantically_equal(seq_spec, par_spec, tmp_path):
-    for i, spec in enumerate((seq_spec, par_spec)):
+def test_round_trip_is_semantically_equal(seq_spec, par_spec, seq_bundle, par_bundle, tmp_path):
+    for i, (spec, bundle) in enumerate(((seq_spec, seq_bundle), (par_spec, par_bundle))):
         out = tmp_path / f"bundle{i}"
         serialize_blueprints(spec, out)
         assert parse_blueprints(out) == spec
+        # written over its own bundle, each record replaces its file
+        shutil.copytree(bundle, tmp_path / f"copy{i}")
+        serialize_blueprints(spec, tmp_path / f"copy{i}")
+        assert parse_blueprints(tmp_path / f"copy{i}") == spec
 
 
 @pytest.mark.parametrize("seed", range(0, 24, 2))
@@ -55,6 +60,46 @@ def test_round_trip_on_randomized_specs(seed, tmp_path):
     spec, _ = make_case(seed)
     out = tmp_path / "bundle"
     serialize_blueprints(spec, out)
+    assert parse_blueprints(out) == spec
+
+
+def test_round_trip_keeps_every_file_inside_the_bundle(par_spec, tmp_path):
+    # names may hold "/", "__" and "..": each record must still be
+    # written inside its directory and read back
+    renamed = {
+        "GUI-upgrade": "../../escaped",
+        "Review-upgrade": "Review/upgrade",
+        "Recommendation-upgrade": "Recommendation__upgrade",
+        "Population-split-purchases-prediction": "../split",
+    }
+    (split,) = par_spec.pop_splits
+    subs = tuple(
+        replace(sub, start=renamed[sub.start], ab_tests=tuple(renamed[t] for t in sub.ab_tests))
+        for sub in split.sub_pipelines
+    )
+    (rule,) = par_spec.trans_rules
+    spec = replace(
+        par_spec,
+        ab_tests=tuple(replace(t, name=renamed[t.name]) for t in par_spec.ab_tests),
+        trans_rules=(
+            replace(
+                rule,
+                name="../rule",
+                assoc_ab_test=renamed[rule.assoc_ab_test],
+                subseq_ab_test=renamed[rule.subseq_ab_test],
+            ),
+        ),
+        pop_splits=(replace(split, name=renamed[split.name], sub_pipelines=subs),),
+        start=renamed[par_spec.start],
+    )
+    assert validate(spec).ok
+    out = tmp_path / "nested" / "bundle"
+    serialize_blueprints(spec, out)
+    written = sorted(p.relative_to(out).parts for p in tmp_path.rglob("*") if p.is_file())
+    assert [parts[:-1] for parts in written] == [
+        ("experiments",), ("experiments",), ("experiments",), (), ("rules",), ("splits",)
+    ]
+    assert ("experiments", "Recommendation__upgrade.json") in written
     assert parse_blueprints(out) == spec
 
 

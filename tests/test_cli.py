@@ -285,6 +285,103 @@ def test_misplaced_sub_pipeline_fails_validate_and_run(tmp_path, case, capsys):
     assert not out.exists()  # failed before anything was deployed or written
 
 
+def _edit_json(path: Path, edit) -> None:
+    record = json.loads(path.read_text())
+    edit(record)
+    path.write_text(json.dumps(record))
+
+
+def _run_review_test_at_the_root_as(name: str):
+    """A root test ``name`` after the split, with Review-upgrade's definition."""
+
+    def mutate(bundle: Path) -> None:
+        record = json.loads((bundle / "experiments" / "Review-upgrade.json").read_text())
+        record["name"] = name
+        (bundle / "experiments" / "root-review.json").write_text(json.dumps(record))
+        _edit_json(bundle / "pipeline.json", lambda r: r["experiments"].append(name))
+        _edit_json(
+            bundle / "splits" / "Population-split-purchases-prediction.json",
+            lambda r: r.update(nextComponent=name),
+        )
+
+    return mutate
+
+
+def _alternative_splits_over_the_same_tests(bundle: Path) -> None:
+    """GUI-upgrade enters one of two splits whose sub-pipelines run the same tests."""
+    first = "Population-split-purchases-prediction"
+    record = json.loads((bundle / "splits" / f"{first}.json").read_text())
+    record["name"] = "Alternative-split"
+    record["pipelines"] = [f"X-{sub}" for sub in record["pipelines"]]
+    (bundle / "splits" / "Alternative-split.json").write_text(json.dumps(record))
+
+    def add_alternative(pipeline: dict) -> None:
+        pipeline["populationSplits"].append("Alternative-split")
+        pipeline["subPipelines"] += [
+            {**sub, "id": f"X-{sub['id']}"} for sub in pipeline["subPipelines"]
+        ]
+
+    _edit_json(bundle / "pipeline.json", add_alternative)
+    _edit_json(
+        bundle / "rules" / "GUI-upgrade-to-split.json",
+        lambda r: r.update(condStat="p_value <= 0.05"),
+    )
+    _add_rule(
+        bundle, "GUI-upgrade-to-alternative", "GUI-upgrade", "p_value > 0.05",
+        "Alternative-split",
+    )
+
+
+COLLIDING_RESULT_KEYS = {
+    "root-test-keyed-like-a-sub-pipeline-result": (
+        _run_review_test_at_the_root_as("Review-pipeline/Review-upgrade"),
+        [
+            "[result-key-collision] Review-upgrade: results keyed"
+            " 'Review-pipeline/Review-upgrade' share p-value file"
+            " 'pvalues_Review-pipeline__Review-upgrade.csv' with test"
+            " 'Review-pipeline/Review-upgrade', keyed 'Review-pipeline/Review-upgrade'"
+        ],
+    ),
+    "root-test-sharing-a-p-value-file": (
+        _run_review_test_at_the_root_as("Review-pipeline__Review-upgrade"),
+        [
+            "[result-key-collision] Review-upgrade: results keyed"
+            " 'Review-pipeline/Review-upgrade' share p-value file"
+            " 'pvalues_Review-pipeline__Review-upgrade.csv' with test"
+            " 'Review-pipeline__Review-upgrade', keyed 'Review-pipeline__Review-upgrade'"
+        ],
+    ),
+    "tests-listed-by-two-splits": (
+        _alternative_splits_over_the_same_tests,
+        [
+            f"[result-key-collision] {test}: listed by sub-pipelines of splits"
+            " 'Population-split-purchases-prediction' and 'Alternative-split'"
+            for test in ("Review-upgrade", "Recommendation-upgrade")
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COLLIDING_RESULT_KEYS))
+def test_colliding_result_keys_fail_validate_and_run(
+    tmp_path, case, small_scenario_file, capsys
+):
+    # each bundle used to validate; a run then failed midway, overwrote one
+    # p-value trace with another, or dropped a result from the summary
+    mutate, lines = COLLIDING_RESULT_KEYS[case]
+    bundle = tmp_path / case
+    shutil.copytree(SCENARIOS / "parallel", bundle)
+    mutate(bundle)
+    assert main(["validate", str(bundle)]) == 1
+    assert capsys.readouterr().out.splitlines() == lines
+    out = tmp_path / "out"
+    scenario = ["--scenario", str(small_scenario_file)]
+    for seed in ("1", "2"):
+        assert main(["run", str(bundle), *scenario, "--seed", seed, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"{bundle}:", *lines]
+        assert not out.exists()  # failed before anything was deployed or written
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -488,6 +585,21 @@ def test_a_slash_in_a_test_name_keeps_its_label_and_its_comparison(
     report = json.loads((out / "report.json").read_text())
     assert report["sequential_tests"]["Review/upgrade"]["compared"]
     assert report["failures"] == [] and math.isfinite(report["reduction_pct"])
+
+
+def test_compare_against_a_bundle_without_a_split_fails_before_any_run(
+    tmp_path, seq_bundle, small_scenario_file, capsys
+):
+    out = tmp_path / "cmp"
+    scenario = ["--scenario", str(small_scenario_file)]
+    argv = ["compare", str(seq_bundle), str(seq_bundle), *scenario, "--runs", "2"]
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"{seq_bundle}: parallel pipeline has no population split"
+    ]
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_compare_seed_list_length_mismatch(

@@ -9,6 +9,7 @@ from abpipe.model import (
     SplitComponent,
     SubPipeline,
     TransitionRule,
+    pvalue_file_name,
     transition_graph,
     validate,
 )
@@ -176,6 +177,11 @@ def test_interfering_sub_pipelines_shared_test():
     conds = [ClassCondition("==", 0), ClassCondition("==", 1)]
     report = validate(split_pipeline(tests, subs, conds))
     assert any(v.code == "interfering-sub-pipelines" for v in report)
+    # its result key is ambiguous too, but only the interference line names it
+    assert [v.message for v in report if "'T'" in v.message] == [
+        "test 'T' appears in sub-pipelines 'p1' and 'p2'"
+    ]
+    assert "result-key-collision" not in {v.code for v in report}
 
 
 def test_interfering_sub_pipelines_shared_component():
@@ -336,6 +342,10 @@ def test_split_membership_of_the_shipped_bundles(par_spec, seq_spec):
     assert par_spec.split_names == {"Population-split-purchases-prediction"}
     assert seq_spec.sub_pipeline_of == {}
     assert seq_spec.split_names == set()
+    assert par_spec.result_key("GUI-upgrade") == "GUI-upgrade"
+    key = par_spec.result_key("Review-upgrade")
+    assert key == "Review-pipeline/Review-upgrade"
+    assert pvalue_file_name(key) == "pvalues_Review-pipeline__Review-upgrade.csv"
 
 
 @pytest.mark.parametrize(
@@ -398,11 +408,55 @@ def test_split_membership_of_the_shipped_bundles(par_spec, seq_spec):
             ("sub-pipeline-test-outside-split", "S",
              "nextComponent 'B1' runs only in sub-pipeline 'p2'"),
         ),
+        (
+            lambda: two_branch_pipeline([make_test("p1/A1")]),
+            ("result-key-collision", "A1",
+             "results keyed 'p1/A1' share p-value file 'pvalues_p1__A1.csv' with"
+             " test 'p1/A1', keyed 'p1/A1'"),
+        ),
+        (
+            lambda: two_branch_pipeline([make_test("p1__A1")]),
+            ("result-key-collision", "A1",
+             "results keyed 'p1/A1' share p-value file 'pvalues_p1__A1.csv' with"
+             " test 'p1__A1', keyed 'p1__A1'"),
+        ),
+        (
+            lambda: split_pipeline(
+                [make_test("B"), make_test("A/B")],
+                [SubPipeline("p1/A", "B", ("B",), ()), SubPipeline("p1", "A/B", ("A/B",), ())],
+                [ClassCondition("==", 0), ClassCondition("==", 1)],
+            ),
+            ("result-key-collision", "A/B",
+             "results keyed 'p1/A/B' share p-value file 'pvalues_p1__A__B.csv' with"
+             " test 'B', keyed 'p1/A/B'"),
+        ),
+        (
+            lambda: pipeline(
+                [make_test("A1"), make_test("B1"), make_test("C1")],
+                [],
+                [
+                    make_split(
+                        [SubPipeline("p1", "A1", ("A1",), ()), SubPipeline("p2", "B1", ("B1",), ())],
+                        [ClassCondition("==", 0), ClassCondition("==", 1)],
+                        next_component="S2",
+                    ),
+                    make_split(
+                        [SubPipeline("q1", "A1", ("A1",), ()), SubPipeline("q2", "C1", ("C1",), ())],
+                        [ClassCondition("==", 0), ClassCondition("==", 1)],
+                        name="S2",
+                    ),
+                ],
+                start="S",
+            ),
+            ("result-key-collision", "A1", "listed by sub-pipelines of splits 'S' and 'S2'"),
+        ),
     ],
     ids=["unknown-direction", "unknown-stat-test", "undeclared-associated-test",
          "sub-pipeline-start", "sub-pipeline-id-clash", "sub-pipeline-id-is-the-pipeline",
          "start-in-a-sub-pipeline", "root-rule-on-a-sub-pipeline-test",
-         "root-rule-into-a-sub-pipeline", "split-continues-in-a-sub-pipeline"],
+         "root-rule-into-a-sub-pipeline", "split-continues-in-a-sub-pipeline",
+         "root-test-keyed-like-a-sub-pipeline-result", "root-test-sharing-a-p-value-file",
+         "sub-pipeline-ids-with-slashes", "test-listed-by-two-splits"],
 )
 def test_each_violation_is_reported_with_its_code_and_message(build, expected):
     report = validate(build())

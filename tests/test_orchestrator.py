@@ -54,7 +54,12 @@ from abpipe.stats import (
     welch_t_test,
 )
 from abpipe import webstore
-from abpipe.webstore import WebStore, generate_population, generate_training_data
+from abpipe.webstore import (
+    UnknownVariantError,
+    WebStore,
+    generate_population,
+    generate_training_data,
+)
 
 from case_generator import _make_test, _script
 from scripted_runner import ScriptedRunner
@@ -175,22 +180,30 @@ def test_invalid_spec_rejected_before_running():
 def test_write_once_results():
     spec, scripts = single_test_spec()
     engine = PipelineEngine(spec, ScriptedRunner(scripts))
-    engine._record_result("Solo", "T1", result_for())
+    # two programs deploying one test record under one key
+    first, second = (Program(engine, "Solo", "T1", spec.trans_rules) for _ in range(2))
+    assert first.on_batch(result_for(p=0.01))
     with pytest.raises(WriteOnceError):
-        engine._record_result("Solo", "T1", result_for())
+        second.on_batch(result_for(p=0.01))
     assert list(engine.results) == ["T1"]
 
 
 def test_duplicate_initiation_rejected():
     spec, scripts = single_test_spec()
     knowledge = KnowledgeRepository()
-    first = PipelineEngine(spec, ScriptedRunner(scripts), knowledge=knowledge)
-    first.setup_and_initiate()
+    knowledge.add_instances([spec.name])  # another engine's live root
     second = PipelineEngine(spec, ScriptedRunner(scripts), knowledge=knowledge)
     with pytest.raises(InstanceCollisionError):
-        second.setup_and_initiate()
+        second.run()
+    assert second.trace.events == [] and knowledge.live_count == 1
+
+    first = PipelineEngine(spec, ScriptedRunner(scripts))
+    trace, results = first.run()
+    events = list(trace)
     with pytest.raises(AlreadyRunningError):
-        first.setup_and_initiate()
+        first.run()
+    assert trace.events == events and first.results == results
+    assert first.knowledge.live_count == 0
 
 
 # ---------------------------------------------------------------------------
@@ -227,15 +240,32 @@ def split_spec(next_component="end"):
 
 def test_split_creates_one_instance_per_sub_pipeline():
     spec, scripts = split_spec()
-    engine = PipelineEngine(spec, ScriptedRunner(scripts))
-    engine.setup_and_initiate()
-    programs = engine.execute_split_entry(spec.pop_splits[0])
-    assert engine.knowledge.has("Seg-A") and engine.knowledge.has("Seg-B")
-    assert engine.knowledge.live_count == 3  # root + two sub-pipelines
-    with pytest.raises(InstanceCollisionError):
-        engine.execute_split_entry(spec.pop_splits[0])
-    with pytest.raises(ContractViolationError):
-        engine.execute_split_exit(spec.pop_splits[0], programs)
+    live = {}
+
+    def observer(event, knowledge):
+        if event.event in ("split_entry", "split_exit"):
+            live[event.event] = (
+                knowledge.has("Seg-A"), knowledge.has("Seg-B"), knowledge.live_count
+            )
+
+    engine = PipelineEngine(spec, ScriptedRunner(scripts), observer=observer)
+    engine.run()
+    assert live["split_entry"] == (True, True, 3)  # root + two sub-pipelines
+    assert live["split_exit"] == (False, False, 1)
+    assert engine.knowledge.live_count == 0
+
+
+def test_split_exit_with_a_live_sub_pipeline_is_a_contract_violation():
+    class FirstOnlyRunner(ScriptedRunner):
+        def run_split(self, split, programs):
+            return super().run_split(split, programs[:1])  # Seg-B stays live
+
+    spec, scripts = split_spec()
+    engine = PipelineEngine(spec, FirstOnlyRunner(scripts))
+    with pytest.raises(ContractViolationError, match="Seg-B"):
+        engine.run()
+    assert engine.knowledge.has("Seg-B")
+    assert "split_exit" not in [e.event for e in engine.trace]
 
 
 def test_colliding_split_entry_adds_no_instance():
@@ -243,9 +273,8 @@ def test_colliding_split_entry_adds_no_instance():
     knowledge = KnowledgeRepository()
     knowledge.add_instances(["Seg-B"])  # Seg-A is free, Seg-B collides
     engine = PipelineEngine(spec, ScriptedRunner(scripts), knowledge=knowledge)
-    engine.setup_and_initiate()
     with pytest.raises(InstanceCollisionError):
-        engine.execute_split_entry(spec.pop_splits[0])
+        engine.run()
     assert knowledge.live_count == 2 and not knowledge.has("Seg-A")
     assert [e.event for e in engine.trace] == ["start"]
 
@@ -296,9 +325,10 @@ def test_missing_variant_fails_before_any_deployment(small_scenario):
     store = WebStore(small_scenario, {"other": "component"})
     runner = WebStoreRunner(store)
     engine = PipelineEngine(spec, runner, catalog=store.catalog)
-    with pytest.raises(Exception):
-        engine.setup_and_initiate()
+    with pytest.raises(UnknownVariantError):
+        engine.run()
     assert store.active_tests == []
+    assert engine.knowledge.live_count == 0 and engine.trace.events == []
 
 
 def test_untrained_split_model_rejected(par_spec, small_scenario):
@@ -527,9 +557,9 @@ def test_parallel_run_collects_split_stats(par_spec, small_scenario):
     assert 0.0 <= split["unrouted_fraction"] <= 1.0
     assert sum(fractions.values()) <= 1.0 + 1e-9
     assert set(fractions) == {"Review-pipeline", "Recommendation-pipeline"}
-    qualified = set(summary["tests"])
-    assert "Review-pipeline/Review-upgrade" in qualified
-    assert "Recommendation-pipeline/Recommendation-upgrade" in qualified
+    keys = set(summary["tests"])
+    assert "Review-pipeline/Review-upgrade" in keys
+    assert "Recommendation-pipeline/Recommendation-upgrade" in keys
 
 
 def test_split_accounting_adds_up(par_spec, small_scenario):
@@ -661,12 +691,11 @@ def test_split_results_independent_of_drain_order(small_scenario):
     engines = []
     for reverse in (False, True):
         store = WebStore(small_scenario, catalog)
-        engine = PipelineEngine(
-            spec, WebStoreRunner(store, split_models=models), catalog=catalog
-        )
+        runner = WebStoreRunner(store, split_models=models)
         if reverse:
-            entry = engine.execute_split_entry
-            engine.execute_split_entry = lambda split: entry(split)[::-1]
+            run_split = runner.run_split
+            runner.run_split = lambda split, programs: run_split(split, programs[::-1])
+        engine = PipelineEngine(spec, runner, catalog=catalog)
         engine.run()
         engines.append(engine)
     normal, reversed_ = engines

@@ -65,6 +65,10 @@ def _load_json(path: Path) -> Any:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise BlueprintError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise BlueprintSyntaxError(
+            f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -101,6 +105,8 @@ def _typed(value: Any, kind: type, field: str, path: Path) -> Any:
     if not isinstance(value, kind):
         noun = {str: "a string", dict: "an object"}[kind]
         raise BlueprintFormatError(f"{path}: {field} must be {noun}, got {value!r}")
+    if kind is str and re.search("[\ud800-\udfff]", value):  # lone surrogates
+        raise BlueprintFormatError(f"{path}: {field} must encode as UTF-8, got {value!r}")
     return value
 
 

@@ -118,7 +118,7 @@ def cmd_validate(args) -> int:
     report = validate(spec, DEFAULT_CATALOG)
     for test in spec.ab_tests:
         try:
-            check_deployable(test, DEFAULT_CATALOG, ScenarioConfig())
+            check_deployable(test, DEFAULT_CATALOG)
         except WebStoreError as exc:
             report.add("undeployable-test", test.name, str(exc))
     if report.ok:

@@ -347,7 +347,7 @@ def _check_split(
 
 
 def _check_result_keys(spec: PipelineSpec, report: ValidationReport) -> None:
-    """Each test's results need a key and a p-value file of their own."""
+    """Each test's results need a key and a p-value file of their own, with a legal name."""
     split_of: dict[str, str] = {}
     for split in spec.pop_splits:
         for name in dict.fromkeys(n for sub in split.sub_pipelines for n in sub.ab_tests):
@@ -359,6 +359,9 @@ def _check_result_keys(spec: PipelineSpec, report: ValidationReport) -> None:
     for name in dict.fromkeys(t.name for t in spec.ab_tests):
         key = spec.result_key(name)
         file_name = pvalue_file_name(key)
+        if "\0" in file_name or len(file_name.encode("utf-8", "surrogatepass")) > 255:
+            message = f"p-value file name {file_name!r} has a NUL or over 255 UTF-8 bytes"
+            report.add("bad-result-file-name", name, message)
         other = owner.setdefault(file_name, name)
         if other != name:
             report.add(

@@ -26,9 +26,11 @@ stopping rule; after a terminal look the rest of the queue goes to its
 next test. The store keeps no statistics, and a split's stats only the
 counts serving measures. Every draw is counter-based, so a block's
 samples equal those of serving it look by look, and each program owns
-its tests' state, so results and summaries do not depend on the chunk
-size or on the order in which a chunk is drained; only the order of
-trace events does.
+its tests' state. So results, summaries, p-value traces, each instance's
+own event sequence and the root's stamps do not depend on the chunk size
+or the drain order. A split's sub-pipeline events are stamped with the
+furthest stream position any sub-pipeline has reached, so those stamps
+and how the sub-pipelines' events interleave do depend on ``CHUNK``.
 """
 
 from __future__ import annotations
@@ -332,23 +334,21 @@ class WebStoreRunner:
     # -- deployment hooks -----------------------------------------------------
 
     def check_deployable(self, spec: PipelineSpec) -> None:
+        """Raise unless every test can deploy and every split's model is loaded."""
         for test in spec.ab_tests:
-            check_deployable(test, self.store.catalog, self.store.config)
+            check_deployable(test, self.store.catalog)
+        for split in spec.pop_splits:
+            image = split.split_component.image_name
+            if self.split_models.get(image) is None:
+                raise UntrainedModelError(
+                    f"no trained model loaded for split component image {image!r}"
+                )
 
     def deploy(self, test: ABTestSpec) -> None:
         self.store.deploy_ab_test(test)
 
     def restore(self, test: ABTestSpec) -> None:
         self.store.restore_initial(test.name)
-
-    def ensure_split_model(self, split: PopulationSplitSpec) -> clf.LinearModel:
-        image = split.split_component.image_name
-        model = self.split_models.get(image)
-        if model is None:
-            raise UntrainedModelError(
-                f"no trained model loaded for split component image {image!r}"
-            )
-        return model
 
     # -- serving ----------------------------------------------------------------
 
@@ -361,7 +361,7 @@ class WebStoreRunner:
         routes each class up to the largest predicted once into ``route``, and
         gathers ``route[classes]`` in the smallest type that holds len(programs).
         """
-        model = self.ensure_split_model(split)
+        model = self.split_models[split.split_component.image_name]
         features = self.store.population.features
         classes = np.concatenate(
             [
@@ -532,7 +532,8 @@ class PipelineEngine:
     def run(self) -> tuple[ExecutionTrace, dict[str, StatResult]]:
         """Validate, add the root's instance and run every element to End.
 
-        Nothing deploys unless every test can; a second call raises.
+        Nothing deploys unless every test and split model checks out; a
+        second call raises.
         """
         root_id = self.spec.name
         if self.trace.events:  # the start event is traced once set-up passed
@@ -559,7 +560,6 @@ class PipelineEngine:
 
     def _run_split(self, split: PopulationSplitSpec) -> None:
         """Add the sub-pipelines' instances, run them all to End, remove them."""
-        self.runner.ensure_split_model(split)
         sub_ids = [sub.subpl_id for sub in split.sub_pipelines]
         self.knowledge.add_instances(sub_ids)
         self._trace(

@@ -36,6 +36,7 @@ from .model import ABTestSpec
 METRIC_ENGAGEMENT = "engagement"
 METRIC_CLICKS = "clicks"
 METRIC_PURCHASES = "purchases"
+METRICS = (METRIC_ENGAGEMENT, METRIC_CLICKS, METRIC_PURCHASES)  # with a behavior model
 
 
 class WebStoreError(ValueError):
@@ -43,10 +44,6 @@ class WebStoreError(ValueError):
 
 
 class UnknownVariantError(WebStoreError):
-    pass
-
-
-class UnknownTestError(WebStoreError):
     pass
 
 
@@ -86,9 +83,6 @@ class ScenarioConfig:
     population_size: int = 100_000
     train_samples: int = 20_000
     n_features: int = DEFAULT_FEATURES
-
-    def metric_known(self, metric: str) -> bool:
-        return metric in (METRIC_ENGAGEMENT, METRIC_CLICKS, METRIC_PURCHASES)
 
     def rate(self, metric: str, variant: str, purchaser_mask: np.ndarray) -> np.ndarray:
         """Per-user behavior probability for a metric under a variant."""
@@ -265,9 +259,7 @@ DEFAULT_CATALOG = {
 }
 
 
-def check_deployable(
-    spec: ABTestSpec, catalog: dict[str, str], config: ScenarioConfig
-) -> tuple[str, str]:
+def check_deployable(spec: ABTestSpec, catalog: dict[str, str]) -> tuple[str, str]:
     """The components of ``spec``'s variants; raises if it cannot deploy."""
     for variant in (spec.variant_a, spec.variant_b):
         if variant not in catalog:
@@ -275,7 +267,7 @@ def check_deployable(
                 f"variant {variant!r} not in the variant repository catalog"
             )
     for metric in spec.ab_metrics:
-        if not config.metric_known(metric):
+        if metric not in METRICS:
             raise UnknownMetricError(
                 f"test {spec.name!r} collects unknown metric {metric!r}"
             )
@@ -340,37 +332,28 @@ class WebStore:
             )
         self.population = population
         self.arrivals = ArrivalStream(config, self.population.size)
-        self._active: dict[str, _ActiveTest] = {}
-        self._active_components: dict[str, str] = {}
+        self._active: dict[str, _ActiveTest] = {}  # the deployed tests
         self._epochs: dict[str, int] = {}  # deployments so far, per test
 
     # -- deployment ---------------------------------------------------------
 
     def deploy_ab_test(self, spec: ABTestSpec) -> None:
-        comp_a, comp_b = check_deployable(spec, self.catalog, self.config)
+        components = check_deployable(spec, self.catalog)
         if spec.name in self._active:
-            return  # re-executing the same deployment action is a no-op
-        for comp in {comp_a, comp_b}:
-            holder = self._active_components.get(comp)
-            if holder is not None:
-                raise DeploymentConflictError(
-                    f"component {comp!r} already held by {holder!r}"
-                )
+            raise DeploymentConflictError(f"test {spec.name!r} is already deployed")
+        for record in self._active.values():
+            for comp in components:
+                if comp in record.components:
+                    raise DeploymentConflictError(
+                        f"component {comp!r} already held by {record.spec.name!r}"
+                    )
         epoch = self._epochs.get(spec.name, 0)
         self._epochs[spec.name] = epoch + 1
-        record = _ActiveTest(spec, (comp_a, comp_b), self.config.seed, epoch)
-        self._active[spec.name] = record
-        for comp in {comp_a, comp_b}:
-            self._active_components[comp] = spec.name
+        self._active[spec.name] = _ActiveTest(spec, components, self.config.seed, epoch)
 
     def restore_initial(self, test_name: str) -> None:
-        record = self._active.pop(test_name, None)
-        if record is None:
-            if test_name in self._epochs:
-                return  # already restored; idempotent
-            raise UnknownTestError(f"test {test_name!r} was never deployed")
-        for comp in set(record.components):
-            self._active_components.pop(comp, None)
+        if self._active.pop(test_name, None) is None:
+            raise NoActiveTestError(f"test {test_name!r} is not active")
 
     @property
     def active_tests(self) -> list[str]:

@@ -29,9 +29,6 @@ class ScriptedRunner:
     def restore(self, test) -> None:
         pass
 
-    def ensure_split_model(self, split) -> None:
-        pass
-
     def _round_robin(self, programs: list[Program]) -> None:
         while any(not p.done for p in programs):
             for program in programs:

@@ -382,6 +382,81 @@ def test_colliding_result_keys_fail_validate_and_run(
         assert not out.exists()  # failed before anything was deployed or written
 
 
+def _rename_review_test(bundle: Path, name: str) -> None:
+    """Rename the sequential bundle's Review-upgrade wherever it is named."""
+    _edit_json(bundle / "experiments" / "Review-upgrade.json", lambda r: r.update(name=name))
+    _edit_json(
+        bundle / "pipeline.json",
+        lambda r: r.update(experiments=["GUI-upgrade", name, "Recommendation-upgrade"]),
+    )
+    rules = bundle / "rules"
+    _edit_json(rules / "GUI-upgrade-success.json", lambda r: r.update(subseqAbTest=name))
+    _edit_json(rules / "Review-upgrade-success.json", lambda r: r.update(assocAbTest=name))
+
+
+@pytest.mark.parametrize("name", ["Review\0upgrade", "R" * 250], ids=["nul", "too-long"])
+def test_result_file_name_the_file_system_refuses_fails_validate_and_run(
+    tmp_path, name, small_scenario_file, capsys
+):
+    # both used to validate; the run then served the whole pipeline and died
+    # writing the p-value file, with a traceback or with exit 2
+    bundle = tmp_path / "bundle"
+    shutil.copytree(SCENARIOS / "sequential", bundle)
+    _rename_review_test(bundle, name)
+    line = (
+        f"[bad-result-file-name] {name}: p-value file name {f'pvalues_{name}.csv'!r}"
+        " has a NUL or over 255 UTF-8 bytes"
+    )
+    assert main(["validate", str(bundle)]) == 1
+    assert capsys.readouterr().out.splitlines() == [line]
+    out = tmp_path / "out"
+    argv = ["run", str(bundle), "--scenario", str(small_scenario_file), "--seed", "1"]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"{bundle}:", line]
+    assert not out.exists()
+
+
+def _write_bytes_into_a_rule(bundle: Path) -> Path:
+    path = bundle / "rules" / "GUI-upgrade-success.json"
+    path.write_bytes(path.read_bytes().replace(b'"GUI-upgrade-success"', b'"GUI\xff"'))
+    return path
+
+
+def _name_review_test_with_a_lone_surrogate(bundle: Path) -> Path:
+    _rename_review_test(bundle, "Review\ud800")  # json.dumps writes the escape
+    return bundle / "experiments" / "Review-upgrade.json"
+
+
+@pytest.mark.parametrize(
+    "mutate, reason",
+    [
+        (_write_bytes_into_a_rule, "not UTF-8 text: invalid start byte at byte 16"),
+        (
+            _name_review_test_with_a_lone_surrogate,
+            "name must encode as UTF-8, got 'Review\\ud800'",
+        ),
+    ],
+    ids=["byte-0xff", "lone-surrogate"],
+)
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_blueprint_text_that_is_not_utf8_fails_in_one_line(
+    tmp_path, command, mutate, reason, small_scenario_file, capsys
+):
+    # both used to end in a UnicodeDecodeError or UnicodeEncodeError traceback
+    bundle = tmp_path / "bundle"
+    shutil.copytree(SCENARIOS / "sequential", bundle)
+    path = mutate(bundle)
+    out = tmp_path / "out"
+    argv = [command, str(bundle)]
+    if command == "run":
+        argv += ["--scenario", str(small_scenario_file), "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"{path}: {reason}"]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # run
 

@@ -450,13 +450,25 @@ def test_split_membership_of_the_shipped_bundles(par_spec, seq_spec):
             ),
             ("result-key-collision", "A1", "listed by sub-pipelines of splits 'S' and 'S2'"),
         ),
+        (
+            lambda: pipeline([make_test("A\0")], start="A\0"),
+            ("bad-result-file-name", "A\0",
+             "p-value file name 'pvalues_A\\x00.csv' has a NUL or over 255 UTF-8 bytes"),
+        ),
+        (
+            lambda: pipeline([make_test("\u00e9" * 122)], start="\u00e9" * 122),
+            ("bad-result-file-name", "\u00e9" * 122,
+             f"p-value file name {'pvalues_' + chr(0xe9) * 122 + '.csv'!r} has a NUL"
+             " or over 255 UTF-8 bytes"),
+        ),
     ],
     ids=["unknown-direction", "unknown-stat-test", "undeclared-associated-test",
          "sub-pipeline-start", "sub-pipeline-id-clash", "sub-pipeline-id-is-the-pipeline",
          "start-in-a-sub-pipeline", "root-rule-on-a-sub-pipeline-test",
          "root-rule-into-a-sub-pipeline", "split-continues-in-a-sub-pipeline",
          "root-test-keyed-like-a-sub-pipeline-result", "root-test-sharing-a-p-value-file",
-         "sub-pipeline-ids-with-slashes", "test-listed-by-two-splits"],
+         "sub-pipeline-ids-with-slashes", "test-listed-by-two-splits",
+         "nul-in-a-result-file-name", "result-file-name-over-255-utf8-bytes"],
 )
 def test_each_violation_is_reported_with_its_code_and_message(build, expected):
     report = validate(build())

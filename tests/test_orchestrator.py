@@ -333,9 +333,12 @@ def test_missing_variant_fails_before_any_deployment(small_scenario):
 
 def test_untrained_split_model_rejected(par_spec, small_scenario):
     store = WebStore(small_scenario)
-    runner = WebStoreRunner(store, split_models={})
-    with pytest.raises(UntrainedModelError):
-        runner.ensure_split_model(par_spec.pop_splits[0])
+    engine = PipelineEngine(par_spec, WebStoreRunner(store, split_models={}))
+    # found before anything deploys, not at split entry after GUI-upgrade ran
+    with pytest.raises(UntrainedModelError, match="'ml-purchase-filter'"):
+        engine.run()
+    assert engine.trace.events == [] and store.active_tests == []
+    assert engine.knowledge.live_count == 0
 
 
 class _ThreeWayStub:

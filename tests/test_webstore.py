@@ -12,7 +12,6 @@ from abpipe.webstore import (
     NoActiveTestError,
     ScenarioConfig,
     UnknownMetricError,
-    UnknownTestError,
     UnknownVariantError,
     WebStore,
     WebStoreError,
@@ -184,15 +183,28 @@ def test_same_component_conflicts():
         store.deploy_ab_test(make_test("T2"))
 
 
-def test_deploy_and_restore_are_idempotent():
-    store = make_store()
+def test_redeploy_and_repeated_restore_raise():
+    store, reference = make_store(), make_store()
     test = make_test()
     store.deploy_ab_test(test)
-    store.deploy_ab_test(test)  # re-executed action is a no-op
+    reference.deploy_ab_test(test)
+    # an active name is never replaced: not by the same spec, and not by a
+    # spec of that name on other components (which no component check sees)
+    other = make_test(metric="engagement", variants=("gui-a", "gui-b"))
+    for spec in (test, other):
+        with pytest.raises(DeploymentConflictError, match="'T' is already deployed"):
+            store.deploy_ab_test(spec)
     assert store.active_tests == ["T"]
+    users = store.arrivals.next(1000)
+    reference.arrivals.next(1000)
+    served, expected = store.serve_chunk("T", users), reference.serve_chunk("T", users)
+    assert all(np.array_equal(a, b) for a, b in zip(served, expected))
     store.restore_initial("T")
-    store.restore_initial("T")
+    with pytest.raises(NoActiveTestError):
+        store.restore_initial("T")
     assert store.active_tests == []
+    store.deploy_ab_test(other)  # a restored name deploys again
+    assert store.active_tests == ["T"]
 
 
 def test_unknown_variant_rejected():
@@ -208,7 +220,7 @@ def test_unknown_metric_rejected():
 
 
 def test_restore_unknown_test():
-    with pytest.raises(UnknownTestError):
+    with pytest.raises(NoActiveTestError):
         make_store().restore_initial("nope")
 
 

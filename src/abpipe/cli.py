@@ -134,17 +134,18 @@ def cmd_run(args) -> int:
     scenario = _load_scenario(args.scenario)
     batch = _batch_size()
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else scenario.seed
     try:
         outcome = run_pipeline_once(spec, scenario, seed=seed, batch_size=batch)
     except PipelineRunError as exc:
+        out.mkdir(parents=True, exist_ok=True)
         exc.engine.trace.write_jsonl(out / "trace.jsonl")  # partial trace
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except RUN_ERRORS as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    out.mkdir(parents=True, exist_ok=True)
     write_run_outputs(out, outcome.engine, outcome.summary)
     print(f"{spec.name}: completed, seed {seed}, outputs in {out}")
     return EXIT_OK

@@ -161,7 +161,9 @@ class Violation:
     message: str
 
     def __str__(self) -> str:
-        return f"[{self.code}] {self.element}: {self.message}"
+        """One line; non-printable characters of the element are escaped."""
+        element = "".join(c if c.isprintable() else repr(c)[1:-1] for c in self.element)
+        return f"[{self.code}] {element}: {self.message}"
 
 
 @dataclass

@@ -6,8 +6,9 @@ This is what makes the results of a split independent of the order in
 which its sub-pipelines are drained: no draw depends on global RNG
 state or on the interleaving of other streams.
 
-The generator is splitmix64 applied to a keyed counter. Quality is more
-than adequate for Bernoulli simulation; numpy's stateful generators are
+The generator is splitmix64 applied to a keyed counter, computed in
+place on one copy of the counters. Quality is more than adequate for
+Bernoulli simulation; numpy's stateful generators are
 still used where a plain seeded stream is fine (population generation,
 arrival order).
 """
@@ -35,16 +36,21 @@ def stream_key(seed: int, *labels) -> int:
     return int.from_bytes(digest, "little")
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
-
-
 def uniforms(key: int, counters) -> np.ndarray:
-    """Map counters to floats in [0, 1) under the given stream key."""
-    idx = np.asarray(counters, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        state = np.uint64(key) + (idx + np.uint64(1)) * _GOLDEN
-        z = _mix(state)
-    return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    """Map counters to floats in [0, 1) under the given stream key.
+
+    The state ``key + (counter + 1) * golden`` is mixed in place on one
+    fresh uint64 copy of ``counters``, so the caller's array is never
+    written. uint64 array arithmetic wraps modulo 2**64 without a warning.
+    """
+    z = np.array(counters, dtype=np.uint64)
+    shifted = np.empty_like(z)
+    z *= _GOLDEN
+    z += np.uint64((int(key) + int(_GOLDEN)) % 2**64)
+    z ^= np.right_shift(z, np.uint64(30), out=shifted)
+    z *= _MIX1
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
+    z *= _MIX2
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    z >>= np.uint64(11)
+    return z.astype(np.float64) * _INV_2_53

@@ -1,7 +1,8 @@
 """Streaming metric accumulation, hypothesis tests and the stopping rule.
 
 Accumulators use Welford's single-pass update, so running moments are
-kept without storing samples. The stopping rule is defined here once:
+kept without storing samples; a served bool block is added in one exact
+bulk step (:meth:`MetricAccumulator.add_many`). The stopping rule is defined here once:
 hypothesis checks run at fixed request-batch boundaries
 (:func:`next_boundary`) and stop at the first significant result or at
 the experiment-length cap (:func:`is_terminal`). The looks themselves
@@ -82,19 +83,29 @@ class MetricAccumulator:
     def add_many(self, samples) -> None:
         """Bulk update; equal to adding each sample in turn up to rounding.
 
-        A 0/1 block is finite, so only another block is checked for NaN
-        and infinity.
+        A bool block (what the store serves) takes a fast path with the
+        same bits as its 0/1 float block: that block sums to exactly its
+        count of ones, and its squared deviations take only two values,
+        summed in the same order. A 0/1 block is finite, so only another
+        block is checked for NaN and infinity.
         """
-        xs = np.asarray(samples, dtype=np.float64)
+        xs = np.asarray(samples)
         n = xs.size
         if n == 0:
             return
-        binary = bool(((xs == 0.0) | (xs == 1.0)).all())
-        if not (binary or np.isfinite(xs).all()):
-            raise StatsError("non-finite sample rejected")
-        mean = float(xs.sum()) / n  # what xs.mean() computes
-        d = xs - mean
-        merged = self.merge(MetricAccumulator(n, mean, float((d * d).sum()), binary))
+        if xs.dtype == np.bool_:
+            mean = int(np.count_nonzero(xs)) / n
+            d2 = np.where(xs, (1.0 - mean) * (1.0 - mean), mean * mean)
+            binary = True
+        else:
+            xs = xs.astype(np.float64, copy=False)
+            binary = bool(((xs == 0.0) | (xs == 1.0)).all())
+            if not (binary or np.isfinite(xs).all()):
+                raise StatsError("non-finite sample rejected")
+            mean = float(xs.sum()) / n  # what xs.mean() computes
+            d2 = xs - mean
+            d2 *= d2
+        merged = self.merge(MetricAccumulator(n, mean, float(d2.sum()), binary))
         self.n, self.mean, self.m2, self.binary = (
             merged.n,
             merged.mean,

@@ -3,10 +3,11 @@
 The store plays the role of the "A/B-testing-enabled" managed system:
 variants are deployed onto named components (every metric a test
 collects must have a behavior model), each served block of requests
-returns its variant assignments and its samples of the one metric the
-managing system reads, the test's hypothesis metric, an active test's
-request counter is exposed through a probe (the managing system reads it
-once per served block, as the count the block starts from), and every
+returns its variant assignments and its 0/1 samples, both as bool
+arrays, of the one metric the managing system reads, the test's
+hypothesis metric, an active test's request counter is exposed through
+a probe (the managing system reads it once per served block, as the
+count the block starts from), and every
 behavioral draw is a counter-based hash of (scenario seed, stream,
 counter), so reruns, any order in which the sub-pipelines of a split are
 drained, and any cut of a block into consecutive serves produce
@@ -204,12 +205,21 @@ class Population:
 
 
 _DRAW_BLOCK = 4096  # rows of feature noise drawn per call
+_LATENT_BLOCK = 16_384  # latent uniforms drawn per call
 
 
 def _draw_latent(config: ScenarioConfig, n: int, stream: str):
     """Latent classes of n users, and the stream positioned after them."""
     rng = np.random.default_rng(prf.stream_key(config.seed, stream))
-    return rng.random(n) < config.purchaser_prevalence, rng
+    # Each double takes one generator output, so blocks draw what one
+    # rng.random(n) would, without its n float64 temporary.
+    latent = np.empty(n, dtype=bool)
+    uniform = np.empty(min(n, _LATENT_BLOCK))
+    for lo in range(0, n, _LATENT_BLOCK):
+        block = uniform[: min(n - lo, _LATENT_BLOCK)]
+        rng.random(out=block)
+        np.less(block, config.purchaser_prevalence, out=latent[lo : lo + block.size])
+    return latent, rng
 
 
 def _draw_features(config: ScenarioConfig, latent: np.ndarray, rng) -> np.ndarray:
@@ -367,7 +377,7 @@ class WebStore:
         Variant assignment is a sticky hash of (seed, test, user); each
         sample is one Bernoulli draw from the user's propensity for the
         test's hypothesis metric under the assigned variant. Returns the
-        variant-A mask and the samples, one entry per request.
+        variant-A mask and the samples, both bool, one entry per request.
         """
         record = self._active.get(test_name)
         if record is None:
@@ -383,7 +393,7 @@ class WebStore:
             self.config.rate(metric, "B", purchaser),
         )
         indices = record.requests + np.arange(n, dtype=np.uint64)
-        samples = (prf.uniforms(record.draw_key, indices) < p).astype(np.float64)
+        samples = prf.uniforms(record.draw_key, indices) < p
         record.requests += n
         return is_a, samples
 

@@ -403,8 +403,9 @@ def test_result_file_name_the_file_system_refuses_fails_validate_and_run(
     bundle = tmp_path / "bundle"
     shutil.copytree(SCENARIOS / "sequential", bundle)
     _rename_review_test(bundle, name)
+    shown = name.replace("\0", "\\x00")  # the element prints escaped, on one line
     line = (
-        f"[bad-result-file-name] {name}: p-value file name {f'pvalues_{name}.csv'!r}"
+        f"[bad-result-file-name] {shown}: p-value file name {f'pvalues_{name}.csv'!r}"
         " has a NUL or over 255 UTF-8 bytes"
     )
     assert main(["validate", str(bundle)]) == 1
@@ -891,6 +892,19 @@ def test_run_failure_keeps_partial_trace(tmp_path, seq_bundle, small_scenario_fi
     )
     assert code == 1
     assert (out / "trace.jsonl").exists()
+
+
+def test_run_failing_before_the_engine_starts_leaves_no_out_directory(
+    tmp_path, par_bundle, small_scenario, capsys
+):
+    """Twenty training rows hold no purchaser, so the split model fit fails."""
+    scenario = tmp_path / "scenario.json"
+    save_scenario(replace(small_scenario, train_samples=20), scenario)
+    out = tmp_path / "out"
+    argv = ["run", str(par_bundle), "--scenario", str(scenario), "--seed", "1"]
+    assert main([*argv, "--out", str(out)]) == EXIT_DOMAIN
+    assert "training set contains a single class" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def sessions_metric_bundle(tmp_path, seq_bundle) -> Path:

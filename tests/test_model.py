@@ -9,6 +9,7 @@ from abpipe.model import (
     SplitComponent,
     SubPipeline,
     TransitionRule,
+    Violation,
     pvalue_file_name,
     transition_graph,
     validate,
@@ -473,6 +474,22 @@ def test_split_membership_of_the_shipped_bundles(par_spec, seq_spec):
 def test_each_violation_is_reported_with_its_code_and_message(build, expected):
     report = validate(build())
     assert [(v.code, v.element, v.message) for v in report] == [expected]
+
+
+@pytest.mark.parametrize(
+    "element, shown",
+    [
+        ("Review-upgrade", "Review-upgrade"),
+        ("caf\u00e9 'A' \"B\" \\n", "caf\u00e9 'A' \"B\" \\n"),
+        ("two\nlines", "two\\nlines"),
+        ("A\x00", "A\\x00"),
+    ],
+    ids=["plain", "printable", "newline", "nul"],
+)
+def test_a_violation_prints_on_one_line_with_non_printable_characters_escaped(element, shown):
+    line = str(Violation("bad-result-file-name", element, "message"))
+    assert line == f"[bad-result-file-name] {shown}: message"
+    assert line.isprintable()
 
 
 def test_a_test_may_share_the_pipeline_name():

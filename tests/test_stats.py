@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abpipe.stats import (
@@ -117,20 +117,37 @@ def bits(acc):
     return acc.n, acc.mean.hex(), acc.m2.hex(), acc.binary
 
 
+# 8,192 elements is numpy's reduction buffer: pairwise sums change shape past it
+BLOCK_SIZES = [0, 1, 7, 8, 129, 8_191, 8_193, 20_000]
+
+
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    sizes=st.lists(st.integers(min_value=0, max_value=3_000), min_size=1, max_size=4),
-    binary=st.booleans(),
+    blocks=st.lists(
+        st.tuples(
+            st.sampled_from(["bool", "binary", "normal"]),
+            st.sampled_from(BLOCK_SIZES) | st.integers(min_value=0, max_value=3_000),
+            st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
 )
-@settings(max_examples=60, deadline=None)
-def test_bulk_moments_are_bitwise_the_previous_formula(seed, sizes, binary):
+@settings(max_examples=100, deadline=None)
+@example(seed=3, blocks=[("bool", size, 0.3) for size in BLOCK_SIZES])
+@example(seed=4, blocks=[("bool", 8_193, 1.0), ("bool", 129, 0.0), ("bool", 1, 1.0)])
+@example(seed=5, blocks=[("binary", 7, 0.5), ("bool", 20_000, 0.02), ("normal", 8, 0.0)])
+def test_bulk_moments_are_bitwise_the_previous_formula(seed, blocks):
+    """A bool block has the bits of its 0/1 float block under the old formula."""
     rng = np.random.default_rng(seed)
     new, old = MetricAccumulator(), MetricAccumulator()
-    for size in sizes:
-        if binary:
-            xs = (rng.random(size) < rng.random()).astype(np.float64)
-        else:
+    for kind, size, rate in blocks:
+        if kind == "normal":
             xs = rng.normal(rng.normal(0.0, 1e3), rng.lognormal(0.0, 3.0), size)
+        else:
+            xs = rng.random(size) < rate
+            if kind == "binary":
+                xs = xs.astype(np.float64)
         new.add_many(xs)
         old = previous_add_many(old, xs)
         assert bits(new) == bits(old)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abpipe import prf
+from abpipe import prf, webstore
 from abpipe.model import ABTestSpec, Hypothesis
 from abpipe.webstore import (
     DeploymentConflictError,
@@ -80,6 +80,16 @@ def test_block_draws_equal_one_shot_draw(n):
         features, latent = one_shot_users(config, n, "training-data")
         assert np.array_equal(train_x, features)
         assert np.array_equal(train_y, latent)
+
+
+@pytest.mark.parametrize("n", [1, 4095, 4097, 16_384, 16_385, 100_000])
+def test_block_latent_draw_is_one_draw_and_leaves_the_stream_where_it_would(n):
+    config = ScenarioConfig(seed=11, purchaser_prevalence=0.3)
+    latent, rng = webstore._draw_latent(config, n, "population")
+    reference = np.random.default_rng(prf.stream_key(config.seed, "population"))
+    assert latent.dtype == bool
+    assert np.array_equal(latent, reference.random(n) < config.purchaser_prevalence)
+    assert rng.random(5).tolist() == reference.random(5).tolist()
 
 
 @pytest.mark.parametrize("n", [1, 4095, 4096, 4097])
@@ -281,7 +291,7 @@ def test_empty_block_serves_an_empty_sample_per_metric(users):
     store.deploy_ab_test(make_test())
     is_a, samples = store.serve_chunk("T", users)
     assert is_a.shape == (0,) and is_a.dtype == bool
-    assert samples.shape == (0,) and samples.dtype == np.float64
+    assert samples.shape == (0,) and samples.dtype == bool
     assert store.probe("T") == 0
 
 

@@ -27,6 +27,7 @@ from pathlib import Path
 from . import classifier as clf
 from .blueprints import BlueprintError, parse_blueprints
 from .model import PipelineSpec, pvalue_file_name, validate
+from .orchestrator import SpecInvalidError
 from .report import (
     RUN_ERRORS,
     PipelineRunError,
@@ -177,9 +178,6 @@ def cmd_compare(args) -> int:
         raise CliError(f"--runs must be >= 1, got {args.runs}", EXIT_IO)
     seq_spec = _load_validated(args.seq_bundle)
     par_spec = _load_validated(args.par_bundle)
-    if not par_spec.pop_splits:
-        message = f"{args.par_bundle}: parallel pipeline has no population split"
-        raise CliError(message, EXIT_DOMAIN)
     scenario = _load_scenario(args.scenario)
     seeds = _parse_seeds(args.seeds, args.runs)
     batch = _batch_size()
@@ -187,6 +185,8 @@ def cmd_compare(args) -> int:
         report = compare_pipelines(
             seq_spec, par_spec, scenario, seeds, batch_size=batch
         )
+    except SpecInvalidError as exc:  # raised before any run
+        raise CliError(f"{args.par_bundle}: {exc}", EXIT_DOMAIN)
     except RUN_ERRORS as exc:
         print(f"compare failed: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -261,11 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("par_bundle")
     p.add_argument("--scenario", default=None)
     p.add_argument("--runs", type=int, default=15)
-    p.add_argument(
-        "--seeds",
-        default=None,
-        help="comma-separated seed list, or a single base seed",
-    )
+    p.add_argument("--seeds", help="comma-separated seed list, or a single base seed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)
 

@@ -276,7 +276,7 @@ def _check_split(
     # class-condition exclusivity over the inferred class domain
     if split.cond_stats and not unknown:
         max_value = max(c.value for c in split.cond_stats)
-        for cls in range(0, max_value + 2):
+        for cls in range(0, max(max_value, 0) + 2):
             hits = [c for c in split.cond_stats if c.matches(cls)]
             if len(hits) > 1:
                 report.add(
@@ -393,6 +393,8 @@ def validate(
             name = elem.name
             if is_end(name):
                 report.add("reserved-name", name, "'end' is the reserved End marker")
+            if name == START_NODE:
+                report.add("reserved-name", name, "'Start' is the reserved Start marker")
             if name in names:
                 report.add(
                     "duplicate-name", name, f"declared as both {names[name]} and {kind}"

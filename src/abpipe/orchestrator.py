@@ -424,13 +424,12 @@ class WebStoreRunner:
         pending = [np.empty(0, dtype=np.int64)] * len(programs)
         dispatched = [0] * len(programs)
         completion_pos: dict[str, int] = {}
-        stream_pos = base
         idle_arrivals = 0
 
         while any(not p.done for p in programs):
             users = self.store.arrivals.next(self.CHUNK)
             n = users.shape[0]
-            chunk_base = stream_pos
+            chunk_base = self.requests_total
             targets = table[users]
             batches_served = 0
             for i, program in enumerate(programs):
@@ -467,10 +466,9 @@ class WebStoreRunner:
                 if cutoff < n:
                     self.store.arrivals.push_back(users[cutoff:])
                 effective = targets[:cutoff]
-                stream_pos = final_pos
+                self.requests_total = final_pos
             else:
                 effective = targets
-                stream_pos = chunk_base + n
                 idle_arrivals = 0 if batches_served else idle_arrivals + n
                 if idle_arrivals > self.STARVATION_LIMIT:
                     live = [p.instance_id for p in programs if not p.done]
@@ -478,12 +476,12 @@ class WebStoreRunner:
                         f"pipeline(s) {live} starved: no batch served in"
                         f" {idle_arrivals} arrivals"
                     )
-            self.requests_total = stream_pos
+                self.requests_total = chunk_base + n
             for i in range(len(programs)):
                 dispatched[i] += int(np.count_nonzero(effective == i))
 
         return SplitRunStats(
-            stream_total=stream_pos - base,
+            stream_total=self.requests_total - base,
             dispatched={
                 p.instance_id: dispatched[i] for i, p in enumerate(programs)
             },

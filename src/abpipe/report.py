@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import classifier as clf
 from .model import PipelineSpec
-from .orchestrator import OrchestratorError, PipelineEngine, WebStoreRunner
+from .orchestrator import OrchestratorError, PipelineEngine, SpecInvalidError, WebStoreRunner
 from .stats import DEFAULT_BATCH_SIZE, StatsError
 from .webstore import (
     Population,
@@ -268,6 +268,11 @@ def compare_pipelines(
     """
     if not seeds:
         raise ValueError("need at least one seed")
+    if len(par_spec.pop_splits) != 1:  # the parallel MAX spans one split's sub-pipelines
+        shape = f"{len(par_spec.pop_splits)} population splits; compare takes one"
+        if not par_spec.pop_splits:
+            shape = "no population split"
+        raise SpecInvalidError(f"parallel pipeline has {shape}")
 
     par_sub_tests = par_spec.sub_pipeline_of
     par_root_tests = {
@@ -340,7 +345,7 @@ def compare_pipelines(
         sub_id = par_sub_tests[name]
         parallel_tests[name] = {
             "decided_requests": _median_int(values),
-            "total_requests": _median_int(par_streams.get(sub_id, values)),
+            "total_requests": _median_int(par_streams[sub_id]),
             "sub_pipeline": sub_id,
         }
 

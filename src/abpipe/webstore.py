@@ -34,10 +34,13 @@ from . import prf
 from .classifier import DEFAULT_FEATURES
 from .model import ABTestSpec
 
-METRIC_ENGAGEMENT = "engagement"
-METRIC_CLICKS = "clicks"
-METRIC_PURCHASES = "purchases"
-METRICS = (METRIC_ENGAGEMENT, METRIC_CLICKS, METRIC_PURCHASES)  # with a behavior model
+# each metric with a behavior model, and the scenario field of its rates
+RATE_FIELDS = {
+    "engagement": "gui_rates",
+    "clicks": "review_rates",
+    "purchases": "recommendation_rates",  # per latent class
+}
+METRICS = tuple(RATE_FIELDS)
 
 
 class WebStoreError(ValueError):
@@ -70,9 +73,7 @@ class ScenarioConfig:
 
     purchaser_prevalence: float = 0.042
     feature_noise: float = 0.10
-    review_rates: dict = field(
-        default_factory=lambda: {"A": 0.1470, "B": 0.1617}
-    )
+    review_rates: dict = field(default_factory=lambda: {"A": 0.1470, "B": 0.1617})
     recommendation_rates: dict = field(
         default_factory=lambda: {
             "purchaser": {"A": 0.30, "B": 0.45},
@@ -84,20 +85,6 @@ class ScenarioConfig:
     population_size: int = 100_000
     train_samples: int = 20_000
     n_features: int = DEFAULT_FEATURES
-
-    def rate(self, metric: str, variant: str, purchaser_mask: np.ndarray) -> np.ndarray:
-        """Per-user behavior probability for a metric under a variant."""
-        if metric == METRIC_ENGAGEMENT:
-            return np.full(purchaser_mask.shape, float(self.gui_rates[variant]))
-        if metric == METRIC_CLICKS:
-            return np.full(purchaser_mask.shape, float(self.review_rates[variant]))
-        if metric == METRIC_PURCHASES:
-            return np.where(
-                purchaser_mask,
-                float(self.recommendation_rates["purchaser"][variant]),
-                float(self.recommendation_rates["non_purchaser"][variant]),
-            )
-        raise UnknownMetricError(f"no behavior model for metric {metric!r}")
 
 
 def _shape(template) -> str:
@@ -288,14 +275,27 @@ def check_deployable(spec: ABTestSpec, catalog: dict[str, str]) -> tuple[str, st
 # deployment & serving
 
 
+def _success_table(config: ScenarioConfig, metric: str) -> np.ndarray:
+    """``metric``'s success probability at ``2 * is_a + purchaser``: B's, then A's."""
+    if metric not in RATE_FIELDS:
+        raise UnknownMetricError(f"no behavior model for metric {metric!r}")
+    rates = getattr(config, RATE_FIELDS[metric])
+    # a class-independent field holds one {variant: rate} for both classes
+    classes = (rates.get("non_purchaser", rates), rates.get("purchaser", rates))
+    return np.array([float(rate[variant]) for variant in "BA" for rate in classes])
+
+
 class _ActiveTest:
-    def __init__(self, spec: ABTestSpec, components: tuple[str, str], seed: int, epoch: int):
+    def __init__(
+        self, spec: ABTestSpec, components: tuple[str, str], config: ScenarioConfig, epoch: int
+    ):
         self.spec = spec
         self.components = components
         self.requests = 0
-        self.assign_key = prf.stream_key(seed, "assign", spec.name, epoch)
         metric = spec.hypothesis.metric
-        self.draw_key = prf.stream_key(seed, "draw", spec.name, metric, epoch)
+        self.success = _success_table(config, metric)
+        self.assign_key = prf.stream_key(config.seed, "assign", spec.name, epoch)
+        self.draw_key = prf.stream_key(config.seed, "draw", spec.name, metric, epoch)
 
 
 class ArrivalStream:
@@ -358,8 +358,8 @@ class WebStore:
                         f"component {comp!r} already held by {record.spec.name!r}"
                     )
         epoch = self._epochs.get(spec.name, 0)
+        self._active[spec.name] = _ActiveTest(spec, components, self.config, epoch)
         self._epochs[spec.name] = epoch + 1
-        self._active[spec.name] = _ActiveTest(spec, components, self.config.seed, epoch)
 
     def restore_initial(self, test_name: str) -> None:
         if self._active.pop(test_name, None) is None:
@@ -379,27 +379,21 @@ class WebStore:
         test's hypothesis metric under the assigned variant. Returns the
         variant-A mask and the samples, both bool, one entry per request.
         """
-        record = self._active.get(test_name)
-        if record is None:
-            raise NoActiveTestError(f"test {test_name!r} is not active")
+        record = self._record(test_name)
         uids = np.asarray(users, dtype=np.int64)
-        n = uids.shape[0]
         is_a = prf.uniforms(record.assign_key, uids) < record.spec.ab_assignment[0]
-        purchaser = self.population.latent[uids]
-        metric = record.spec.hypothesis.metric
-        p = np.where(
-            is_a,
-            self.config.rate(metric, "A", purchaser),
-            self.config.rate(metric, "B", purchaser),
-        )
-        indices = record.requests + np.arange(n, dtype=np.uint64)
+        p = record.success.take(2 * is_a + self.population.latent[uids])
+        indices = record.requests + np.arange(uids.shape[0], dtype=np.uint64)
         samples = prf.uniforms(record.draw_key, indices) < p
-        record.requests += n
+        record.requests += uids.shape[0]
         return is_a, samples
 
     def probe(self, test_name: str) -> int:
         """Count of requests the active test has been served."""
+        return self._record(test_name).requests
+
+    def _record(self, test_name: str) -> _ActiveTest:
         record = self._active.get(test_name)
         if record is None:
             raise NoActiveTestError(f"test {test_name!r} is not active")
-        return record.requests
+        return record

@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from abpipe.blueprints import parse_blueprints
 from abpipe.cli import EXIT_DOMAIN, main
+from abpipe.orchestrator import SpecInvalidError
+from abpipe.report import compare_pipelines
 from abpipe.webstore import save_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -676,6 +679,73 @@ def test_compare_against_a_bundle_without_a_split_fails_before_any_run(
     ]
     assert captured.out == ""
     assert not out.exists()
+
+
+def two_split_bundle(tmp_path, par_bundle) -> Path:
+    """The parallel bundle with a second split, of copied tests, after the first."""
+    bundle = tmp_path / "two-splits"
+    shutil.copytree(par_bundle, bundle)
+    first = bundle / "splits" / "Population-split-purchases-prediction.json"
+    record = json.loads(first.read_text())
+    record["nextComponent"] = "Second-split"
+    first.write_text(json.dumps(record))
+    record.update(
+        name="Second-split",
+        nextComponent="end",
+        pipelines=["Review-pipeline-2", "Recommendation-pipeline-2"],
+    )
+    (bundle / "splits" / "Second-split.json").write_text(json.dumps(record))
+    pipeline = json.loads((bundle / "pipeline.json").read_text())
+    pipeline["populationSplits"].append("Second-split")
+    for test in ("Review-upgrade", "Recommendation-upgrade"):
+        experiment = json.loads((bundle / "experiments" / f"{test}.json").read_text())
+        experiment["name"] = f"{test}-2"
+        (bundle / "experiments" / f"{test}-2.json").write_text(json.dumps(experiment))
+        sub_id = test.replace("-upgrade", "-pipeline-2")
+        pipeline["subPipelines"].append(
+            {
+                "id": sub_id,
+                "startingComponent": f"{test}-2",
+                "experiments": [f"{test}-2"],
+                "transitionRules": [],
+            }
+        )
+    (bundle / "pipeline.json").write_text(json.dumps(pipeline))
+    return bundle
+
+
+def test_compare_against_a_bundle_with_two_splits_fails_before_any_run(
+    tmp_path, seq_bundle, par_bundle, small_scenario_file, capsys
+):
+    # the second split starts when the first ends, so no one MAX spans both
+    bundle = two_split_bundle(tmp_path, par_bundle)
+    assert main(["validate", str(bundle)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "cmp"
+    scenario = ["--scenario", str(small_scenario_file)]
+    argv = ["compare", str(seq_bundle), str(bundle), *scenario, "--runs", "2"]
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"{bundle}: parallel pipeline has 2 population splits; compare takes one"
+    ]
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_compare_pipelines_refuses_two_splits_before_any_run(
+    tmp_path, seq_bundle, par_bundle, small_scenario, monkeypatch
+):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr("abpipe.report.run_pipeline_once", no_run)
+    seq_spec = parse_blueprints(seq_bundle)
+    par_spec = parse_blueprints(two_split_bundle(tmp_path, par_bundle))
+    with pytest.raises(SpecInvalidError, match="has 2 population splits; compare takes one"):
+        compare_pipelines(seq_spec, par_spec, small_scenario, seeds=[1])
+    with pytest.raises(SpecInvalidError, match="has no population split"):
+        compare_pipelines(seq_spec, seq_spec, small_scenario, seeds=[1])
 
 
 def test_compare_seed_list_length_mismatch(

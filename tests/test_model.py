@@ -452,6 +452,18 @@ def test_split_membership_of_the_shipped_bundles(par_spec, seq_spec):
             ("result-key-collision", "A1", "listed by sub-pipelines of splits 'S' and 'S2'"),
         ),
         (
+            lambda: split_pipeline(
+                [make_test("A1"), make_test("B1")],
+                [SubPipeline("p1", "A1", ("A1",), ()), SubPipeline("p2", "B1", ("B1",), ())],
+                [ClassCondition(">", -2), ClassCondition(">=", -3)],
+            ),
+            ("non-exclusive-split-conditions", "S", "class 0 satisfies 2 conditions (> -2, >= -3)"),
+        ),
+        (
+            lambda: pipeline([make_test("Start")], start="Start"),
+            ("reserved-name", "Start", "'Start' is the reserved Start marker"),
+        ),
+        (
             lambda: pipeline([make_test("A\0")], start="A\0"),
             ("bad-result-file-name", "A\0",
              "p-value file name 'pvalues_A\\x00.csv' has a NUL or over 255 UTF-8 bytes"),
@@ -469,6 +481,7 @@ def test_split_membership_of_the_shipped_bundles(par_spec, seq_spec):
          "root-rule-into-a-sub-pipeline", "split-continues-in-a-sub-pipeline",
          "root-test-keyed-like-a-sub-pipeline-result", "root-test-sharing-a-p-value-file",
          "sub-pipeline-ids-with-slashes", "test-listed-by-two-splits",
+         "split-literals-all-below-minus-one", "element-named-start",
          "nul-in-a-result-file-name", "result-file-name-over-255-utf8-bytes"],
 )
 def test_each_violation_is_reported_with_its_code_and_message(build, expected):

@@ -137,11 +137,9 @@ def test_single_profile_reproducible():
     assert np.array_equal(p1.features[0], p2.features[0])
     assert p1.latent[0] == p2.latent[0]
     for metric in ("engagement", "clicks", "purchases"):
-        for variant in ("A", "B"):
-            assert np.array_equal(
-                config.rate(metric, variant, p1.latent[[0]]),
-                config.rate(metric, variant, p2.latent[[0]]),
-            )
+        table = webstore._success_table(config, metric)
+        for is_a in (0, 1):
+            assert table[2 * is_a + p1.latent[0]] == table[2 * is_a + p2.latent[0]]
 
 
 def test_profile_propensities_follow_latent_class():
@@ -150,11 +148,13 @@ def test_profile_propensities_follow_latent_class():
     purchaser_id = int(np.flatnonzero(population.latent)[0])
     other_id = int(np.flatnonzero(~population.latent)[0])
     ids = np.asarray([purchaser_id, other_id])
-    buyer, browser = config.rate("purchases", "B", population.latent[ids])
+    # the success table is indexed 2 * is_a + purchaser, so variant B's is 0 + class
+    purchaser = population.latent[ids].astype(int)
+    buyer, browser = webstore._success_table(config, "purchases")[purchaser]
     assert (buyer, browser) == (0.45, 0.005)
-    for variant in ("A", "B"):
-        clicks = config.rate("clicks", variant, population.latent[ids])
-        assert clicks[0] == clicks[1]
+    clicks = webstore._success_table(config, "clicks")
+    for is_a in (0, 1):
+        assert clicks[2 * is_a + purchaser[0]] == clicks[2 * is_a + purchaser[1]]
 
 
 def test_scenario_file_round_trip(tmp_path):
@@ -227,6 +227,21 @@ def test_unknown_metric_rejected():
     store = make_store()
     with pytest.raises(UnknownMetricError):
         store.deploy_ab_test(make_test(metric="sessions"))
+
+
+def test_an_unknown_hypothesis_metric_fails_at_deploy_and_changes_nothing():
+    # every collected metric is known, so only the success lookup can refuse it
+    test = replace(make_test(), hypothesis=Hypothesis("sessions", "B_greater", 0.05))
+    store, reference = make_store(seed=3), make_store(seed=3)
+    with pytest.raises(UnknownMetricError, match="'sessions'"):
+        store.deploy_ab_test(test)
+    assert store.active_tests == [] and store._epochs == {}
+    # the name deploys afterwards at epoch 0, on the streams a fresh store uses
+    store.deploy_ab_test(make_test())
+    reference.deploy_ab_test(make_test())
+    users = store.arrivals.next(2_000)
+    served, expected = store.serve_chunk("T", users), reference.serve_chunk("T", users)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(served, expected))
 
 
 def test_restore_unknown_test():
@@ -347,6 +362,61 @@ def test_one_block_serves_what_a_prefix_and_its_remainder_serve(
         joined = np.concatenate((head, tail))
         assert served.dtype == joined.dtype
         assert served.tobytes() == joined.tobytes()
+
+
+# eight distinct rates, so a swapped variant or class index changes the samples
+DISTINCT_RATES = dict(
+    purchaser_prevalence=0.3,
+    gui_rates={"A": 0.31, "B": 0.47},
+    review_rates={"A": 0.13, "B": 0.62},
+    recommendation_rates={
+        "purchaser": {"A": 0.71, "B": 0.83},
+        "non_purchaser": {"A": 0.05, "B": 0.22},
+    },
+)
+
+
+def frozen_rate(config, metric, variant, purchaser):
+    """Reference per-user probability: a rate per variant, per latent class for purchases."""
+    if metric == "engagement":
+        return np.full(purchaser.shape, float(config.gui_rates[variant]))
+    if metric == "clicks":
+        return np.full(purchaser.shape, float(config.review_rates[variant]))
+    return np.where(
+        purchaser,
+        float(config.recommendation_rates["purchaser"][variant]),
+        float(config.recommendation_rates["non_purchaser"][variant]),
+    )
+
+
+@pytest.mark.parametrize("metric", ["engagement", "clicks", "purchases"])
+def test_served_samples_equal_the_per_user_rate_formula(metric):
+    store = make_store(seed=13, **DISTINCT_RATES)
+    config = store.config
+    test = replace(make_test(metric=metric, variants=("rec-a", "rec-b")), ab_assignment=(0.4, 0.6))
+    store.deploy_ab_test(test)
+    assign = prf.stream_key(config.seed, "assign", "T", 0)
+    draw = prf.stream_key(config.seed, "draw", "T", metric, 0)
+    table = webstore._success_table(config, metric)
+    expected_requests = 0
+    for n in (3_000, 1, 4_096):
+        users = store.arrivals.next(n)
+        is_a, samples = store.serve_chunk("T", users)
+        purchaser = store.population.latent[users]
+        expected_a = prf.uniforms(assign, users) < 0.4
+        p = np.where(
+            expected_a,
+            frozen_rate(config, metric, "A", purchaser),
+            frozen_rate(config, metric, "B", purchaser),
+        )
+        counters = expected_requests + np.arange(n, dtype=np.uint64)
+        assert is_a.tobytes() == expected_a.tobytes()
+        assert samples.tobytes() == (prf.uniforms(draw, counters) < p).tobytes()
+        assert table[2 * is_a + purchaser].tobytes() == p.tobytes()
+        expected_requests += n
+    # every (variant, class) cell was served
+    cells = np.unique(2 * is_a + purchaser)
+    assert cells.tolist() == [0, 1, 2, 3]
 
 
 def test_a_block_draws_only_the_hypothesis_metric(monkeypatch):

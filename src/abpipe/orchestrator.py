@@ -13,8 +13,9 @@ segments and rejoin at the split exit once all of them have ended.
 
 :class:`WebStoreRunner` drives the simulated store, with one serving
 loop for root segments and split branches alike. It draws the shared
-arrival stream in chunks, routes each arrival to one program (a root
-segment has one program that takes every arrival), serves each program's
+arrival stream in chunks, routes each arrival of a split to one program
+through a routing table (a root segment has one program, which takes
+every arrival without a table), serves each program's
 queue up to the last look it reaches in one block, holds what is left in
 one array per program, and pushes the unconsumed tail back once every
 program is done, so the consumed prefix does not depend on the chunk
@@ -388,8 +389,8 @@ class WebStoreRunner:
         return table
 
     def run_test(self, program: Program) -> None:
-        """Serve a root segment: every arrival goes to its one program."""
-        self._serve([program], np.zeros(self.store.population.size, dtype=np.uint8))
+        """Serve a root segment: its one program takes every arrival, unrouted."""
+        self._serve([program])
 
     def run_split(
         self, split: PopulationSplitSpec, programs: list[Program]
@@ -401,11 +402,14 @@ class WebStoreRunner:
         stats.deploy_ms = deploy_ms
         return stats
 
-    def _serve(self, programs: list[Program], table: np.ndarray) -> SplitRunStats:
+    def _serve(
+        self, programs: list[Program], table: np.ndarray | None = None
+    ) -> SplitRunStats:
         """Run ``programs`` to completion on arrivals routed by ``table``.
 
         ``table[user]`` is the index of the program that serves the
-        user, or ``len(programs)`` if none does. Arrivals are drawn in
+        user, or ``len(programs)`` if none does. Without a table there
+        must be one program, and it takes every arrival. Arrivals are drawn in
         CHUNK-sized blocks. Each program serves its routed queue up to
         the last look the queue reaches in one ``serve_chunk`` call and
         runs those looks in order on slices of the block. A terminal
@@ -420,6 +424,10 @@ class WebStoreRunner:
         its next look needs. So only the current chunk's positions are
         kept.
         """
+        if table is None and len(programs) != 1:
+            raise ContractViolationError(
+                f"{len(programs)} programs need a routing table, got none"
+            )
         base = self.requests_total
         pending = [np.empty(0, dtype=np.int64)] * len(programs)
         dispatched = [0] * len(programs)
@@ -430,14 +438,18 @@ class WebStoreRunner:
             users = self.store.arrivals.next(self.CHUNK)
             n = users.shape[0]
             chunk_base = self.requests_total
-            targets = table[users]
+            targets = None if table is None else table[users]
             batches_served = 0
             for i, program in enumerate(programs):
                 if program.done:
                     continue
-                positions = np.flatnonzero(targets == i)
+                if targets is None:
+                    positions, routed = range(n), users
+                else:
+                    positions = np.flatnonzero(targets == i)
+                    routed = users[positions]
                 held = pending[i].shape[0]
-                queue = np.concatenate((pending[i], users[positions]))
+                queue = np.concatenate((pending[i], routed))
                 taken = 0
                 while not program.done:
                     ends = program.look_ends(queue.shape[0] - taken, self.batch_size)
@@ -465,10 +477,9 @@ class WebStoreRunner:
                 cutoff = final_pos - chunk_base
                 if cutoff < n:
                     self.store.arrivals.push_back(users[cutoff:])
-                effective = targets[:cutoff]
+                n = cutoff  # the arrivals dispatched before the push-back
                 self.requests_total = final_pos
             else:
-                effective = targets
                 idle_arrivals = 0 if batches_served else idle_arrivals + n
                 if idle_arrivals > self.STARVATION_LIMIT:
                     live = [p.instance_id for p in programs if not p.done]
@@ -477,8 +488,11 @@ class WebStoreRunner:
                         f" {idle_arrivals} arrivals"
                     )
                 self.requests_total = chunk_base + n
-            for i in range(len(programs)):
-                dispatched[i] += int(np.count_nonzero(effective == i))
+            if targets is None:
+                dispatched[0] += n
+            else:
+                for i in range(len(programs)):
+                    dispatched[i] += int(np.count_nonzero(targets[:n] == i))
 
         return SplitRunStats(
             stream_total=self.requests_total - base,

@@ -2,7 +2,8 @@
 
 Accumulators use Welford's single-pass update, so running moments are
 kept without storing samples; a served bool block is added in one exact
-bulk step (:meth:`MetricAccumulator.add_many`). The stopping rule is defined here once:
+bulk step (:meth:`MetricAccumulator.add_many`), merged in place by the
+step :meth:`MetricAccumulator.merge` applies to a copy. The stopping rule is defined here once:
 hypothesis checks run at fixed request-batch boundaries
 (:func:`next_boundary`) and stop at the first significant result or at
 the experiment-length cap (:func:`is_terminal`). The looks themselves
@@ -87,7 +88,8 @@ class MetricAccumulator:
         same bits as its 0/1 float block: that block sums to exactly its
         count of ones, and its squared deviations take only two values,
         summed in the same order. A 0/1 block is finite, so only another
-        block is checked for NaN and infinity.
+        block is checked for NaN and infinity. The block's moments are
+        merged in place by the step :meth:`merge` applies to a copy.
         """
         xs = np.asarray(samples)
         n = xs.size
@@ -102,28 +104,30 @@ class MetricAccumulator:
             binary = bool(((xs == 0.0) | (xs == 1.0)).all())
             if not (binary or np.isfinite(xs).all()):
                 raise StatsError("non-finite sample rejected")
-            mean = float(xs.sum()) / n  # what xs.mean() computes
+            mean = float(np.add.reduce(xs)) / n  # what xs.mean() computes
             d2 = xs - mean
             d2 *= d2
-        merged = self.merge(MetricAccumulator(n, mean, float(d2.sum()), binary))
-        self.n, self.mean, self.m2, self.binary = (
-            merged.n,
-            merged.mean,
-            merged.m2,
-            merged.binary,
-        )
+        self._merge_in(n, mean, float(np.add.reduce(d2)), binary)
 
     def merge(self, other: "MetricAccumulator") -> "MetricAccumulator":
         """Combine two accumulators as if their streams were concatenated."""
-        if other.n == 0:
-            return MetricAccumulator(self.n, self.mean, self.m2, self.binary)
+        merged = MetricAccumulator(self.n, self.mean, self.m2, self.binary)
+        merged._merge_in(other.n, other.mean, other.m2, other.binary)
+        return merged
+
+    def _merge_in(self, n: int, mean: float, m2: float, binary: bool) -> None:
+        """Append, in place, a stream of ``n`` samples with these moments."""
+        if n == 0:
+            return
         if self.n == 0:
-            return MetricAccumulator(other.n, other.mean, other.m2, other.binary)
-        n = self.n + other.n
-        delta = other.mean - self.mean
-        mean = self.mean + delta * other.n / n
-        m2 = self.m2 + other.m2 + delta * delta * self.n * other.n / n
-        return MetricAccumulator(n, mean, m2, self.binary and other.binary)
+            self.n, self.mean, self.m2, self.binary = n, mean, m2, binary
+            return
+        total = self.n + n
+        delta = mean - self.mean
+        self.m2 = self.m2 + m2 + delta * delta * self.n * n / total
+        self.mean = self.mean + delta * n / total
+        self.n = total
+        self.binary = self.binary and binary
 
     @property
     def variance(self) -> float:

@@ -213,12 +213,15 @@ def _draw_features(config: ScenarioConfig, latent: np.ndarray, rng) -> np.ndarra
     """Feature rows of ``latent``'s users, from the stream of its latent draw."""
     n = latent.shape[0]
     # Row blocks consume the stream in the same order as one (n, F) draw,
-    # without its n*F float64 temporary.
+    # into one reused float64 block instead of an n*F float64 temporary.
     features = np.empty((n, config.n_features), dtype=np.uint8)
+    uniform = np.empty((min(n, _DRAW_BLOCK), config.n_features))
+    flips = np.empty(uniform.shape, dtype=bool)
     for lo in range(0, n, _DRAW_BLOCK):
         hi = min(lo + _DRAW_BLOCK, n)
-        flips = rng.random((hi - lo, config.n_features)) < config.feature_noise
-        np.not_equal(latent[lo:hi, None], flips, out=features[lo:hi])
+        rng.random(out=uniform[: hi - lo])
+        np.less(uniform[: hi - lo], config.feature_noise, out=flips[: hi - lo])
+        np.not_equal(latent[lo:hi, None], flips[: hi - lo], out=features[lo:hi])
     return features
 
 
@@ -314,6 +317,8 @@ class ArrivalStream:
         self._held = np.empty(0, dtype=np.int64)
 
     def next(self, n: int) -> np.ndarray:
+        if not self._held.shape[0]:
+            return self._rng.integers(0, self._size, size=n)
         head, self._held = self._held[:n], self._held[n:]
         fresh = self._rng.integers(0, self._size, size=n - head.shape[0])
         return np.concatenate((head, fresh))

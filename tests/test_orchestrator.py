@@ -447,6 +447,18 @@ def test_a_program_no_arrival_reaches_is_starved(
     assert [p.done for p in programs] == [routed == 0, False]
 
 
+def test_serving_several_programs_without_a_routing_table_is_refused(small_scenario):
+    spec, catalog = segment_spec(2)
+    store = WebStore(small_scenario, catalog)
+    runner = WebStoreRunner(store)
+    engine = PipelineEngine(spec, runner, catalog=catalog)
+    programs = [Program(engine, f"Seg-{i}", f"T{i}", ()) for i in range(2)]
+    with pytest.raises(ContractViolationError, match="2 programs need a routing table"):
+        runner._serve(programs)
+    assert runner.requests_total == 0
+    assert [p.consumed for p in programs] == [0, 0]
+
+
 class _CyclingStub:
     """Duck-typed classifier giving the population's users classes 0..k-1 in turn."""
 

@@ -13,6 +13,7 @@ from abpipe.stats import (
     MetricAccumulator,
     NonBinarySamplesError,
     StatsError,
+    _betacf,
     next_boundary,
     normal_sf,
     regularized_incomplete_beta,
@@ -183,6 +184,62 @@ def test_non_finite_sample_in_a_binary_block_is_rejected(bad, at):
     assert bits(acc) == before
 
 
+def frozen_merge(left, right):
+    """The merge formula on its own: the reference for the step ``merge`` and ``add_many`` share."""
+    if right.n == 0:
+        return MetricAccumulator(left.n, left.mean, left.m2, left.binary)
+    if left.n == 0:
+        return MetricAccumulator(right.n, right.mean, right.m2, right.binary)
+    n = left.n + right.n
+    delta = right.mean - left.mean
+    mean = left.mean + delta * right.n / n
+    m2 = left.m2 + right.m2 + delta * delta * left.n * right.n / n
+    return MetricAccumulator(n, mean, m2, left.binary and right.binary)
+
+
+def accumulator_states():
+    """Empty, or any moments a stream of 1-10,000 samples can have."""
+    return st.just(MetricAccumulator()) | st.builds(
+        MetricAccumulator,
+        st.integers(min_value=1, max_value=10_000),
+        st.floats(min_value=-1e3, max_value=1e3),
+        st.floats(min_value=0.0, max_value=1e6),
+        st.booleans(),
+    )
+
+
+@given(
+    before=accumulator_states(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    size=st.sampled_from(BLOCK_SIZES[1:]) | st.integers(min_value=1, max_value=3_000),
+    rate=st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=100, deadline=None)
+@example(before=MetricAccumulator(), seed=1, size=8_193, rate=0.3)
+@example(before=MetricAccumulator(4, 0.25, 0.75, True), seed=2, size=1, rate=1.0)
+def test_bool_block_added_in_place_is_merge(before, seed, size, rate):
+    """In-place addition of a bool block has the bits of ``merge`` of its moments."""
+    xs = np.random.default_rng(seed).random(size) < rate
+    mean = int(np.count_nonzero(xs)) / size
+    m2 = float(np.where(xs, (1.0 - mean) * (1.0 - mean), mean * mean).sum())
+    block = MetricAccumulator(size, mean, m2, True)
+    expected = before.merge(block)
+    assert bits(expected) == bits(frozen_merge(before, block))
+    acc = MetricAccumulator(before.n, before.mean, before.m2, before.binary)
+    acc.add_many(xs)
+    assert bits(acc) == bits(expected)
+
+
+@given(accumulator_states(), accumulator_states())
+@settings(max_examples=100, deadline=None)
+def test_merge_leaves_both_operands_unchanged(left, right):
+    before = bits(left), bits(right)
+    merged = left.merge(right)
+    assert (bits(left), bits(right)) == before
+    assert merged is not left and merged is not right
+    assert bits(merged) == bits(frozen_merge(left, right))
+
+
 # ---------------------------------------------------------------------------
 # welch
 
@@ -291,6 +348,98 @@ def test_incomplete_beta_non_convergence_is_a_stats_error():
     # at a = b = 1e6 the continued fraction needs more than its 300 terms
     with pytest.raises(StatsError, match="did not converge"):
         regularized_incomplete_beta(1e6, 1e6, 0.5)
+
+
+def frozen_betacf(a, b, x):
+    """``stats._betacf`` in its textbook form, every Lentz guard an ``abs()``."""
+    max_iter = 300
+    eps = 3e-16
+    fpmin = 1e-300
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < fpmin:
+        d = fpmin
+    d = 1.0 / d
+    h = d
+    for m in range(1, max_iter + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < fpmin:
+            d = fpmin
+        c = 1.0 + aa / c
+        if abs(c) < fpmin:
+            c = fpmin
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < fpmin:
+            d = fpmin
+        c = 1.0 + aa / c
+        if abs(c) < fpmin:
+            c = fpmin
+        d = 1.0 / d
+        de = d * c
+        h *= de
+        if abs(de - 1.0) < eps:
+            return h
+    raise StatsError("incomplete beta continued fraction did not converge")
+
+
+def frozen_incomplete_beta(a, b, x):
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    ln_bt = (
+        math.lgamma(a + b)
+        - math.lgamma(a)
+        - math.lgamma(b)
+        + a * math.log(x)
+        + b * math.log1p(-x)
+    )
+    bt = math.exp(ln_bt)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return bt * frozen_betacf(a, b, x) / a
+    return 1.0 - bt * frozen_betacf(b, a, 1.0 - x) / b
+
+
+def outcome(f, *args):
+    """The bits ``f`` returns, or the error it raises."""
+    try:
+        return float(f(*args)).hex()
+    except StatsError as exc:
+        return str(exc)
+
+
+# Each of these enters one Lentz guard of the continued fraction: the
+# initial d is 0 at (1, 3, 0.5); the even step's d at (1, 4, 0.5) and c at
+# (5, 17, 0.6388...); the odd step's d at (8, 1.5, 0.97999...) and c at
+# (2, 17, 0.6000...1). At (11.47, 22.18, 0.496) one step misses the
+# convergence test by one ulp (de - 1 is -3.33e-16) and the next passes.
+@given(
+    a=st.floats(min_value=1e-3, max_value=1e4),
+    b=st.floats(min_value=1e-3, max_value=1e4),
+    x=st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=200, deadline=None)
+@example(a=1.0, b=3.0, x=0.5)
+@example(a=1.0, b=4.0, x=0.5)
+@example(a=5.0, b=17.0, x=0.6388721553181806)
+@example(a=8.0, b=1.5, x=0.9799930990165943)
+@example(a=2.0, b=17.0, x=0.6000000000000001)
+@example(a=11.47, b=22.18, x=0.496)
+@example(a=1e6, b=1e6, x=0.5)
+def test_incomplete_beta_is_bitwise_the_abs_guarded_form(a, b, x):
+    """A rewrite of the guards for speed must keep every bit and every raise."""
+    assert outcome(_betacf, a, b, x) == outcome(frozen_betacf, a, b, x)
+    assert outcome(regularized_incomplete_beta, a, b, x) == outcome(
+        frozen_incomplete_beta, a, b, x
+    )
 
 
 def test_t_sf_against_reference():

@@ -82,6 +82,28 @@ def test_block_draws_equal_one_shot_draw(n):
         assert np.array_equal(train_y, latent)
 
 
+def frozen_draw_features(config, latent, rng):
+    """The feature draw with a fresh (rows, F) block of uniforms per 4,096 rows."""
+    n = latent.shape[0]
+    features = np.empty((n, config.n_features), dtype=np.uint8)
+    for lo in range(0, n, 4096):
+        hi = min(lo + 4096, n)
+        flips = rng.random((hi - lo, config.n_features)) < config.feature_noise
+        np.not_equal(latent[lo:hi, None], flips, out=features[lo:hi])
+    return features
+
+
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 100_000])
+def test_feature_draw_into_reused_blocks_is_the_fresh_block_draw(n):
+    config = ScenarioConfig(seed=13, feature_noise=0.3)
+    latent, rng = webstore._draw_latent(config, n, "population")
+    _, reference = webstore._draw_latent(config, n, "population")
+    features = webstore._draw_features(config, latent, rng)
+    assert features.dtype == np.uint8
+    assert np.array_equal(features, frozen_draw_features(config, latent, reference))
+    assert rng.random(5).tolist() == reference.random(5).tolist()
+
+
 @pytest.mark.parametrize("n", [1, 4095, 4097, 16_384, 16_385, 100_000])
 def test_block_latent_draw_is_one_draw_and_leaves_the_stream_where_it_would(n):
     config = ScenarioConfig(seed=11, purchaser_prevalence=0.3)
@@ -460,7 +482,15 @@ def test_identical_config_gives_identical_event_stream():
 
 def test_arrival_pushback_preserves_order():
     store = make_store(seed=8)
-    first = store.arrivals.next(10)
+    reference = np.random.default_rng(prf.stream_key(8, "arrivals"))
+    first = store.arrivals.next(10)  # nothing held: the fresh draw itself
+    expected = reference.integers(0, store.population.size, 10)
+    assert first.dtype == np.int64
+    assert np.array_equal(first, expected)
     store.arrivals.push_back(first[4:])
     again = store.arrivals.next(6)
     assert np.array_equal(first[4:], again)
+    store.arrivals.push_back(again[2:])
+    mixed = store.arrivals.next(7)
+    expected = reference.integers(0, store.population.size, 3)
+    assert np.array_equal(mixed, np.concatenate((again[2:], expected)))

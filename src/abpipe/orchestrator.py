@@ -15,23 +15,24 @@ segments and rejoin at the split exit once all of them have ended.
 loop for root segments and split branches alike. It draws the shared
 arrival stream in chunks, routes each arrival of a split to one program
 through a routing table (a root segment has one program, which takes
-every arrival without a table), serves each program's
-queue up to the last look it reaches in one block, holds what is left in
-one array per program, and pushes the unconsumed tail back once every
-program is done, so the consumed prefix does not depend on the chunk
-size. The runner only draws, routes and serves arrivals; each program
-runs its own looks. It lists where the looks its queue reaches end, adds
-each look's slice of the block (its variant mask and hypothesis samples)
-to its own accumulators, evaluates the hypothesis and applies the
-stopping rule; after a terminal look the rest of the queue goes to its
-next test. The store keeps no statistics, and a split's stats only the
-counts serving measures. Every draw is counter-based, so a block's
-samples equal those of serving it look by look, and each program owns
-its tests' state. So results, summaries, p-value traces, each instance's
-own event sequence and the root's stamps do not depend on the chunk size
-or the drain order. A split's sub-pipeline events are stamped with the
-furthest stream position any sub-pipeline has reached, so those stamps
-and how the sub-pipelines' events interleave do depend on ``CHUNK``.
+every arrival without a table), serves each program's queue up to the
+last look it reaches in one block, holds what is left in one array per
+program, and pushes the unconsumed tail back once every program is done,
+so the consumed prefix does not depend on the chunk size. The runner
+only draws, routes and serves arrivals, and checks the store's count
+(``WebStore.probe``) against the program's. Each program runs its own
+looks. It lists where the looks its queue reaches end, adds each look's
+slice of the block (its variant mask and hypothesis samples) to its own
+accumulators, evaluates the hypothesis and applies the stopping rule;
+after a terminal look the rest of the queue goes to its next test. The
+store keeps no statistics, and a split's stats only the counts serving
+measures. Every draw is counter-based, so a block's samples equal those
+of serving it look by look, and each program owns its tests' state. So
+results, summaries, p-value traces, each instance's own event sequence
+and the root's stamps do not depend on the chunk size or the drain
+order. A split's sub-pipeline events are stamped with the furthest
+stream position any sub-pipeline has reached, so those stamps and how
+the sub-pipelines' events interleave do depend on ``CHUNK``.
 """
 
 from __future__ import annotations
@@ -177,7 +178,6 @@ def next_element(
 
 @dataclass
 class SplitRunStats:
-    stream_total: int
     dispatched: dict[str, int]
     sub_stream_totals: dict[str, int]
     # wall time of deploying the split component: building the routing table
@@ -242,7 +242,7 @@ class Program:
             ends.append(at - self.consumed)
         return ends
 
-    def look(self, served: tuple, block: slice, requests_consumed: int) -> bool:
+    def look(self, served: tuple, block: slice) -> bool:
         """Add the ``block`` slice of a served ``(is_a, samples)`` pair and look.
 
         Returns whether the look was terminal.
@@ -258,7 +258,6 @@ class Program:
                 self.acc_b,
                 direction=test.hypothesis.direction,
                 alpha=test.hypothesis.alpha,
-                requests_consumed=requests_consumed,
             )
         )
 
@@ -370,6 +369,11 @@ class WebStoreRunner:
                 for start in range(0, features.shape[0], clf.PREDICT_BLOCK)
             ]
         )
+        lowest = int(classes.min())
+        if lowest < 0:
+            raise OrchestratorError(
+                f"split {split.name!r}: the model predicts class {lowest}, below 0"
+            )
         by_id = {p.instance_id: i for i, p in enumerate(programs)}
         route = np.full(
             int(classes.max()) + 1, len(programs), dtype=np.min_scalar_type(len(programs))
@@ -456,14 +460,17 @@ class WebStoreRunner:
                     if not ends:
                         break
                     name = program.current_test.name
-                    first = self.store.probe(name)
+                    if self.store.probe(name) != program.consumed:
+                        raise ContractViolationError(
+                            f"test {name!r}: the store's request count is not its program's"
+                        )
                     served = self.store.serve_chunk(name, queue[taken : taken + ends[-1]])
                     batches_served += 1
                     start = 0
                     for end in ends:
                         position = chunk_base + int(positions[taken + end - held - 1]) + 1
                         self.requests_total = max(self.requests_total, position)
-                        terminal = program.look(served, slice(start, end), first + end)
+                        terminal = program.look(served, slice(start, end))
                         start = end
                         if terminal:
                             break
@@ -495,7 +502,6 @@ class WebStoreRunner:
                     dispatched[i] += int(np.count_nonzero(targets[:n] == i))
 
         return SplitRunStats(
-            stream_total=self.requests_total - base,
             dispatched={
                 p.instance_id: dispatched[i] for i, p in enumerate(programs)
             },

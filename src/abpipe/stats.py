@@ -3,13 +3,13 @@
 Accumulators use Welford's single-pass update, so running moments are
 kept without storing samples; a served bool block is added in one exact
 bulk step (:meth:`MetricAccumulator.add_many`), merged in place by the
-step :meth:`MetricAccumulator.merge` applies to a copy. The stopping rule is defined here once:
-hypothesis checks run at fixed request-batch boundaries
-(:func:`next_boundary`) and stop at the first significant result or at
-the experiment-length cap (:func:`is_terminal`). The looks themselves
-are run by each test's ``orchestrator.Program``. Repeated looks are
-intentionally left uncorrected; see README for the false-positive
-implications.
+step :meth:`MetricAccumulator.merge` applies to a copy. The stopping
+rule is defined here once: hypothesis checks run at fixed request-batch
+boundaries (:func:`next_boundary`) and stop at the first significant
+result or at the cap (:func:`is_terminal`). A look counts its
+``n_a + n_b`` requests; ``WebStore.probe`` only checks that count.
+Each test's ``orchestrator.Program`` runs the looks. Repeated looks are
+left uncorrected; see README for the false-positive implications.
 
 The Student-t tail is computed locally via the regularized incomplete
 beta (continued fraction), so the runtime package has no dependency on
@@ -232,7 +232,7 @@ def _directional_p(stat: float, direction: str, tail) -> float:
 
 @dataclass(frozen=True)
 class StatResult:
-    """Outcome of one hypothesis evaluation."""
+    """Outcome of one hypothesis evaluation, over ``n_a + n_b`` requests."""
 
     p_value: float
     mean_a: float
@@ -240,11 +240,14 @@ class StatResult:
     n_a: int
     n_b: int
     significant: bool
-    requests_consumed: int
 
     @property
     def effect(self) -> float:
         return self.mean_b - self.mean_a
+
+    @property
+    def requests_consumed(self) -> int:
+        return self.n_a + self.n_b
 
 
 def _result(
@@ -252,9 +255,8 @@ def _result(
     b: MetricAccumulator,
     p: float,
     alpha: float,
-    requests_consumed: int | None,
 ) -> StatResult:
-    """A look's result; it consumed ``a.n + b.n`` requests unless told."""
+    """A look's result on the ``a.n + b.n`` requests it saw."""
     return StatResult(
         p_value=p,
         mean_a=a.mean,
@@ -262,7 +264,6 @@ def _result(
         n_a=a.n,
         n_b=b.n,
         significant=p <= alpha,
-        requests_consumed=a.n + b.n if requests_consumed is None else requests_consumed,
     )
 
 
@@ -271,7 +272,6 @@ def welch_t_test(
     b: MetricAccumulator,
     direction: str = B_NOT_EQUAL,
     alpha: float = 0.05,
-    requests_consumed: int | None = None,
 ) -> StatResult:
     """Welch's unequal-variance t-test on two accumulators.
 
@@ -303,7 +303,7 @@ def welch_t_test(
         wb = rb / se2
         df = 1.0 / (wa * wa / (a.n - 1) + wb * wb / (b.n - 1))
         p = _directional_p(t, direction, lambda s: student_t_sf(s, df))
-    return _result(a, b, p, alpha, requests_consumed)
+    return _result(a, b, p, alpha)
 
 
 def two_proportion_test(
@@ -311,7 +311,6 @@ def two_proportion_test(
     b: MetricAccumulator,
     direction: str = B_NOT_EQUAL,
     alpha: float = 0.05,
-    requests_consumed: int | None = None,
 ) -> StatResult:
     """Pooled two-proportion z-test on binary accumulators."""
     if not (a.binary and b.binary):
@@ -328,7 +327,7 @@ def two_proportion_test(
     se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / a.n + 1.0 / b.n))
     z = (b.mean - a.mean) / se
     p = _directional_p(z, direction, normal_sf)
-    return _result(a, b, p, alpha, requests_consumed)
+    return _result(a, b, p, alpha)
 
 
 _TEST_FUNCS = {WELCH_T: welch_t_test, TWO_PROPORTION: two_proportion_test}
@@ -340,14 +339,13 @@ def run_stat_test(
     b: MetricAccumulator,
     direction: str,
     alpha: float,
-    requests_consumed: int | None = None,
 ) -> StatResult:
     """Dispatch to the configured statistical procedure."""
     try:
         func = _TEST_FUNCS[stat_test]
     except KeyError:
         raise StatsError(f"unknown stat test {stat_test!r}") from None
-    return func(a, b, direction, alpha, requests_consumed)
+    return func(a, b, direction, alpha)
 
 
 # ---------------------------------------------------------------------------

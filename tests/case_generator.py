@@ -70,7 +70,6 @@ def _script(rng, instance, test, significant):
                 n_a=requests // 2,
                 n_b=requests - requests // 2,
                 significant=final and significant,
-                requests_consumed=requests,
             )
         )
     return results

@@ -29,7 +29,9 @@ class ScriptedRunner:
     def restore(self, test) -> None:
         pass
 
-    def _round_robin(self, programs: list[Program]) -> None:
+    def _round_robin(self, programs: list[Program]) -> dict[str, int]:
+        """Run ``programs`` to End; the request total at which each ended."""
+        completion: dict[str, int] = {}
         while any(not p.done for p in programs):
             for program in programs:
                 if program.done:
@@ -45,15 +47,19 @@ class ScriptedRunner:
                 self._positions[key] = position + 1
                 self.requests_total += result.requests_consumed - program.consumed
                 program.on_batch(result)
+                if program.done:
+                    completion[program.instance_id] = self.requests_total
+        return completion
 
     def run_test(self, program: Program) -> None:
         self._round_robin([program])
 
     def run_split(self, split, programs: list[Program]) -> SplitRunStats:
         base = self.requests_total
-        self._round_robin(programs)
+        completion = self._round_robin(programs)
         return SplitRunStats(
-            stream_total=self.requests_total - base,
             dispatched={p.instance_id: 0 for p in programs},
-            sub_stream_totals={p.instance_id: 0 for p in programs},
+            sub_stream_totals={
+                sub_id: total - base for sub_id, total in completion.items()
+            },
         )

@@ -17,7 +17,7 @@ from abpipe.stats import StatResult
 
 
 def result(p=0.5, mean_a=0.0, mean_b=0.0):
-    return StatResult(p, mean_a, mean_b, 10, 10, p <= 0.05, 20)
+    return StatResult(p, mean_a, mean_b, 10, 10, p <= 0.05)
 
 
 def test_parse_simple_comparison():

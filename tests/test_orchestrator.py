@@ -67,7 +67,7 @@ from scripted_runner import ScriptedRunner
 
 def result_for(p=0.5, effect=0.0, requests=1000, significant=None):
     significant = p <= 0.05 if significant is None else significant
-    return StatResult(p, 0.1, 0.1 + effect, requests // 2, requests // 2, significant, requests)
+    return StatResult(p, 0.1, 0.1 + effect, requests // 2, requests - requests // 2, significant)
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +424,25 @@ def test_segment_the_model_never_routes_to_fails_before_any_arrival(
     assert runner.requests_total == 0
 
 
+class _SignedStub:
+    """Duck-typed classifier predicting classes -1, 0 and 1."""
+
+    def predict(self, features):
+        return _ThreeWayStub().predict(features) - 1
+
+
+def test_a_negative_predicted_class_fails_before_any_arrival(small_scenario):
+    # indexing the class route with -1 would send class -1 to the last branch
+    spec, catalog = segment_spec(2)
+    store = WebStore(small_scenario, catalog)
+    runner = WebStoreRunner(store, split_models={"k-way": _SignedStub()})
+    engine = PipelineEngine(spec, runner, catalog=catalog)
+    with pytest.raises(OrchestratorError) as caught:
+        engine.run()
+    assert str(caught.value) == "split 'SPLIT2': the model predicts class -1, below 0"
+    assert runner.requests_total == 0
+
+
 @pytest.mark.parametrize(
     "routed, starved",
     [(None, ["Seg-0", "Seg-1"]), (0, ["Seg-1"])],
@@ -587,6 +606,42 @@ def test_split_accounting_adds_up(par_spec, small_scenario):
             shares = sum(split["split_fractions"].values()) + split["unrouted_fraction"]
             assert abs(shares - 1.0) <= 1e-12
             assert total == max(split["sub_stream_totals"].values())
+
+
+def summary_relation_errors(engine, summary):
+    """The relations every completed run's summary and trace satisfy."""
+    errors = []
+    root = 0
+    for key, row in summary["tests"].items():
+        if row["n_a"] + row["n_b"] != row["requests"]:
+            errors.append(f"{key}: n_a + n_b != requests")
+        if row["instance"] == summary["pipeline"]:
+            root += row["requests"]
+    for name, split in summary["splits"].items():
+        root += split["stream_total"]
+        if sum(split["dispatched"].values()) + split["unrouted"] != split["stream_total"]:
+            errors.append(f"{name}: dispatched + unrouted != stream_total")
+    if root != summary["requests_total"]:
+        errors.append("root test requests + split stream totals != requests_total")
+    looks = sum(1 for event in engine.trace if event.event == "batch_result")
+    if looks != sum(len(rows) for rows in engine.batch_results.values()):
+        errors.append("batch_result events != p-value rows")
+    return errors
+
+
+@pytest.mark.parametrize("batch_size", [37, 100, 1000])
+@pytest.mark.parametrize("bundle", ["seq_spec", "par_spec"])
+def test_completed_runs_keep_the_summary_relations(bundle, batch_size, request, scenario):
+    spec = request.getfixturevalue(bundle)
+    completed = 0
+    for seed in range(1, 6):
+        try:
+            outcome = run_pipeline_once(spec, scenario, seed, batch_size)
+        except PipelineRunError:
+            continue
+        completed += 1
+        assert summary_relation_errors(outcome.engine, outcome.summary) == [], seed
+    assert completed
 
 
 def test_run_fits_one_split_model_for_every_split(
@@ -804,7 +859,7 @@ def test_runs_do_not_depend_on_the_arrival_chunk_size(
 # run failures: a domain error fails the run, a programming error propagates
 
 
-def broken_look(self, served, block, requests_consumed):
+def broken_look(self, *args):
     raise TypeError("a bug in the engine")
 
 
@@ -829,6 +884,25 @@ def test_insufficient_samples_fail_the_run_with_its_partial_trace(
     with pytest.raises(PipelineRunError) as err:
         run_pipeline_once(seq_spec, small_scenario, seed=1, batch_size=1)
     assert isinstance(err.value.cause, InsufficientSamplesError)
+    assert [e.event for e in err.value.engine.trace] == ["start", "deploy"]
+
+
+def test_a_store_count_that_drifts_from_the_program_fails_the_run(
+    seq_spec, small_scenario, monkeypatch
+):
+    # a look counts the n_a + n_b requests it saw; the store's count is only checked
+    def engine_with_observer(spec, runner, **kwargs):
+        def serve_one_more(event, knowledge):
+            if event.event == "deploy" and event.detail["test"] == "GUI-upgrade":
+                runner.store.serve_chunk("GUI-upgrade", np.zeros(1, dtype=np.int64))
+
+        return PipelineEngine(spec, runner, observer=serve_one_more, **kwargs)
+
+    monkeypatch.setattr("abpipe.report.PipelineEngine", engine_with_observer)
+    with pytest.raises(PipelineRunError) as err:
+        run_pipeline_once(seq_spec, small_scenario, seed=1)
+    assert isinstance(err.value.cause, ContractViolationError)
+    assert "'GUI-upgrade'" in str(err.value)
     assert [e.event for e in err.value.engine.trace] == ["start", "deploy"]
 
 

@@ -1,5 +1,6 @@
 """The public surface of the ``abpipe`` package."""
 
+import ast
 import importlib
 import os
 import re
@@ -31,6 +32,23 @@ def test_python_dash_m_runs_the_cli():
     done = run_python(["-m", "abpipe", "validate", "scenarios/sequential"], ROOT)
     assert done.returncode == 0, done.stderr
     assert "no violations" in done.stdout
+
+
+def test_every_source_file_parses_as_python_3_10():
+    # pyproject allows Python 3.10; this catches newer syntax on a newer interpreter
+    paths = [
+        path
+        for pattern in ("src/abpipe/*.py", "tests/*.py", "perfbench/*.py")
+        for path in sorted(ROOT.glob(pattern))
+    ]
+    assert len(paths) > 30
+    failures = []
+    for path in paths:
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+        except SyntaxError as exc:
+            failures.append(f"{path.relative_to(ROOT)}:{exc.lineno}: {exc.msg}")
+    assert not failures, failures
 
 
 def test_the_console_script_names_a_callable():

@@ -46,12 +46,10 @@ print(f"\nsplit '{split.name}' on property '{split.split_property}':")
 for sub, cond in zip(split.sub_pipelines, split.cond_stats):
     print(f"  class {cond.render()} -> {sub.subpl_id}")
 
-counts = {sub.subpl_id: 0 for sub in split.sub_pipelines}
-for predicted_class in model.predict(held_x[:2_000]):
-    counts[clf.route_class(split, int(predicted_class))] += 1
+classes = model.predict(held_x[:2_000])
 print("routing of 2000 held-out users:")
-for name, count in counts.items():
-    print(f"  {name}: {count / 2000 * 100:.2f}%")
+for sub, cond in zip(split.sub_pipelines, split.cond_stats):
+    print(f"  {sub.subpl_id}: {cond.matches(classes).mean() * 100:.2f}%")
 
 latency = clf.measure_predict_latency_ms(model, held_x[:64].astype(float))
 print(f"\nmedian predict latency on 64 rows: {latency:.4f} ms")

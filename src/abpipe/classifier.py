@@ -1,4 +1,4 @@
-"""Population-split component: linear classifier plus population divider.
+"""Population-split component: the classifier whose classes divide a population.
 
 The classifier is a logistic model trained with plain per-sample SGD
 on a fixed schedule (inverse-scaling learning rate, L2 penalty, 5
@@ -18,9 +18,9 @@ schedule of the last fit is kept, so the seeds of a comparison share it.
 The weights equal those of the textbook dense update up to summation
 order (about 1e-14).
 
-The divider maps a predicted class through a split's branch conditions
-to exactly one sub-pipeline; users matching no branch are "unrouted"
-and take part in no experiment.
+The runner's routing table (``WebStoreRunner._routing_table``) divides
+the population by the predicted class, one mask per branch; users matching
+no branch are "unrouted" and take part in no experiment.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
-
-from .model import PopulationSplitSpec
 
 DEFAULT_FEATURES = 23
 PREDICT_BLOCK = 4096  # population rows per predict call when routing
@@ -197,18 +195,6 @@ def train(
         hyperparams=hp,
         train_time_ms=elapsed_ms,
     )
-
-
-# ---------------------------------------------------------------------------
-# routing
-
-
-def route_class(split: PopulationSplitSpec, predicted_class: int) -> str | None:
-    """Sub-pipeline id for a predicted class, or None when unrouted."""
-    for sub, cond in zip(split.sub_pipelines, split.cond_stats):
-        if cond.matches(predicted_class):
-            return sub.subpl_id
-    return None
 
 
 def measure_predict_latency_ms(model: LinearModel, features: np.ndarray) -> float:

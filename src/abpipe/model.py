@@ -273,10 +273,14 @@ def _check_split(
     unknown = [c.op for c in split.cond_stats if c.op not in conditions.COMPARE]
     for op in unknown:
         report.add("unknown-class-operator", split.name, f"class operator {op!r}")
-    # class-condition exclusivity over the inferred class domain
+    # class-condition exclusivity over classes >= 0. A condition can change
+    # only from v - 1 to v or from v to v + 1, so if the least class c that
+    # several conditions share is above 0, one of them fails at c - 1 and
+    # holds at c, making c some v or v + 1. Checking 0 and those finds the
+    # class that a scan of every class reports first.
     if split.cond_stats and not unknown:
-        max_value = max(c.value for c in split.cond_stats)
-        for cls in range(0, max(max_value, 0) + 2):
+        values = [c.value for c in split.cond_stats if c.value >= 0]
+        for cls in sorted({0, *values, *(v + 1 for v in values)}):
             hits = [c for c in split.cond_stats if c.matches(cls)]
             if len(hits) > 1:
                 report.add(

@@ -358,8 +358,9 @@ class WebStoreRunner:
         """Index of each population user's sub-pipeline; len(programs) if unrouted.
 
         Predicts PREDICT_BLOCK-row blocks, not one float64 copy of every row,
-        routes each class up to the largest predicted once into ``route``, and
-        gathers ``route[classes]`` in the smallest type that holds len(programs).
+        and fills the table, in the smallest type that holds len(programs),
+        with one branch's condition mask at a time, last branch first, so the
+        first branch a class matches wins. Classes must be integers >= 0.
         """
         model = self.split_models[split.split_component.image_name]
         features = self.store.population.features
@@ -369,20 +370,20 @@ class WebStoreRunner:
                 for start in range(0, features.shape[0], clf.PREDICT_BLOCK)
             ]
         )
+        if classes.dtype.kind not in "biu":
+            raise OrchestratorError(
+                f"split {split.name!r}: the model predicts {classes.dtype} classes,"
+                " not integers"
+            )
         lowest = int(classes.min())
         if lowest < 0:
             raise OrchestratorError(
                 f"split {split.name!r}: the model predicts class {lowest}, below 0"
             )
         by_id = {p.instance_id: i for i, p in enumerate(programs)}
-        route = np.full(
-            int(classes.max()) + 1, len(programs), dtype=np.min_scalar_type(len(programs))
-        )
-        for cls in range(route.shape[0]):
-            sub_id = clf.route_class(split, cls)
-            if sub_id is not None:
-                route[cls] = by_id[sub_id]
-        table = route[classes]
+        table = np.full(classes.shape, len(programs), np.min_scalar_type(len(programs)))
+        for sub, cond in reversed(list(zip(split.sub_pipelines, split.cond_stats))):
+            np.putmask(table, cond.matches(classes), by_id[sub.subpl_id])
         counts = np.bincount(table, minlength=len(programs) + 1)
         empty = [p.instance_id for i, p in enumerate(programs) if not counts[i]]
         if empty:

@@ -289,33 +289,28 @@ def compare_pipelines(
     unrouted: list[float] = []
     train_ms: list[float] = []
     deploy_ms: list[float] = []
-    last_model: clf.LinearModel | None = None
+
+    def add_requests(out: RunOutcome, requests: dict[str, list[int]]) -> None:
+        for row in out.summary["tests"].values():
+            if row["test"] in requests:
+                requests[row["test"]].append(row["requests"])
 
     failures: list[dict] = []
+    last: RunOutcome | None = None  # the last split run, timed for predict below
     for seed in seeds:
         try:
             seq_out = run_pipeline_once(seq_spec, scenario, seed, batch_size)
-        except PipelineRunError as exc:
-            failures.append(
-                {"seed": seed, "pipeline": seq_spec.name, "error": str(exc)}
-            )
-            continue
-        for row in seq_out.summary["tests"].values():
-            if row["test"] in seq_requests:
-                seq_requests[row["test"]].append(row["requests"])
-        try:
+            add_requests(seq_out, seq_requests)
             par_out = run_pipeline_once(
                 par_spec, scenario, seed, batch_size,
                 population=seq_out.engine.runner.store.population,
             )
         except PipelineRunError as exc:
             failures.append(
-                {"seed": seed, "pipeline": par_spec.name, "error": str(exc)}
+                {"seed": seed, "pipeline": exc.engine.spec.name, "error": str(exc)}
             )
             continue
-        for row in par_out.summary["tests"].values():
-            if row["test"] in par_requests:
-                par_requests[row["test"]].append(row["requests"])
+        add_requests(par_out, par_requests)
         for split in par_out.summary["splits"].values():
             for sub_id, total in split["sub_stream_totals"].items():
                 par_streams.setdefault(sub_id, []).append(total)
@@ -323,10 +318,8 @@ def compare_pipelines(
                 fractions.setdefault(sub_id, []).append(frac)
             unrouted.append(split["unrouted_fraction"])
         deploy_ms.extend(s.deploy_ms for s in par_out.engine.split_stats.values())
-        if par_out.model is not None:
-            train_ms.append(par_out.model.train_time_ms)
-            last_model = par_out.model
-            population = par_out.engine.runner.store.population.features
+        train_ms.append(par_out.model.train_time_ms)
+        last = par_out
 
     sequential_tests = {}
     for name in seq_names:
@@ -371,9 +364,9 @@ def compare_pipelines(
         overhead["train_ms"] = float(statistics.median(train_ms))
     if deploy_ms:
         overhead["deploy_ms"] = float(statistics.median(deploy_ms))
-    if last_model is not None:  # timed as the runner predicts a population
+    if last is not None:  # timed as the runner predicts a population
         overhead["predict_ms_median"] = clf.measure_predict_latency_ms(
-            last_model, population
+            last.model, last.engine.runner.store.population.features
         )
 
     return ComparisonReport(

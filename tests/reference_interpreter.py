@@ -11,7 +11,9 @@ transition-rule / pipeline-execution / population-split semantics:
 * a population split creates one knowledge instance per sub-pipeline,
   starts them all, and advances them round-robin (one batch per tick,
   declaration order); once all sub-pipelines end, execution continues
-  with the split's next component.
+  with the split's next component;
+* a user goes to the first sub-pipeline whose class condition the
+  predicted class meets, and to none if it meets no condition.
 
 Conditions are evaluated with Python's own expression evaluator, not
 the package's parser, keeping this oracle independent of the engine.
@@ -30,6 +32,15 @@ def _eval_condition(text: str, result) -> bool:
         "effect": result.mean_b - result.mean_a,
     }
     return bool(eval(text, {"__builtins__": {}}, fields))  # noqa: S307
+
+
+def route_class(split, predicted_class: int) -> str | None:
+    """Sub-pipeline id for a predicted class, or None when unrouted."""
+    for sub, cond in zip(split.sub_pipelines, split.cond_stats):
+        text = f"{int(predicted_class)} {cond.op} {int(cond.value)}"
+        if eval(text, {"__builtins__": {}}):  # noqa: S307
+            return sub.subpl_id
+    return None
 
 
 def reference_trace(spec: PipelineSpec, scripts: dict) -> list[tuple]:

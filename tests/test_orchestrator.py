@@ -3,6 +3,7 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -10,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from abpipe.classifier import Hyperparams, route_class, train
+from abpipe.classifier import Hyperparams, train
 from abpipe.cli import write_run_outputs
 from abpipe.model import (
     ABTestSpec,
@@ -62,6 +63,7 @@ from abpipe.webstore import (
 )
 
 from case_generator import _make_test, _script
+from reference_interpreter import route_class
 from scripted_runner import ScriptedRunner
 
 
@@ -432,7 +434,7 @@ class _SignedStub:
 
 
 def test_a_negative_predicted_class_fails_before_any_arrival(small_scenario):
-    # indexing the class route with -1 would send class -1 to the last branch
+    # validate checks exclusivity over classes >= 0 only, so no class below 0 may route
     spec, catalog = segment_spec(2)
     store = WebStore(small_scenario, catalog)
     runner = WebStoreRunner(store, split_models={"k-way": _SignedStub()})
@@ -440,6 +442,20 @@ def test_a_negative_predicted_class_fails_before_any_arrival(small_scenario):
     with pytest.raises(OrchestratorError) as caught:
         engine.run()
     assert str(caught.value) == "split 'SPLIT2': the model predicts class -1, below 0"
+    assert runner.requests_total == 0
+
+
+def test_float_predicted_classes_fail_before_any_arrival(small_scenario):
+    spec, catalog = segment_spec(2)
+    store = WebStore(small_scenario, catalog)
+    stub = SimpleNamespace(predict=lambda f: _ThreeWayStub().predict(f).astype(float))
+    runner = WebStoreRunner(store, split_models={"k-way": stub})
+    engine = PipelineEngine(spec, runner, catalog=catalog)
+    with pytest.raises(OrchestratorError) as caught:
+        engine.run()
+    assert str(caught.value) == (
+        "split 'SPLIT2': the model predicts float64 classes, not integers"
+    )
     assert runner.requests_total == 0
 
 
@@ -522,6 +538,43 @@ def test_routing_table_leaves_an_unrouted_class_unrouted(small_scenario):
     assert table.dtype == expected.dtype
     assert np.array_equal(table, expected)
     assert np.array_equal(np.bincount(table), np.bincount(classes))
+
+
+class _LargeClassStub:
+    """Duck-typed classifier predicting classes 0 and 1, and 10**7 for user 0."""
+
+    def __init__(self):
+        self.offset = 0
+
+    def predict(self, features):
+        n = np.asarray(features).shape[0]
+        classes = (self.offset + np.arange(n, dtype=np.int64)) % 2
+        if self.offset == 0:
+            classes[0] = 10**7
+        self.offset += n
+        return classes
+
+
+def test_routing_table_of_a_large_class_takes_no_time_per_class_id(small_scenario):
+    runner, split, programs = routing_inputs(2, _LargeClassStub(), small_scenario)
+    started = time.perf_counter()
+    table = runner._routing_table(split, programs)
+    elapsed = time.perf_counter() - started
+    classes = np.arange(small_scenario.population_size, dtype=np.int64) % 2
+    classes[0] = 10**7
+    assert np.array_equal(table, unique_routing_table(split, programs, classes))
+    assert table[0] == len(programs)  # class 10**7 meets no branch
+    assert elapsed < 1.0  # a route per class id up to 10**7 takes seconds
+
+
+def test_routing_table_sends_a_class_to_the_first_branch_it_meets(small_scenario):
+    # class 1 meets both branches and goes to the first; class 2 meets only the second
+    runner, split, programs = routing_inputs(2, _ThreeWayStub(), small_scenario)
+    split = replace(split, cond_stats=(ClassCondition("<=", 1), ClassCondition(">=", 1)))
+    table = runner._routing_table(split, programs)
+    classes = _ThreeWayStub().predict(runner.store.population.features)
+    assert np.array_equal(table, unique_routing_table(split, programs, classes))
+    assert np.array_equal(table, (classes == 2).astype(table.dtype))
 
 
 def test_routing_table_of_a_single_class_names_the_empty_segment(small_scenario):

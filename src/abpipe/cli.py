@@ -28,13 +28,7 @@ from . import classifier as clf
 from .blueprints import BlueprintError, parse_blueprints
 from .model import PipelineSpec, pvalue_file_name, validate
 from .orchestrator import SpecInvalidError
-from .report import (
-    RUN_ERRORS,
-    PipelineRunError,
-    compare_pipelines,
-    run_pipeline_once,
-    write_report,
-)
+from .report import PipelineRunError, compare_pipelines, run_pipeline_once, write_report
 from .stats import DEFAULT_BATCH_SIZE, write_pvalue_trace
 from .webstore import (
     DEFAULT_CATALOG,
@@ -139,11 +133,9 @@ def cmd_run(args) -> int:
     try:
         outcome = run_pipeline_once(spec, scenario, seed=seed, batch_size=batch)
     except PipelineRunError as exc:
-        out.mkdir(parents=True, exist_ok=True)
-        exc.engine.trace.write_jsonl(out / "trace.jsonl")  # partial trace
-        print(f"run failed: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except RUN_ERRORS as exc:
+        if exc.engine.trace.events:  # the partial trace of a run that started
+            out.mkdir(parents=True, exist_ok=True)
+            exc.engine.trace.write_jsonl(out / "trace.jsonl")
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     out.mkdir(parents=True, exist_ok=True)
@@ -187,9 +179,6 @@ def cmd_compare(args) -> int:
         )
     except SpecInvalidError as exc:  # raised before any run
         raise CliError(f"{args.par_bundle}: {exc}", EXIT_DOMAIN)
-    except RUN_ERRORS as exc:
-        print(f"compare failed: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     write_report(report, args.out)
     print(report.render_text())
     if report.partial:

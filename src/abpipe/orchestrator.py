@@ -384,8 +384,7 @@ class WebStoreRunner:
         table = np.full(classes.shape, len(programs), np.min_scalar_type(len(programs)))
         for sub, cond in reversed(list(zip(split.sub_pipelines, split.cond_stats))):
             np.putmask(table, cond.matches(classes), by_id[sub.subpl_id])
-        counts = np.bincount(table, minlength=len(programs) + 1)
-        empty = [p.instance_id for i, p in enumerate(programs) if not counts[i]]
+        empty = [p.instance_id for i, p in enumerate(programs) if not (table == i).any()]
         if empty:
             raise OrchestratorError(
                 f"split {split.name!r}: the model routes no user of the"

@@ -23,13 +23,7 @@ from . import classifier as clf
 from .model import PipelineSpec
 from .orchestrator import OrchestratorError, PipelineEngine, SpecInvalidError, WebStoreRunner
 from .stats import DEFAULT_BATCH_SIZE, StatsError
-from .webstore import (
-    Population,
-    ScenarioConfig,
-    WebStore,
-    WebStoreError,
-    generate_training_data,
-)
+from .webstore import ScenarioConfig, WebStore, WebStoreError, generate_training_data
 
 FULL_SCALE_REFERENCE = {
     "sequential": {"Recommendation update": 112_000, "Review update": 27_000},
@@ -67,25 +61,26 @@ def run_pipeline_once(
     scenario: ScenarioConfig,
     seed: int,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    population: Population | None = None,
 ) -> RunOutcome:
     """Execute a pipeline once, deterministically for the given seed.
 
     The run seed replaces the scenario seed, so the population, the
     arrival order, every behavioral draw and (for parallel pipelines)
-    the classifier training data all derive from it. ``population``
-    reuses one drawn by an earlier run of the same seed.
+    the classifier training data all derive from it. A run fails one
+    way: a ``RUN_ERRORS`` error of the split model fit or of the engine
+    raises ``PipelineRunError`` with the engine, whose trace holds the
+    events traced before it (none, if the fit failed).
     """
     config = replace(scenario, seed=seed)
-    store = WebStore(config, population=population)
-    model: clf.LinearModel | None = None
-    if spec.pop_splits:  # the training data and seed are the same for every split
-        features, labels = generate_training_data(config, config.train_samples)
-        model = clf.train(features, labels, clf.Hyperparams(seed=config.seed))
-    models = {split.split_component.image_name: model for split in spec.pop_splits}
-    runner = WebStoreRunner(store, batch_size=batch_size, split_models=models)
+    store = WebStore(config)
+    runner = WebStoreRunner(store, batch_size=batch_size)
     engine = PipelineEngine(spec, runner, catalog=store.catalog)
+    model: clf.LinearModel | None = None
     try:
+        if spec.pop_splits:  # the training data and seed are the same for every split
+            features, labels = generate_training_data(config, config.train_samples)
+            model = clf.train(features, labels, clf.Hyperparams(seed=seed))
+            runner.split_models = {s.split_component.image_name: model for s in spec.pop_splits}
         engine.run()
     except RUN_ERRORS as exc:
         raise PipelineRunError(exc, engine) from exc
@@ -263,8 +258,9 @@ def compare_pipelines(
     its cap without significance, so the recommendation test never
     runs), that seed is left out of that test's median only; the
     sequential SUM and parallel MAX then combine medians that may rest
-    on different seed subsets. A failed run is recorded in ``failures``
-    and leaves both totals and the reduction undefined.
+    on different seed subsets. A failed run, a failed split model fit
+    included, is recorded in ``failures`` and leaves both totals and the
+    reduction undefined.
     """
     if not seeds:
         raise ValueError("need at least one seed")
@@ -301,10 +297,7 @@ def compare_pipelines(
         try:
             seq_out = run_pipeline_once(seq_spec, scenario, seed, batch_size)
             add_requests(seq_out, seq_requests)
-            par_out = run_pipeline_once(
-                par_spec, scenario, seed, batch_size,
-                population=seq_out.engine.runner.store.population,
-            )
+            par_out = run_pipeline_once(par_spec, scenario, seed, batch_size)
         except PipelineRunError as exc:
             failures.append(
                 {"seed": seed, "pipeline": exc.engine.spec.name, "error": str(exc)}

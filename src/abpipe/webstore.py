@@ -169,7 +169,7 @@ class Population:
     ``latent`` is drawn at once. ``features`` is drawn on its first read
     from the same stream, right after ``latent`` as an eager draw would,
     so a run without a population split never pays for it. Both columns
-    are read-only, so runs of one seed can share them.
+    are read-only.
     """
 
     def __init__(self, config: ScenarioConfig, latent: np.ndarray, rng):
@@ -330,22 +330,10 @@ class ArrivalStream:
 class WebStore:
     """The managed system: deployments, routing, serving, probes."""
 
-    def __init__(
-        self,
-        config: ScenarioConfig,
-        catalog: dict[str, str] | None = None,
-        population: Population | None = None,
-    ):
+    def __init__(self, config: ScenarioConfig, catalog: dict[str, str] | None = None):
         self.config = config
         self.catalog = dict(DEFAULT_CATALOG if catalog is None else catalog)
-        if population is None:
-            population = generate_population(config, config.population_size)
-        elif population.config != config or population.size != config.population_size:
-            raise WebStoreError(
-                "a given population must be the one the store's scenario draws"
-                f" (seed {config.seed}, {config.population_size} users)"
-            )
-        self.population = population
+        self.population = generate_population(config, config.population_size)
         self.arrivals = ArrivalStream(config, self.population.size)
         self._active: dict[str, _ActiveTest] = {}  # the deployed tests
         self._epochs: dict[str, int] = {}  # deployments so far, per test

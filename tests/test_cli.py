@@ -945,23 +945,20 @@ def ghost_variant_bundle(tmp_path, seq_bundle) -> Path:
     return bundle
 
 
-def test_run_failure_keeps_partial_trace(tmp_path, seq_bundle, small_scenario_file):
-    bundle = ghost_variant_bundle(tmp_path, seq_bundle)
+def test_run_failure_keeps_partial_trace(
+    tmp_path, seq_bundle, small_scenario_file, monkeypatch
+):
+    # one request per look leaves a variant without samples at the first look
+    monkeypatch.setenv("ABPIPE_BATCH_SIZE", "1")
     out = tmp_path / "out"
-    code = main(
-        [
-            "run",
-            str(bundle),
-            "--scenario",
-            str(small_scenario_file),
-            "--seed",
-            "1",
-            "--out",
-            str(out),
-        ]
-    )
-    assert code == 1
-    assert (out / "trace.jsonl").exists()
+    argv = ["run", str(seq_bundle), "--scenario", str(small_scenario_file), "--seed", "1"]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert [p.name for p in out.iterdir()] == ["trace.jsonl"]
+    events = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+    assert [(e["event"], e["detail"]) for e in events] == [
+        ("start", {"element": "GUI-upgrade"}),
+        ("deploy", {"test": "GUI-upgrade"}),
+    ]
 
 
 def test_run_failing_before_the_engine_starts_leaves_no_out_directory(
@@ -998,7 +995,7 @@ def test_unknown_metric_fails_before_any_test_runs(
     assert capsys.readouterr().err.splitlines() == [
         "run failed: test 'Review-upgrade' collects unknown metric 'sessions'"
     ]
-    assert (out / "trace.jsonl").read_text() == ""
+    assert not out.exists()  # no event was traced, so there is no partial trace
 
 
 GHOST_LINE = (
@@ -1072,6 +1069,29 @@ def test_compare_names_the_failed_split_run_and_keeps_its_sequential_rows(
     assert report["sequential_tests"] and not report["parallel_tests"]
 
 
+def test_compare_records_untrainable_seeds_and_aggregates_the_rest(
+    tmp_path, seq_bundle, par_bundle, small_scenario, capsys
+):
+    """Twenty training rows hold no purchaser at seeds 1, 3 and 6, so those fits fail."""
+    scenario = tmp_path / "scenario.json"
+    save_scenario(replace(small_scenario, train_samples=20), scenario)
+    out = tmp_path / "cmp"
+    argv = ["compare", str(seq_bundle), str(par_bundle), "--scenario", str(scenario),
+            "--runs", "6", "--out", str(out)]
+    assert main(argv) == EXIT_DOMAIN
+    report = json.loads((out / "report.json").read_text())
+    assert report["partial"] and report["seeds"] == [1, 2, 3, 4, 5, 6]
+    assert [(f["seed"], f["pipeline"]) for f in report["failures"]] == [
+        (seed, "Parallel-evaluation-pipeline") for seed in (1, 3, 6)
+    ]
+    assert sorted(report["parallel_tests"]) == ["Recommendation-upgrade", "Review-upgrade"]
+    assert capsys.readouterr().err.splitlines() == [
+        f"failed run: seed {seed} Parallel-evaluation-pipeline:"
+        " training set contains a single class"
+        for seed in (1, 3, 6)
+    ]
+
+
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_untrainable_split_model_fails_cleanly(
     tmp_path, seq_bundle, par_bundle, small_scenario, command, capsys
@@ -1087,7 +1107,15 @@ def test_untrainable_split_model_fails_cleanly(
     argv = [command, *bundles, "--scenario", str(path), "--out", str(out)]
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"{command} failed: training set contains a single class"]
+    if command == "run":
+        assert err == ["run failed: training set contains a single class"]
+        assert not out.exists()
+    else:  # the failed fit is a failed run of the seed's split pipeline
+        assert err == [
+            "failed run: seed 1 Parallel-evaluation-pipeline:"
+            " training set contains a single class"
+        ]
+        assert json.loads((out / "report.json").read_text())["partial"]
 
 
 @pytest.mark.parametrize("command", ["run", "compare", "train"])
@@ -1101,15 +1129,18 @@ def test_negative_seed_split_fit_fails_in_one_line(
     argv, line = {
         "run": (["run", str(par_bundle), *scenario, "--seed", "-3"], "run failed: seed must be >= 0, got -3"),
         "compare": (
-            ["compare", str(seq_bundle), str(par_bundle), *scenario, "--runs", "2", "--seeds=-2,-1"],
-            "compare failed: seed must be >= 0, got -2",
+            ["compare", str(seq_bundle), str(par_bundle), *scenario, "--runs", "1", "--seeds=-2"],
+            "failed run: seed -2 Parallel-evaluation-pipeline: seed must be >= 0, got -2",
         ),
         "train": (["train", str(csv_path), "--seed", "-1"], "training failed: seed must be >= 0, got -1"),
     }[command]
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == EXIT_DOMAIN
     assert capsys.readouterr().err.splitlines() == [line]
-    assert not out.is_file() and not (out / "report.json").exists()
+    if command == "compare":
+        assert json.loads((out / "report.json").read_text())["partial"]
+    else:
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from abpipe.classifier import Hyperparams, train
+from abpipe.classifier import ClassifierError, Hyperparams, train
 from abpipe.cli import write_run_outputs
 from abpipe.model import (
     ABTestSpec,
@@ -43,7 +43,6 @@ from abpipe.report import (
     build_summary,
     compare_pipelines,
     run_pipeline_once,
-    write_report,
 )
 from abpipe.stats import (
     DEFAULT_BATCH_SIZE,
@@ -771,12 +770,12 @@ def test_sequential_runs_never_draw_feature_rows(seq_spec, small_scenario, monke
     assert feature_draws == []
 
 
-def test_comparison_draws_one_population_per_seed(
-    seq_spec, par_spec, small_scenario, tmp_path, monkeypatch
+def test_comparison_draws_feature_rows_only_in_split_runs(
+    seq_spec, par_spec, small_scenario, monkeypatch
 ):
-    """The split run reuses its seed's sequential population, draws its
-    feature rows once, and the report is byte-identical to runs that
-    each draw their own."""
+    """Each run draws its own population. A split run draws feature rows
+    twice, for its training set and then for its population, and a
+    sequential run never does."""
     seeds = [1, 2, 3]
     draws = []
 
@@ -787,23 +786,13 @@ def test_comparison_draws_one_population_per_seed(
     monkeypatch.setattr("abpipe.webstore.generate_population", counting_population)
     feature_draws = counting_feature_draws(monkeypatch)
     report = compare_pipelines(seq_spec, par_spec, small_scenario, seeds)
-    write_report(report, tmp_path / "shared")
-    assert len(draws) == len(seeds)
-    population_rows = [
-        latent for latent in feature_draws if any(latent is p.latent for p in draws)
-    ]
-    assert len(population_rows) == len(seeds)
-    assert len(feature_draws) == 2 * len(seeds)  # and one training set each
-
-    def fresh_run(*args, population=None, **kwargs):
-        return run_pipeline_once(*args, **kwargs)
-
-    monkeypatch.setattr("abpipe.report.run_pipeline_once", fresh_run)
-    report = compare_pipelines(seq_spec, par_spec, small_scenario, seeds)
-    write_report(report, tmp_path / "fresh")
-    assert len(draws) == 3 * len(seeds)
-    shared, fresh = (tmp_path / name / "report.json" for name in ("shared", "fresh"))
-    assert shared.read_bytes() == fresh.read_bytes()
+    assert not report.partial
+    assert len(draws) == 2 * len(seeds)  # the sequential run's, then the split run's
+    assert len(feature_draws) == 2 * len(seeds)
+    assert all(
+        latent is population.latent
+        for latent, population in zip(feature_draws[1::2], draws[1::2])
+    )
 
 
 def test_split_results_independent_of_drain_order(small_scenario):
@@ -938,6 +927,18 @@ def test_insufficient_samples_fail_the_run_with_its_partial_trace(
         run_pipeline_once(seq_spec, small_scenario, seed=1, batch_size=1)
     assert isinstance(err.value.cause, InsufficientSamplesError)
     assert [e.event for e in err.value.engine.trace] == ["start", "deploy"]
+
+
+def test_a_failed_split_model_fit_fails_the_run_before_any_event(
+    par_spec, small_scenario
+):
+    # with no purchasers the training labels hold a single class
+    scenario = replace(small_scenario, purchaser_prevalence=0.0)
+    with pytest.raises(PipelineRunError, match="single class") as err:
+        run_pipeline_once(par_spec, scenario, seed=1)
+    assert isinstance(err.value.cause, ClassifierError)
+    assert err.value.engine.spec is par_spec
+    assert list(err.value.engine.trace) == []
 
 
 def test_a_store_count_that_drifts_from_the_program_fails_the_run(

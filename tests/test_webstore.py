@@ -14,7 +14,6 @@ from abpipe.webstore import (
     UnknownMetricError,
     UnknownVariantError,
     WebStore,
-    WebStoreError,
     generate_population,
     generate_training_data,
     load_scenario,
@@ -133,17 +132,6 @@ def test_population_is_read_only():
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 1
     assert population.features is population.features  # drawn once
-
-
-def test_store_rejects_a_population_of_another_scenario():
-    config = ScenarioConfig(seed=3, population_size=500)
-    WebStore(config, CATALOG, population=generate_population(config, 500))
-    for population in (
-        generate_population(ScenarioConfig(seed=4, population_size=500), 500),
-        generate_population(config, 400),
-    ):
-        with pytest.raises(WebStoreError, match="must be the one"):
-            WebStore(config, CATALOG, population=population)
 
 
 def test_noiseless_features_determine_latent_class():

@@ -15,9 +15,10 @@ of the stream.
 from __future__ import annotations
 
 import json
-import statistics
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import classifier as clf
 from .model import PipelineSpec
@@ -240,8 +241,15 @@ class ComparisonReport:
         return "\n".join(lines) + "\n"
 
 
-def _median_int(values) -> int:
-    return int(statistics.median(values))
+def _test_medians(summaries: list[dict], names) -> dict[str, int]:
+    """Median requests of each of ``names`` that ran, over the summaries
+    in which it ran, in ``names`` order."""
+    requests: dict[str, list[int]] = {name: [] for name in names}
+    for summary in summaries:
+        for row in summary["tests"].values():
+            if row["test"] in requests:
+                requests[row["test"]].append(row["requests"])
+    return {name: int(np.median(values)) for name, values in requests.items() if values}
 
 
 def compare_pipelines(
@@ -251,16 +259,18 @@ def compare_pipelines(
     seeds: list[int],
     batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> ComparisonReport:
-    """Run both pipelines over the seeds and aggregate medians.
+    """Run both pipelines over the seeds and take medians of their summaries.
 
-    A test's median is taken over the seeds in which that test ran.
-    When a run ends before a test (e.g. the sequential review test hits
-    its cap without significance, so the recommendation test never
-    runs), that seed is left out of that test's median only; the
-    sequential SUM and parallel MAX then combine medians that may rest
-    on different seed subsets. A failed run, a failed split model fit
-    included, is recorded in ``failures`` and leaves both totals and the
-    reduction undefined.
+    Of a seed's runs only the summaries outlive it, and the last split
+    run, whose population the predict timing reads. A test's median is
+    taken over the seeds in which that test ran. When a run ends before
+    a test (e.g. the sequential review test hits its cap without
+    significance, so the recommendation test never runs), that seed is
+    left out of that test's median only; the sequential SUM and parallel
+    MAX then combine medians that may rest on different seed subsets. A
+    split's medians are over the split runs that reached it. A failed
+    run, a failed split model fit included, is recorded in ``failures``
+    and leaves both totals and the reduction undefined.
     """
     if not seeds:
         raise ValueError("need at least one seed")
@@ -278,85 +288,62 @@ def compare_pipelines(
     shared = [n for n in seq_names if n in par_root_tests]
     compared_seq = [n for n in seq_names if n not in shared]
 
-    seq_requests: dict[str, list[int]] = {n: [] for n in seq_names}
-    par_requests: dict[str, list[int]] = {n: [] for n in par_sub_tests}
-    par_streams: dict[str, list[int]] = {}
-    fractions: dict[str, list[float]] = {}
-    unrouted: list[float] = []
+    seq_summaries: list[dict] = []
+    par_summaries: list[dict] = []
     train_ms: list[float] = []
     deploy_ms: list[float] = []
-
-    def add_requests(out: RunOutcome, requests: dict[str, list[int]]) -> None:
-        for row in out.summary["tests"].values():
-            if row["test"] in requests:
-                requests[row["test"]].append(row["requests"])
-
     failures: list[dict] = []
     last: RunOutcome | None = None  # the last split run, timed for predict below
     for seed in seeds:
         try:
-            seq_out = run_pipeline_once(seq_spec, scenario, seed, batch_size)
-            add_requests(seq_out, seq_requests)
+            seq_summaries.append(run_pipeline_once(seq_spec, scenario, seed, batch_size).summary)
             par_out = run_pipeline_once(par_spec, scenario, seed, batch_size)
         except PipelineRunError as exc:
             failures.append(
                 {"seed": seed, "pipeline": exc.engine.spec.name, "error": str(exc)}
             )
             continue
-        add_requests(par_out, par_requests)
-        for split in par_out.summary["splits"].values():
-            for sub_id, total in split["sub_stream_totals"].items():
-                par_streams.setdefault(sub_id, []).append(total)
-            for sub_id, frac in split["split_fractions"].items():
-                fractions.setdefault(sub_id, []).append(frac)
-            unrouted.append(split["unrouted_fraction"])
+        par_summaries.append(par_out.summary)
         deploy_ms.extend(s.deploy_ms for s in par_out.engine.split_stats.values())
         train_ms.append(par_out.model.train_time_ms)
         last = par_out
 
-    sequential_tests = {}
-    for name in seq_names:
-        if not seq_requests[name]:
-            continue
-        median = _median_int(seq_requests[name])
-        sequential_tests[name] = {
-            "decided_requests": median,
-            "total_requests": median,
-            "compared": name in compared_seq,
+    splits = [split for s in par_summaries for split in s["splits"].values()]
+    subs = sorted({sub for split in splits for sub in split["sub_stream_totals"]})
+    streams = {sub: int(np.median([x["sub_stream_totals"][sub] for x in splits])) for sub in subs}
+    sequential_tests = {
+        name: {"decided_requests": m, "total_requests": m, "compared": name in compared_seq}
+        for name, m in _test_medians(seq_summaries, seq_names).items()
+    }
+    parallel_tests = {
+        name: {
+            "decided_requests": m,
+            "total_requests": streams[par_sub_tests[name]],
+            "sub_pipeline": par_sub_tests[name],
         }
-    parallel_tests = {}
-    for name, values in par_requests.items():
-        if not values:
-            continue
-        sub_id = par_sub_tests[name]
-        parallel_tests[name] = {
-            "decided_requests": _median_int(values),
-            "total_requests": _median_int(par_streams[sub_id]),
-            "sub_pipeline": sub_id,
-        }
+        for name, m in _test_medians(par_summaries, par_sub_tests).items()
+    }
 
-    complete = not failures and all(
-        seq_requests[n] for n in compared_seq
-    ) and all(par_requests[n] for n in par_requests)
+    complete = (
+        not failures
+        and all(n in sequential_tests for n in compared_seq)
+        and len(parallel_tests) == len(par_sub_tests)
+    )
     sequential_total = (
         sum(sequential_tests[n]["decided_requests"] for n in compared_seq)
         if complete and compared_seq
         else None
     )
-    parallel_total = (
-        max(_median_int(v) for v in par_streams.values())
-        if complete and par_streams
-        else None
-    )
+    parallel_total = max(streams.values()) if complete and streams else None
     reduction = None
     if sequential_total and parallel_total:
         reduction = (1.0 - parallel_total / sequential_total) * 100.0
 
     overhead = {}
     if train_ms:
-        overhead["train_ms"] = float(statistics.median(train_ms))
+        overhead["train_ms"] = float(np.median(train_ms))
     if deploy_ms:
-        overhead["deploy_ms"] = float(statistics.median(deploy_ms))
+        overhead["deploy_ms"] = float(np.median(deploy_ms))
     if last is not None:  # timed as the runner predicts a population
         overhead["predict_ms_median"] = clf.measure_predict_latency_ms(
             last.model, last.engine.runner.store.population.features
@@ -374,9 +361,11 @@ def compare_pipelines(
         parallel_total=parallel_total,
         reduction_pct=reduction,
         split_fractions={
-            name: float(statistics.median(v)) for name, v in sorted(fractions.items())
+            sub: float(np.median([x["split_fractions"][sub] for x in splits])) for sub in subs
         },
-        unrouted_fraction=float(statistics.median(unrouted)) if unrouted else 0.0,
+        unrouted_fraction=(
+            float(np.median([s["unrouted_fraction"] for s in splits])) if splits else 0.0
+        ),
         overhead=overhead,
         failures=failures,
     )

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 import numpy as np
 
@@ -69,7 +69,11 @@ class NoActiveTestError(WebStoreError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Simulation parameters; the JSON scenario file mirrors these fields."""
+    """Simulation parameters; the JSON scenario file mirrors these fields.
+
+    A config checks itself when built, by ``replace`` too: each field must
+    have its default's type and shape, and lie in its range.
+    """
 
     purchaser_prevalence: float = 0.042
     feature_noise: float = 0.10
@@ -85,6 +89,25 @@ class ScenarioConfig:
     population_size: int = 100_000
     train_samples: int = 20_000
     n_features: int = DEFAULT_FEATURES
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            name, value = f.name, getattr(self, f.name)
+            template = f.default_factory() if f.default is MISSING else f.default
+            if not _has_shape(value, template):
+                raise WebStoreError(
+                    f"scenario field {name!r} must be {_shape(template)}, got {value!r}"
+                )
+            if name in _PROBABILITIES and not all(0 <= n <= 1 for n in _numbers(value)):
+                raise WebStoreError(
+                    f"scenario field {name!r} must hold probabilities in [0, 1],"
+                    f" got {value!r}"
+                )
+            minimum = _MINIMUMS.get(name)
+            if minimum is not None and value < minimum:
+                raise WebStoreError(
+                    f"scenario field {name!r} must be >= {minimum}, got {value!r}"
+                )
 
 
 def _shape(template) -> str:
@@ -124,30 +147,14 @@ def _numbers(value) -> list:
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
+    """Read a scenario file: one JSON object of known fields, which the
+    ``ScenarioConfig`` it builds checks."""
     record = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(record, dict):
         raise WebStoreError("a scenario file must hold one JSON object")
-    known = set(ScenarioConfig.__dataclass_fields__)
-    unknown = set(record) - known
+    unknown = set(record) - set(ScenarioConfig.__dataclass_fields__)
     if unknown:
         raise WebStoreError(f"unknown scenario fields: {sorted(unknown)}")
-    defaults = ScenarioConfig()
-    for name, value in record.items():
-        template = getattr(defaults, name)
-        if not _has_shape(value, template):
-            raise WebStoreError(
-                f"scenario field {name!r} must be {_shape(template)}, got {value!r}"
-            )
-        if name in _PROBABILITIES and not all(0 <= n <= 1 for n in _numbers(value)):
-            raise WebStoreError(
-                f"scenario field {name!r} must hold probabilities in [0, 1],"
-                f" got {value!r}"
-            )
-        minimum = _MINIMUMS.get(name)
-        if minimum is not None and value < minimum:
-            raise WebStoreError(
-                f"scenario field {name!r} must be >= {minimum}, got {value!r}"
-            )
     return ScenarioConfig(**record)
 
 

@@ -1,9 +1,12 @@
+import gc
+import json
 import math
 import os
 import statistics
 import subprocess
 import sys
 import time
+import weakref
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -38,6 +41,7 @@ from abpipe.orchestrator import (
     next_element,
 )
 from abpipe.report import (
+    FULL_SCALE_REFERENCE,
     RUN_ERRORS,
     PipelineRunError,
     build_summary,
@@ -793,6 +797,114 @@ def test_comparison_draws_feature_rows_only_in_split_runs(
         latent is population.latent
         for latent, population in zip(feature_draws[1::2], draws[1::2])
     )
+
+
+def reference_comparison(seq_spec, par_spec, scenario, seeds, batch_size=DEFAULT_BATCH_SIZE):
+    """``report.json``'s record, rebuilt with ``statistics.median`` from one
+    run of each pipeline per seed; a seed whose run raised is a failure."""
+    seq_runs, par_runs, failures = [], [], []
+    for seed in seeds:
+        for spec, runs in ((seq_spec, seq_runs), (par_spec, par_runs)):
+            try:
+                runs.append(run_pipeline_once(spec, scenario, seed, batch_size).summary)
+            except PipelineRunError as exc:
+                failures.append({"seed": seed, "pipeline": spec.name, "error": str(exc)})
+                break
+
+    def requests(runs, spec, name):
+        key = spec.result_key(name)
+        return [run["tests"][key]["requests"] for run in runs if key in run["tests"]]
+
+    subs = par_spec.sub_pipeline_of
+    par_roots = [t.name for t in par_spec.ab_tests if t.name not in subs]
+    seq_names = [t.name for t in seq_spec.ab_tests]
+    splits = [split for run in par_runs for split in run["splits"].values()]
+    stream = {
+        sub: int(statistics.median(s["sub_stream_totals"][sub] for s in splits))
+        for sub in sorted(set(subs.values())) if splits
+    }
+    sequential = {}
+    for name in seq_names:
+        if values := requests(seq_runs, seq_spec, name):
+            decided = int(statistics.median(values))
+            sequential[name] = {"decided_requests": decided, "total_requests": decided,
+                                "compared": name not in par_roots}
+    parallel = {}
+    for name, sub in subs.items():
+        if values := requests(par_runs, par_spec, name):
+            parallel[name] = {"decided_requests": int(statistics.median(values)),
+                              "total_requests": stream[sub], "sub_pipeline": sub}
+    compared = [name for name in seq_names if name not in par_roots]
+    complete = not failures and set(compared) <= set(sequential) and set(subs) <= set(parallel)
+    seq_total = sum(sequential[n]["decided_requests"] for n in compared) if complete else None
+    par_total = max(stream.values()) if complete else None
+    return {
+        "sequential_pipeline": seq_spec.name,
+        "parallel_pipeline": par_spec.name,
+        "seeds": list(seeds),
+        "batch_size": batch_size,
+        "sequential_tests": sequential,
+        "parallel_tests": parallel,
+        "shared_tests": [n for n in seq_names if n in par_roots],
+        "sequential_total": seq_total,
+        "parallel_total": par_total,
+        "reduction_pct": (1 - par_total / seq_total) * 100 if complete else None,
+        "split_fractions": {
+            sub: float(statistics.median(s["split_fractions"][sub] for s in splits))
+            for sub in sorted(set(subs.values())) if splits
+        },
+        "unrouted_fraction": (
+            float(statistics.median(s["unrouted_fraction"] for s in splits)) if splits else 0.0
+        ),
+        "failures": failures,
+        "aggregation": "median",
+        "runs": len(seeds),
+        "partial": bool(failures),
+        "full_scale_reference": FULL_SCALE_REFERENCE,
+    }, par_runs
+
+
+@pytest.mark.parametrize(
+    "case, seeds, unsplit, failed",
+    [
+        # the GUI test ends without significance at four seeds, so no split is reached
+        ({"gui_rates": {"A": 0.5, "B": 0.5}}, range(1, 9), 4, 0),
+        # twenty training rows hold no purchaser at seeds 1, 3 and 6
+        ({"train_samples": 20}, range(1, 7), 0, 3),
+    ],
+    ids=["gui-null-effect", "untrainable-seeds"],
+)
+def test_comparison_equals_medians_rebuilt_from_the_run_summaries(
+    seq_spec, par_spec, small_scenario, case, seeds, unsplit, failed
+):
+    scenario = replace(small_scenario, **case)
+    record = compare_pipelines(seq_spec, par_spec, scenario, list(seeds)).to_json_dict()
+    expected, par_runs = reference_comparison(seq_spec, par_spec, scenario, list(seeds))
+    assert sum(not run["splits"] for run in par_runs) == unsplit
+    assert len(expected["failures"]) == failed
+    assert json.dumps(record, sort_keys=True) == json.dumps(expected, sort_keys=True)
+    for table in ("sequential_tests", "parallel_tests"):  # report.txt's row order
+        assert list(record[table]) == list(expected[table])
+
+
+def test_a_comparison_keeps_no_run_past_its_seed(
+    seq_spec, par_spec, small_scenario, monkeypatch
+):
+    """Only summaries outlive a seed, and the last split run, whose
+    population the predict timing reads."""
+    engines, alive = [], []
+
+    def tracking_run(*args, **kwargs):
+        gc.collect()
+        alive.append(sum(engine() is not None for engine in engines))
+        outcome = run_pipeline_once(*args, **kwargs)
+        engines.append(weakref.ref(outcome.engine))
+        return outcome
+
+    monkeypatch.setattr("abpipe.report.run_pipeline_once", tracking_run)
+    report = compare_pipelines(seq_spec, par_spec, small_scenario, list(range(1, 7)))
+    assert not report.partial and len(engines) == 12
+    assert max(alive) <= 2
 
 
 def test_split_results_independent_of_drain_order(small_scenario):

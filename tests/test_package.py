@@ -34,6 +34,17 @@ def test_python_dash_m_runs_the_cli():
     assert "no violations" in done.stdout
 
 
+def test_importing_the_cli_loads_no_statistics_module():
+    # `statistics` would pull `fractions` and `decimal` into every abpipe process
+    code = (
+        "import sys, abpipe.cli;"
+        " print(sorted({'statistics', 'fractions', 'decimal'} & set(sys.modules)))"
+    )
+    done = run_python(["-c", code], ROOT)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]"]
+
+
 def test_every_source_file_parses_as_python_3_10():
     # pyproject allows Python 3.10; this catches newer syntax on a newer interpreter
     paths = [

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from abpipe.webstore import (
     UnknownMetricError,
     UnknownVariantError,
     WebStore,
+    WebStoreError,
     generate_population,
     generate_training_data,
     load_scenario,
@@ -172,6 +174,20 @@ def test_scenario_file_round_trip(tmp_path):
     path = tmp_path / "scenario.json"
     save_scenario(config, path)
     assert load_scenario(path) == config
+
+
+@pytest.mark.parametrize(
+    "field, value", [("population_size", 0), ("feature_noise", -0.2), ("seed", 1.5)]
+)
+def test_a_scenario_config_checks_its_fields_when_built(tmp_path, field, value):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({field: value}))
+    with pytest.raises(WebStoreError) as from_file:
+        load_scenario(path)
+    for build in (ScenarioConfig, lambda **kw: replace(ScenarioConfig(), **kw)):
+        with pytest.raises(WebStoreError) as built:
+            build(**{field: value})
+        assert str(built.value) == str(from_file.value)
 
 
 # ---------------------------------------------------------------------------

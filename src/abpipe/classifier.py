@@ -197,25 +197,6 @@ def train(
     )
 
 
-def measure_predict_latency_ms(model: LinearModel, features: np.ndarray) -> float:
-    """Median wall-time of 200 ``predict`` calls, in milliseconds.
-
-    The calls cycle over ``features`` in PREDICT_BLOCK-row slices, as
-    the runner predicts a population; fewer rows are one slice.
-    """
-    blocks = [
-        features[start : start + PREDICT_BLOCK]
-        for start in range(0, len(features), PREDICT_BLOCK)
-    ]
-    timings = []
-    for i in range(200):
-        rows = blocks[i % len(blocks)]
-        start = time.perf_counter_ns()
-        model.predict(rows)
-        timings.append(time.perf_counter_ns() - start)
-    return float(np.median(timings)) / 1e6
-
-
 # ---------------------------------------------------------------------------
 # persistence
 

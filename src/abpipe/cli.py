@@ -212,11 +212,7 @@ def cmd_gen_data(args) -> int:
     scenario = _load_scenario(args.scenario)
     if args.n < 2:
         raise CliError(f"--n must be >= 2, got {args.n}", EXIT_IO)
-    try:
-        features, labels = generate_training_data(scenario, args.n)
-    except WebStoreError as exc:
-        print(f"generation failed: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    features, labels = generate_training_data(scenario, args.n)
     clf.save_training_csv(args.out, features, labels)
     positives = int(labels.sum())
     print(f"wrote {args.n} rows ({positives} positive) -> {args.out}")

@@ -178,10 +178,14 @@ def next_element(
 
 @dataclass
 class SplitRunStats:
+    """What serving one split counted, and its measured wall times."""
+
     dispatched: dict[str, int]
     sub_stream_totals: dict[str, int]
     # wall time of deploying the split component: building the routing table
     deploy_ms: float = field(default=0.0, compare=False)
+    # wall time of each of the routing table's predict calls
+    predict_ms: list[float] = field(default_factory=list, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +358,9 @@ class WebStoreRunner:
 
     def _routing_table(
         self, split: PopulationSplitSpec, programs: list[Program]
-    ) -> np.ndarray:
-        """Index of each population user's sub-pipeline; len(programs) if unrouted.
+    ) -> tuple[np.ndarray, list[float]]:
+        """Index of each population user's sub-pipeline, len(programs) if
+        unrouted, and the wall time of each predict call in milliseconds.
 
         Predicts PREDICT_BLOCK-row blocks, not one float64 copy of every row,
         and fills the table, in the smallest type that holds len(programs),
@@ -364,12 +369,12 @@ class WebStoreRunner:
         """
         model = self.split_models[split.split_component.image_name]
         features = self.store.population.features
-        classes = np.concatenate(
-            [
-                model.predict(features[start : start + clf.PREDICT_BLOCK])
-                for start in range(0, features.shape[0], clf.PREDICT_BLOCK)
-            ]
-        )
+        blocks, predict_ms = [], []
+        for start in range(0, features.shape[0], clf.PREDICT_BLOCK):
+            started = time.perf_counter()
+            blocks.append(model.predict(features[start : start + clf.PREDICT_BLOCK]))
+            predict_ms.append((time.perf_counter() - started) * 1e3)
+        classes = np.concatenate(blocks)
         if classes.dtype.kind not in "biu":
             raise OrchestratorError(
                 f"split {split.name!r}: the model predicts {classes.dtype} classes,"
@@ -390,7 +395,7 @@ class WebStoreRunner:
                 f"split {split.name!r}: the model routes no user of the"
                 f" population to sub-pipeline(s) {empty}"
             )
-        return table
+        return table, predict_ms
 
     def run_test(self, program: Program) -> None:
         """Serve a root segment: its one program takes every arrival, unrouted."""
@@ -400,10 +405,10 @@ class WebStoreRunner:
         self, split: PopulationSplitSpec, programs: list[Program]
     ) -> SplitRunStats:
         started = time.perf_counter()
-        table = self._routing_table(split, programs)
+        table, predict_ms = self._routing_table(split, programs)
         deploy_ms = (time.perf_counter() - started) * 1e3
         stats = self._serve(programs, table)
-        stats.deploy_ms = deploy_ms
+        stats.deploy_ms, stats.predict_ms = deploy_ms, predict_ms
         return stats
 
     def _serve(

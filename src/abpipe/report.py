@@ -50,7 +50,8 @@ class PipelineRunError(RuntimeError):
 
 @dataclass
 class RunOutcome:
-    """One pipeline execution plus its exported summary."""
+    """One pipeline execution plus its exported summary; the engine holds
+    the run's store and each split's measured ``SplitRunStats``."""
 
     engine: PipelineEngine
     summary: dict
@@ -261,8 +262,10 @@ def compare_pipelines(
 ) -> ComparisonReport:
     """Run both pipelines over the seeds and take medians of their summaries.
 
-    Of a seed's runs only the summaries outlive it, and the last split
-    run, whose population the predict timing reads. A test's median is
+    Of a seed's runs only the summaries and the split run's overhead
+    samples outlive it; ``overhead`` holds the median of each sample
+    kind. Every seed must pass the scenario's checks, or the
+    ``WebStoreError`` raises before any run. A test's median is
     taken over the seeds in which that test ran. When a run ends before
     a test (e.g. the sequential review test hits its cap without
     significance, so the recommendation test never runs), that seed is
@@ -274,6 +277,8 @@ def compare_pipelines(
     """
     if not seeds:
         raise ValueError("need at least one seed")
+    for seed in seeds:  # the scenario's own checks, before any run
+        replace(scenario, seed=seed)
     if len(par_spec.pop_splits) != 1:  # the parallel MAX spans one split's sub-pipelines
         shape = f"{len(par_spec.pop_splits)} population splits; compare takes one"
         if not par_spec.pop_splits:
@@ -290,10 +295,8 @@ def compare_pipelines(
 
     seq_summaries: list[dict] = []
     par_summaries: list[dict] = []
-    train_ms: list[float] = []
-    deploy_ms: list[float] = []
+    samples: dict[str, list[float]] = {"train_ms": [], "deploy_ms": [], "predict_ms_median": []}
     failures: list[dict] = []
-    last: RunOutcome | None = None  # the last split run, timed for predict below
     for seed in seeds:
         try:
             seq_summaries.append(run_pipeline_once(seq_spec, scenario, seed, batch_size).summary)
@@ -304,9 +307,11 @@ def compare_pipelines(
             )
             continue
         par_summaries.append(par_out.summary)
-        deploy_ms.extend(s.deploy_ms for s in par_out.engine.split_stats.values())
-        train_ms.append(par_out.model.train_time_ms)
-        last = par_out
+        samples["train_ms"].append(par_out.model.train_time_ms)
+        for stats in par_out.engine.split_stats.values():
+            samples["deploy_ms"].append(stats.deploy_ms)
+            samples["predict_ms_median"].extend(stats.predict_ms)
+        del par_out  # its store would live through the next seed's runs
 
     splits = [split for s in par_summaries for split in s["splits"].values()]
     subs = sorted({sub for split in splits for sub in split["sub_stream_totals"]})
@@ -339,16 +344,6 @@ def compare_pipelines(
     if sequential_total and parallel_total:
         reduction = (1.0 - parallel_total / sequential_total) * 100.0
 
-    overhead = {}
-    if train_ms:
-        overhead["train_ms"] = float(np.median(train_ms))
-    if deploy_ms:
-        overhead["deploy_ms"] = float(np.median(deploy_ms))
-    if last is not None:  # timed as the runner predicts a population
-        overhead["predict_ms_median"] = clf.measure_predict_latency_ms(
-            last.model, last.engine.runner.store.population.features
-        )
-
     return ComparisonReport(
         sequential_pipeline=seq_spec.name,
         parallel_pipeline=par_spec.name,
@@ -366,7 +361,7 @@ def compare_pipelines(
         unrouted_fraction=(
             float(np.median([s["unrouted_fraction"] for s in splits])) if splits else 0.0
         ),
-        overhead=overhead,
+        overhead={key: float(np.median(v)) for key, v in samples.items() if v},
         failures=failures,
     )
 

@@ -340,11 +340,3 @@ def test_empty_csv_rejected(tmp_path):
     path.write_text("")
     with pytest.raises(clf.ClassifierError):
         clf.load_training_csv(path)
-
-
-def test_prediction_latency_under_a_millisecond():
-    config = ScenarioConfig(seed=3)
-    features, labels = generate_training_data(config, 2_000)
-    model = clf.train(features, labels, clf.Hyperparams(seed=3))
-    median_ms = clf.measure_predict_latency_ms(model, features[:64].astype(float))
-    assert median_ms <= 1.0

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from abpipe.classifier import ClassifierError, Hyperparams, train
+from abpipe.classifier import PREDICT_BLOCK, ClassifierError, Hyperparams, LinearModel, train
 from abpipe.cli import write_run_outputs
 from abpipe.model import (
     ABTestSpec,
@@ -535,7 +535,7 @@ def routing_inputs(k, model, scenario):
 def test_routing_table_leaves_an_unrouted_class_unrouted(small_scenario):
     # two segments take classes 0 and 1; class 2 goes nowhere
     runner, split, programs = routing_inputs(2, _ThreeWayStub(), small_scenario)
-    table = runner._routing_table(split, programs)
+    table, _ = runner._routing_table(split, programs)
     classes = _ThreeWayStub().predict(runner.store.population.features)
     expected = unique_routing_table(split, programs, classes)
     assert table.dtype == expected.dtype
@@ -561,7 +561,7 @@ class _LargeClassStub:
 def test_routing_table_of_a_large_class_takes_no_time_per_class_id(small_scenario):
     runner, split, programs = routing_inputs(2, _LargeClassStub(), small_scenario)
     started = time.perf_counter()
-    table = runner._routing_table(split, programs)
+    table, _ = runner._routing_table(split, programs)
     elapsed = time.perf_counter() - started
     classes = np.arange(small_scenario.population_size, dtype=np.int64) % 2
     classes[0] = 10**7
@@ -574,7 +574,7 @@ def test_routing_table_sends_a_class_to_the_first_branch_it_meets(small_scenario
     # class 1 meets both branches and goes to the first; class 2 meets only the second
     runner, split, programs = routing_inputs(2, _ThreeWayStub(), small_scenario)
     split = replace(split, cond_stats=(ClassCondition("<=", 1), ClassCondition(">=", 1)))
-    table = runner._routing_table(split, programs)
+    table, _ = runner._routing_table(split, programs)
     classes = _ThreeWayStub().predict(runner.store.population.features)
     assert np.array_equal(table, unique_routing_table(split, programs, classes))
     assert np.array_equal(table, (classes == 2).astype(table.dtype))
@@ -598,7 +598,7 @@ def test_routing_table_takes_the_smallest_type_that_holds_unrouted(
     small_scenario, k, dtype
 ):
     runner, split, programs = routing_inputs(k, _CyclingStub(k), small_scenario)
-    table = runner._routing_table(split, programs)
+    table, _ = runner._routing_table(split, programs)
     assert table.dtype == np.min_scalar_type(len(programs)) == dtype
     classes = np.arange(small_scenario.population_size, dtype=np.int64) % k
     assert np.array_equal(table, unique_routing_table(split, programs, classes))
@@ -890,8 +890,8 @@ def test_comparison_equals_medians_rebuilt_from_the_run_summaries(
 def test_a_comparison_keeps_no_run_past_its_seed(
     seq_spec, par_spec, small_scenario, monkeypatch
 ):
-    """Only summaries outlive a seed, and the last split run, whose
-    population the predict timing reads."""
+    """Only summaries and overhead samples outlive a seed: no earlier
+    run's engine is alive when a run starts."""
     engines, alive = [], []
 
     def tracking_run(*args, **kwargs):
@@ -904,7 +904,69 @@ def test_a_comparison_keeps_no_run_past_its_seed(
     monkeypatch.setattr("abpipe.report.run_pipeline_once", tracking_run)
     report = compare_pipelines(seq_spec, par_spec, small_scenario, list(range(1, 7)))
     assert not report.partial and len(engines) == 12
-    assert max(alive) <= 2
+    assert max(alive) == 0
+
+
+def test_a_comparison_predicts_only_to_route(seq_spec, par_spec, small_scenario, monkeypatch):
+    """The overhead's predict median times the routing's own predict calls."""
+    calls = []
+    predict = LinearModel.predict
+
+    def counting_predict(self, x):
+        calls.append(len(x))
+        return predict(self, x)
+
+    monkeypatch.setattr(LinearModel, "predict", counting_predict)
+    report = compare_pipelines(seq_spec, par_spec, small_scenario, [1, 2, 3])
+    assert not report.partial
+    blocks = math.ceil(small_scenario.population_size / PREDICT_BLOCK)
+    assert len(calls) == 3 * blocks == 15
+    assert sum(calls) == 3 * small_scenario.population_size
+    assert report.overhead["predict_ms_median"] > 0
+
+
+def test_a_comparison_draws_no_population_a_split_run_never_routed(
+    seq_spec, par_spec, small_scenario, monkeypatch
+):
+    """With no GUI effect seed 2's split run ends before its split, so only
+    the training sets and seed 1's split run draw feature rows."""
+    scenario = replace(small_scenario, gui_rates={"A": 0.5, "B": 0.5})
+    draws, reached = [], []
+    draw = webstore._draw_features
+
+    def counting_draw(config, latent, rng):
+        draws.append(latent.shape[0])
+        return draw(config, latent, rng)
+
+    def tracking_run(spec, *args, **kwargs):
+        outcome = run_pipeline_once(spec, *args, **kwargs)
+        if spec.pop_splits:
+            reached.append(bool(outcome.summary["splits"]))
+        return outcome
+
+    monkeypatch.setattr(webstore, "_draw_features", counting_draw)
+    monkeypatch.setattr("abpipe.report.run_pipeline_once", tracking_run)
+    report = compare_pipelines(seq_spec, par_spec, scenario, [1, 2])
+    assert reached == [True, False]
+    size, train = scenario.population_size, scenario.train_samples
+    assert sorted(draws) == [train, train, size]
+    assert {"train_ms", "deploy_ms", "predict_ms_median"} <= set(report.overhead)
+
+
+@pytest.mark.parametrize("bad", [np.int64(2), True, 1.0], ids=["np-int64", "bool", "float"])
+def test_a_comparison_checks_every_seed_before_its_first_run(
+    seq_spec, par_spec, small_scenario, monkeypatch, bad
+):
+    runs = []
+
+    def counting_run(*args, **kwargs):
+        runs.append(args)
+        return run_pipeline_once(*args, **kwargs)
+
+    monkeypatch.setattr("abpipe.report.run_pipeline_once", counting_run)
+    with pytest.raises(webstore.WebStoreError, match="scenario field 'seed' must be an integer"):
+        compare_pipelines(seq_spec, par_spec, small_scenario, [1, bad])
+    assert runs == []
 
 
 def test_split_results_independent_of_drain_order(small_scenario):

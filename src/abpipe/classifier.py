@@ -13,13 +13,15 @@ Features must be 0 or 1. The SGD loop keeps the weights as ``scale * v``
 a step is one scalar multiply, and holds each row as the tuple of its set
 columns (about 3 of 23 in the shipped scenario), so a step adds and
 updates only those entries of ``v``. Equal rows share one tuple: the
-shipped training data has about 5.9k distinct rows of 20k. The step-size
+shipped training data has about 5.9k distinct rows of 20k, and the keys
+that find them are freed before the loop. The step-size
 schedule of the last fit is kept, so the seeds of a comparison share it.
 The weights equal those of the textbook dense update up to summation
 order (about 1e-14).
 
 The runner's routing table (``WebStoreRunner._routing_table``) divides
-the population by the predicted class, one mask per branch; users matching
+the population by the predicted class, one mask per branch, predicting
+each block of feature rows as the population draws it; users matching
 no branch are "unrouted" and take part in no experiment.
 """
 
@@ -38,7 +40,6 @@ from typing import ClassVar
 import numpy as np
 
 DEFAULT_FEATURES = 23
-PREDICT_BLOCK = 4096  # population rows per predict call when routing
 
 
 class ClassifierError(ValueError):
@@ -95,6 +96,23 @@ def _step_sizes(eta0: float, power_t: float, steps: int) -> array:
     return array("d", (eta0 / t ** power_t for t in range(1, steps + 1)))
 
 
+def _row_tuples(x: np.ndarray) -> list[tuple[int, ...]]:
+    """Row i's set columns, in column order: one tuple per distinct row,
+    shared by reference. Rows are keyed by their bits, packed into one
+    uint64, or into a byte string of 8 bytes per 64 columns when wider."""
+    packed = np.packbits(x != 0, axis=1)
+    width = -(-packed.shape[1] // 8) * 8
+    keys = np.zeros((x.shape[0], width), dtype=np.uint8)
+    keys[:, : packed.shape[1]] = packed
+    keys = keys.view(np.uint64 if width == 8 else np.dtype((np.void, width)))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    nz_rows, nz_cols = np.nonzero(x[first])
+    ends = np.cumsum(np.bincount(nz_rows, minlength=first.shape[0])).tolist()
+    nz_cols = nz_cols.tolist()
+    distinct = [tuple(nz_cols[lo:hi]) for lo, hi in zip([0] + ends, ends)]
+    return [distinct[j] for j in inverse.tolist()]
+
+
 def train(
     x,
     y,
@@ -141,20 +159,7 @@ def train(
     w_neg = n / (2.0 * (n - n_pos))
     sample_weight = array("d", np.where(y == 1.0, w_pos, w_neg).tobytes())
     labels = array("d", y.tobytes())
-    # row i's set columns, in column order: one tuple per distinct row,
-    # shared by reference. Rows are keyed by their bits, packed into one
-    # uint64, or into a byte string of 8 bytes per 64 columns when wider.
-    packed = np.packbits(x != 0, axis=1)
-    width = -(-packed.shape[1] // 8) * 8
-    keys = np.zeros((n, width), dtype=np.uint8)
-    keys[:, : packed.shape[1]] = packed
-    keys = keys.view(np.uint64 if width == 8 else np.dtype((np.void, width)))[:, 0]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    nz_rows, nz_cols = np.nonzero(x[first])
-    ends = np.cumsum(np.bincount(nz_rows, minlength=first.shape[0])).tolist()
-    nz_cols = nz_cols.tolist()
-    distinct = [tuple(nz_cols[lo:hi]) for lo, hi in zip([0] + ends, ends)]
-    rows = [distinct[j] for j in inverse.tolist()]
+    rows = _row_tuples(x)
 
     l2 = hp.l2
     exp = math.exp

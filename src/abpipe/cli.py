@@ -133,7 +133,7 @@ def cmd_run(args) -> int:
     try:
         outcome = run_pipeline_once(spec, scenario, seed=seed, batch_size=batch)
     except PipelineRunError as exc:
-        if exc.engine.trace.events:  # the partial trace of a run that started
+        if exc.engine is not None and exc.engine.trace.events:  # a run that started
             out.mkdir(parents=True, exist_ok=True)
             exc.engine.trace.write_jsonl(out / "trace.jsonl")
         print(f"run failed: {exc}", file=sys.stderr)

@@ -14,7 +14,8 @@ segments and rejoin at the split exit once all of them have ended.
 :class:`WebStoreRunner` drives the simulated store, with one serving
 loop for root segments and split branches alike. It draws the shared
 arrival stream in chunks, routes each arrival of a split to one program
-through a routing table (a root segment has one program, which takes
+through a routing table, built from the population's feature rows block
+by block as they are drawn (a root segment has one program, which takes
 every arrival without a table), serves each program's queue up to the
 last look it reaches in one block, holds what is left in one array per
 program, and pushes the unconsumed tail back once every program is done,
@@ -62,7 +63,7 @@ from .stats import (
     next_boundary,
     run_stat_test,
 )
-from .webstore import WebStore, check_deployable
+from .webstore import DRAW_BLOCK, WebStore, check_deployable
 
 EVENT_START = "start"
 EVENT_DEPLOY = "deploy"
@@ -362,33 +363,35 @@ class WebStoreRunner:
         """Index of each population user's sub-pipeline, len(programs) if
         unrouted, and the wall time of each predict call in milliseconds.
 
-        Predicts PREDICT_BLOCK-row blocks, not one float64 copy of every row,
-        and fills the table, in the smallest type that holds len(programs),
-        with one branch's condition mask at a time, last branch first, so the
-        first branch a class matches wins. Classes must be integers >= 0.
+        Predicts each block of feature rows as it is drawn, holding no matrix
+        of them, and fills the block's slice of the table, in the smallest
+        type that holds len(programs), with one branch's condition mask at a
+        time, last branch first, so the first branch a class matches wins.
+        Classes must be integers >= 0.
         """
         model = self.split_models[split.split_component.image_name]
-        features = self.store.population.features
-        blocks, predict_ms = [], []
-        for start in range(0, features.shape[0], clf.PREDICT_BLOCK):
+        population = self.store.population
+        by_id = {p.instance_id: i for i, p in enumerate(programs)}
+        branches = list(zip(split.sub_pipelines, split.cond_stats))[::-1]
+        table = np.full(population.size, len(programs), np.min_scalar_type(len(programs)))
+        predict_ms, lowest = [], 0
+        blocks = population.feature_blocks()
+        for lo, block in zip(range(0, population.size, DRAW_BLOCK), blocks):
             started = time.perf_counter()
-            blocks.append(model.predict(features[start : start + clf.PREDICT_BLOCK]))
+            classes = model.predict(block)
             predict_ms.append((time.perf_counter() - started) * 1e3)
-        classes = np.concatenate(blocks)
-        if classes.dtype.kind not in "biu":
-            raise OrchestratorError(
-                f"split {split.name!r}: the model predicts {classes.dtype} classes,"
-                " not integers"
-            )
-        lowest = int(classes.min())
+            if classes.dtype.kind not in "biu":
+                raise OrchestratorError(
+                    f"split {split.name!r}: the model predicts {classes.dtype} classes,"
+                    " not integers"
+                )
+            lowest = min(lowest, int(classes.min()))
+            for sub, cond in branches:
+                np.putmask(table[lo : lo + len(block)], cond.matches(classes), by_id[sub.subpl_id])
         if lowest < 0:
             raise OrchestratorError(
                 f"split {split.name!r}: the model predicts class {lowest}, below 0"
             )
-        by_id = {p.instance_id: i for i, p in enumerate(programs)}
-        table = np.full(classes.shape, len(programs), np.min_scalar_type(len(programs)))
-        for sub, cond in reversed(list(zip(split.sub_pipelines, split.cond_stats))):
-            np.putmask(table, cond.matches(classes), by_id[sub.subpl_id])
         empty = [p.instance_id for i, p in enumerate(programs) if not (table == i).any()]
         if empty:
             raise OrchestratorError(

@@ -40,11 +40,13 @@ RUN_ERRORS = (OrchestratorError, WebStoreError, StatsError, clf.ClassifierError)
 
 
 class PipelineRunError(RuntimeError):
-    """A pipeline execution failed; carries the engine for its partial trace."""
+    """A pipeline execution failed; carries its spec, and the engine for its
+    partial trace (None if the run failed drawing its population)."""
 
-    def __init__(self, cause: BaseException, engine: PipelineEngine):
+    def __init__(self, cause: BaseException, spec: PipelineSpec, engine: PipelineEngine | None):
         super().__init__(str(cause))
         self.cause = cause
+        self.spec = spec
         self.engine = engine
 
 
@@ -69,23 +71,24 @@ def run_pipeline_once(
     The run seed replaces the scenario seed, so the population, the
     arrival order, every behavioral draw and (for parallel pipelines)
     the classifier training data all derive from it. A run fails one
-    way: a ``RUN_ERRORS`` error of the split model fit or of the engine
-    raises ``PipelineRunError`` with the engine, whose trace holds the
-    events traced before it (none, if the fit failed).
+    way: a ``RUN_ERRORS`` error of its draws (running out of memory
+    included), the split model fit or the engine raises ``PipelineRunError``
+    with the engine, whose trace holds the events traced before it (none,
+    if the fit failed; no engine, if the population draw did).
     """
     config = replace(scenario, seed=seed)
-    store = WebStore(config)
-    runner = WebStoreRunner(store, batch_size=batch_size)
-    engine = PipelineEngine(spec, runner, catalog=store.catalog)
-    model: clf.LinearModel | None = None
+    engine = model = None
     try:
+        store = WebStore(config)
+        runner = WebStoreRunner(store, batch_size=batch_size)
+        engine = PipelineEngine(spec, runner, catalog=store.catalog)
         if spec.pop_splits:  # the training data and seed are the same for every split
             features, labels = generate_training_data(config, config.train_samples)
             model = clf.train(features, labels, clf.Hyperparams(seed=seed))
             runner.split_models = {s.split_component.image_name: model for s in spec.pop_splits}
         engine.run()
     except RUN_ERRORS as exc:
-        raise PipelineRunError(exc, engine) from exc
+        raise PipelineRunError(exc, spec, engine) from exc
     return RunOutcome(
         engine=engine,
         summary=build_summary(engine, seed, batch_size),
@@ -303,7 +306,7 @@ def compare_pipelines(
             par_out = run_pipeline_once(par_spec, scenario, seed, batch_size)
         except PipelineRunError as exc:
             failures.append(
-                {"seed": seed, "pipeline": exc.engine.spec.name, "error": str(exc)}
+                {"seed": seed, "pipeline": exc.spec.name, "error": str(exc)}
             )
             continue
         par_summaries.append(par_out.summary)

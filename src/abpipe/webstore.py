@@ -19,13 +19,16 @@ configured prevalence, binary feature vectors correlated with the class
 through per-feature flip noise, and per-metric behavior probabilities
 ("engagement" and "clicks" are class-independent, "purchases" depend on
 the latent class). Serving reads only the latent class, so a population
-draws its feature rows, which only a population split reads, lazily.
+draws its feature rows, which only a population split reads, block by
+block as the split routes its users.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 import numpy as np
@@ -173,33 +176,48 @@ def save_scenario(config: ScenarioConfig, path: str | Path) -> None:
 class Population:
     """Column-oriented store of generated user profiles.
 
-    ``latent`` is drawn at once. ``features`` is drawn on its first read
-    from the same stream, right after ``latent`` as an eager draw would,
-    so a run without a population split never pays for it. Both columns
-    are read-only.
+    ``latent`` is drawn at once. Each reader of the feature rows replays
+    them from a copy of the stream right after ``latent``, as an eager draw
+    would: ``feature_blocks`` block by block, ``features`` as one matrix on
+    its first read. A run without a population split never draws them.
+    Both columns are read-only.
     """
 
     def __init__(self, config: ScenarioConfig, latent: np.ndarray, rng):
         self.config = config
         self.latent = latent
-        self._rng = rng  # positioned right after the latent draw
+        self._rng = rng  # positioned right after the latent draw; never drawn from
         self._features: np.ndarray | None = None
 
     @property
     def size(self) -> int:
         return int(self.latent.shape[0])
 
+    def feature_blocks(self):
+        """The feature rows as float64 blocks of DRAW_BLOCK rows, drawn into
+        one reused buffer: a block is overwritten by the next."""
+        with _drawing(f"the feature rows of {self.size} users"):
+            yield from _feature_blocks(self.config, self.latent, copy.deepcopy(self._rng))
+
     @property
     def features(self) -> np.ndarray:
         if self._features is None:
-            features = _draw_features(self.config, self.latent, self._rng)
-            features.flags.writeable = False
-            self._features, self._rng = features, None
+            self._features = _draw_features(self.config, self.latent, copy.deepcopy(self._rng))
+            self._features.flags.writeable = False
         return self._features
 
 
-_DRAW_BLOCK = 4096  # rows of feature noise drawn per call
+DRAW_BLOCK = 4096  # rows of feature noise drawn, and predicted when routing, per call
 _LATENT_BLOCK = 16_384  # latent uniforms drawn per call
+
+
+@contextmanager
+def _drawing(what: str):
+    """Fail a draw that runs out of memory as a run error naming ``what``."""
+    try:
+        yield
+    except MemoryError:
+        raise WebStoreError(f"out of memory drawing {what}") from None
 
 
 def _draw_latent(config: ScenarioConfig, n: int, stream: str):
@@ -216,19 +234,28 @@ def _draw_latent(config: ScenarioConfig, n: int, stream: str):
     return latent, rng
 
 
-def _draw_features(config: ScenarioConfig, latent: np.ndarray, rng) -> np.ndarray:
-    """Feature rows of ``latent``'s users, from the stream of its latent draw."""
+def _feature_blocks(config: ScenarioConfig, latent: np.ndarray, rng):
+    """Feature rows of ``latent``'s users, from the stream of its latent draw,
+    as float64 blocks of DRAW_BLOCK rows in one reused buffer: the order of
+    one (n, F) draw, without its n*F float64 temporary."""
     n = latent.shape[0]
-    # Row blocks consume the stream in the same order as one (n, F) draw,
-    # into one reused float64 block instead of an n*F float64 temporary.
+    buffer = np.empty((min(n, DRAW_BLOCK), config.n_features))
+    flips = np.empty(buffer.shape, dtype=bool)
+    for lo in range(0, n, DRAW_BLOCK):
+        hi = min(lo + DRAW_BLOCK, n)
+        block = buffer[: hi - lo]
+        rng.random(out=block)
+        np.less(block, config.feature_noise, out=flips[: hi - lo])
+        np.not_equal(latent[lo:hi, None], flips[: hi - lo], out=block)
+        yield block
+
+
+def _draw_features(config: ScenarioConfig, latent: np.ndarray, rng) -> np.ndarray:
+    """Feature rows of ``latent``'s users as one uint8 matrix of its blocks."""
+    n = latent.shape[0]
     features = np.empty((n, config.n_features), dtype=np.uint8)
-    uniform = np.empty((min(n, _DRAW_BLOCK), config.n_features))
-    flips = np.empty(uniform.shape, dtype=bool)
-    for lo in range(0, n, _DRAW_BLOCK):
-        hi = min(lo + _DRAW_BLOCK, n)
-        rng.random(out=uniform[: hi - lo])
-        np.less(uniform[: hi - lo], config.feature_noise, out=flips[: hi - lo])
-        np.not_equal(latent[lo:hi, None], flips[: hi - lo], out=features[lo:hi])
+    for lo, block in zip(range(0, n, DRAW_BLOCK), _feature_blocks(config, latent, rng)):
+        features[lo : lo + block.shape[0]] = block
     return features
 
 
@@ -236,7 +263,8 @@ def generate_population(config: ScenarioConfig, n: int) -> Population:
     """Draw n user profiles; deterministic for a given scenario seed."""
     if n < 1:
         raise WebStoreError(f"population size must be >= 1, got {n}")
-    latent, rng = _draw_latent(config, n, "population")
+    with _drawing(f"the population of {n} users"):
+        latent, rng = _draw_latent(config, n, "population")
     latent.flags.writeable = False
     return Population(config, latent, rng)
 
@@ -249,8 +277,9 @@ def generate_training_data(config: ScenarioConfig, n: int) -> tuple[np.ndarray, 
     """
     if n < 2:
         raise WebStoreError(f"training data needs n >= 2, got {n}")
-    latent, rng = _draw_latent(config, n, "training-data")
-    return _draw_features(config, latent, rng), latent.astype(np.int64)
+    with _drawing(f"{n} training rows"):
+        latent, rng = _draw_latent(config, n, "training-data")
+        return _draw_features(config, latent, rng), latent.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from abpipe.blueprints import parse_blueprints
 from abpipe.cli import EXIT_DOMAIN, main
 from abpipe.orchestrator import SpecInvalidError
 from abpipe.report import compare_pipelines
+from abpipe import webstore
 from abpipe.webstore import save_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -1116,6 +1117,62 @@ def test_untrainable_split_model_fails_cleanly(
             " training set contains a single class"
         ]
         assert json.loads((out / "report.json").read_text())["partial"]
+
+
+def _out_of_memory_drawing(monkeypatch, what):
+    """Make one of a run's draws raise MemoryError, as an allocation would."""
+    if what == "features":  # a split run draws its training rows, then its population's
+        feature_blocks, calls = webstore._feature_blocks, []
+
+        def blocks(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise MemoryError
+            return feature_blocks(*args)
+
+        monkeypatch.setattr(webstore, "_feature_blocks", blocks)
+        return
+    draw_latent = webstore._draw_latent
+    stream = {"population": "population", "training": "training-data"}[what]
+
+    def draw(config, n, name):
+        if name == stream:
+            raise MemoryError
+        return draw_latent(config, n, name)
+
+    monkeypatch.setattr(webstore, "_draw_latent", draw)
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize(
+    "what, pipeline, error",
+    [
+        ("population", "Sequential", "out of memory drawing the population of 20000 users"),
+        ("training", "Parallel", "out of memory drawing 4000 training rows"),
+        ("features", "Parallel", "out of memory drawing the feature rows of 20000 users"),
+    ],
+    ids=["population", "training", "features"],
+)
+def test_running_out_of_memory_in_a_draw_fails_the_run_in_one_line(
+    tmp_path, seq_bundle, par_bundle, small_scenario_file, monkeypatch, capsys,
+    command, what, pipeline, error,
+):
+    _out_of_memory_drawing(monkeypatch, what)
+    out = tmp_path / "out"
+    scenario = ["--scenario", str(small_scenario_file), "--out", str(out)]
+    if command == "run":
+        assert main(["run", str(par_bundle), *scenario]) == EXIT_DOMAIN
+        assert capsys.readouterr().err.splitlines() == [f"run failed: {error}"]
+        # the population is drawn before the run starts, the feature rows at its split
+        assert (out / "trace.jsonl").exists() == (what == "features")
+    else:
+        argv = ["compare", str(seq_bundle), str(par_bundle), *scenario, "--runs", "1"]
+        assert main(argv) == EXIT_DOMAIN
+        assert capsys.readouterr().err.splitlines() == [
+            f"failed run: seed 1 {pipeline}-evaluation-pipeline: {error}"
+        ]
+        report = json.loads((out / "report.json").read_text())
+        assert report["partial"] and len(report["failures"]) == 1
 
 
 @pytest.mark.parametrize("command", ["run", "compare", "train"])

@@ -6,6 +6,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -14,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from abpipe.classifier import PREDICT_BLOCK, ClassifierError, Hyperparams, LinearModel, train
+from abpipe.classifier import ClassifierError, Hyperparams, LinearModel, train
 from abpipe.cli import write_run_outputs
 from abpipe.model import (
     ABTestSpec,
@@ -59,10 +60,12 @@ from abpipe.stats import (
 )
 from abpipe import webstore
 from abpipe.webstore import (
+    DRAW_BLOCK,
     UnknownVariantError,
     WebStore,
     generate_population,
     generate_training_data,
+    load_scenario,
 )
 
 from case_generator import _make_test, _script
@@ -604,6 +607,42 @@ def test_routing_table_takes_the_smallest_type_that_holds_unrouted(
     assert np.array_equal(table, unique_routing_table(split, programs, classes))
 
 
+def test_routing_the_shipped_population_holds_no_feature_rows(par_bundle, par_spec):
+    """Routing predicts each block of feature rows as it is drawn: on the
+    shipped 100,000-user scenario the traced peak stays below 1.5 MB and
+    only the table stays allocated. Holding every row, a float64 copy of a
+    block and the class array peaked at 4.1 MB and kept 2.4 MB."""
+    split = par_spec.pop_splits[0]
+    # a user with at least 12 of the 23 features set is a purchaser
+    model = LinearModel(weights=np.ones(23), bias=-11.5, hyperparams=Hyperparams())
+    store = WebStore(load_scenario(par_bundle.parent / "scenario.json"))
+    runner = WebStoreRunner(store, split_models={split.split_component.image_name: model})
+    programs = [SimpleNamespace(instance_id=s.subpl_id) for s in split.sub_pipelines]
+    tracemalloc.start()
+    try:
+        table, predict_ms = runner._routing_table(split, programs)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert store.population.size == table.shape[0] == 100_000 and len(predict_ms) == 25
+    assert peak < 1.5e6
+    assert table.nbytes <= retained < table.nbytes + 8_192
+
+
+def test_a_split_run_never_reads_the_population_feature_matrix(
+    par_spec, small_scenario, monkeypatch
+):
+    reads = []
+    features = webstore.Population.features
+    monkeypatch.setattr(
+        webstore.Population,
+        "features",
+        property(lambda population: reads.append(population) or features.fget(population)),
+    )
+    outcome = run_pipeline_once(par_spec, small_scenario, seed=1)
+    assert outcome.summary["splits"] and reads == []
+
+
 NUMPY_MA_GUARD = """
 import sys
 from pathlib import Path
@@ -749,13 +788,13 @@ def test_run_fits_one_split_model_for_every_split(
 def counting_feature_draws(monkeypatch) -> list:
     """The ``latent`` column of every feature-row draw from now on."""
     calls = []
-    draw = webstore._draw_features
+    draw = webstore._feature_blocks
 
     def counting(config, latent, rng):
         calls.append(latent)
         return draw(config, latent, rng)
 
-    monkeypatch.setattr(webstore, "_draw_features", counting)
+    monkeypatch.setattr(webstore, "_feature_blocks", counting)
     return calls
 
 
@@ -919,7 +958,7 @@ def test_a_comparison_predicts_only_to_route(seq_spec, par_spec, small_scenario,
     monkeypatch.setattr(LinearModel, "predict", counting_predict)
     report = compare_pipelines(seq_spec, par_spec, small_scenario, [1, 2, 3])
     assert not report.partial
-    blocks = math.ceil(small_scenario.population_size / PREDICT_BLOCK)
+    blocks = math.ceil(small_scenario.population_size / DRAW_BLOCK)
     assert len(calls) == 3 * blocks == 15
     assert sum(calls) == 3 * small_scenario.population_size
     assert report.overhead["predict_ms_median"] > 0
@@ -932,7 +971,7 @@ def test_a_comparison_draws_no_population_a_split_run_never_routed(
     the training sets and seed 1's split run draw feature rows."""
     scenario = replace(small_scenario, gui_rates={"A": 0.5, "B": 0.5})
     draws, reached = [], []
-    draw = webstore._draw_features
+    draw = webstore._feature_blocks
 
     def counting_draw(config, latent, rng):
         draws.append(latent.shape[0])
@@ -944,7 +983,7 @@ def test_a_comparison_draws_no_population_a_split_run_never_routed(
             reached.append(bool(outcome.summary["splits"]))
         return outcome
 
-    monkeypatch.setattr(webstore, "_draw_features", counting_draw)
+    monkeypatch.setattr(webstore, "_feature_blocks", counting_draw)
     monkeypatch.setattr("abpipe.report.run_pipeline_once", tracking_run)
     report = compare_pipelines(seq_spec, par_spec, scenario, [1, 2])
     assert reached == [True, False]

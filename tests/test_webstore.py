@@ -105,6 +105,27 @@ def test_feature_draw_into_reused_blocks_is_the_fresh_block_draw(n):
     assert rng.random(5).tolist() == reference.random(5).tolist()
 
 
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 10_000])
+def test_feature_blocks_replay_the_fresh_block_draw_for_every_reader(n):
+    config = ScenarioConfig(seed=13, feature_noise=0.3)
+    latent, reference = webstore._draw_latent(config, n, "population")
+    expected = frozen_draw_features(config, latent, reference)
+    population = generate_population(config, n)
+
+    def streamed():
+        blocks = []
+        for block in population.feature_blocks():  # what routing hands to predict
+            assert block.dtype == np.float64 and block.flags.c_contiguous
+            blocks.append(block.copy())  # the next block overwrites this one
+        assert [b.shape[0] for b in blocks[:-1]] == [webstore.DRAW_BLOCK] * (len(blocks) - 1)
+        return np.concatenate(blocks)
+
+    assert np.array_equal(streamed(), expected)
+    assert np.array_equal(streamed(), expected)  # a second reader replays the rows
+    assert np.array_equal(population.features, expected)
+    assert np.array_equal(streamed(), expected)  # and so does one after the matrix
+
+
 @pytest.mark.parametrize("n", [1, 4095, 4097, 16_384, 16_385, 100_000])
 def test_block_latent_draw_is_one_draw_and_leaves_the_stream_where_it_would(n):
     config = ScenarioConfig(seed=11, purchaser_prevalence=0.3)

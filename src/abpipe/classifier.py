@@ -8,16 +8,16 @@ are balanced against label frequency because the shipped scenario has
 Training is single-threaded on purpose: identical (data, seed) must
 give bitwise-identical weights.
 
-Features must be 0 or 1. The SGD loop keeps the weights as ``scale * v``
-(Bottou, "Stochastic Gradient Descent Tricks", 2012), so the L2 decay of
-a step is one scalar multiply, and holds each row as the tuple of its set
-columns (about 3 of 23 in the shipped scenario), so a step adds and
-updates only those entries of ``v``. Equal rows share one tuple: the
-shipped training data has about 5.9k distinct rows of 20k, and the keys
-that find them are freed before the loop. The step-size
-schedule of the last fit is kept, so the seeds of a comparison share it.
-The weights equal those of the textbook dense update up to summation
-order (about 1e-14).
+Features must be 0 or 1, checked with one mask. The SGD loop keeps the
+weights as ``scale * v`` (Bottou, "Stochastic Gradient Descent Tricks",
+2012), so the L2 decay of a step is one scalar multiply, and holds each
+row as the tuple of its set columns (about 3 of 23 in the shipped
+scenario), so a step adds and updates only those entries of ``v``. Equal
+rows share one tuple (about 5.9k distinct rows of the shipped 20k); the
+temporaries that find them are freed before the loop, which streams its
+shuffles and step sizes through memoryviews. The step-size schedule of
+the last fit is kept, so the seeds of a comparison share it. The weights
+equal those of the textbook dense update up to summation order (~1e-14).
 
 The runner's routing table (``WebStoreRunner._routing_table``) divides
 the population by the predicted class, one mask per branch, predicting
@@ -100,17 +100,21 @@ def _row_tuples(x: np.ndarray) -> list[tuple[int, ...]]:
     """Row i's set columns, in column order: one tuple per distinct row,
     shared by reference. Rows are keyed by their bits, packed into one
     uint64, or into a byte string of 8 bytes per 64 columns when wider."""
-    packed = np.packbits(x != 0, axis=1)
+    x = x.astype(np.uint8, copy=False)
+    packed = np.packbits(x, axis=1)
     width = -(-packed.shape[1] // 8) * 8
     keys = np.zeros((x.shape[0], width), dtype=np.uint8)
     keys[:, : packed.shape[1]] = packed
+    del packed
     keys = keys.view(np.uint64 if width == 8 else np.dtype((np.void, width)))[:, 0]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    nz_rows, nz_cols = np.nonzero(x[first])
-    ends = np.cumsum(np.bincount(nz_rows, minlength=first.shape[0])).tolist()
-    nz_cols = nz_cols.tolist()
-    distinct = [tuple(nz_cols[lo:hi]) for lo, hi in zip([0] + ends, ends)]
-    return [distinct[j] for j in inverse.tolist()]
+    first, inverse = np.unique(keys, return_index=True, return_inverse=True)[1:]
+    del keys
+    rows = x[first]
+    cols = np.flatnonzero(rows)
+    ends = np.cumsum(np.count_nonzero(rows, axis=1)).tolist()
+    cols = np.remainder(cols, x.shape[1], out=cols).tolist()
+    distinct = [tuple(cols[lo:hi]) for lo, hi in zip([0] + ends, ends)]
+    return [distinct[j] for j in memoryview(inverse)]
 
 
 def train(
@@ -130,6 +134,9 @@ def train(
     only, so its cost follows the row's nonzeros, not the feature count.
     ``scale`` stays positive and is folded back into ``v`` when it falls
     below 1e-9.
+
+    Beside ``x`` and ``y`` a fit allocates one check mask, the row tuples,
+    and the per-sample arrays; epochs stream their shuffles and step sizes.
     """
     hp = hyperparams
     if hp.seed < 0:
@@ -145,8 +152,8 @@ def train(
     if x.shape[0] < 2:
         raise ClassifierError("need at least two training samples")
     for name, values in (("features", x), ("labels", y)):
-        bad = (values != 0) & (values != 1)
-        if bad.any():
+        bad = values != 0
+        if np.not_equal(values, bad, out=bad).any():  # nonzero and not 1
             raise ClassifierError(f"{name} must be 0 or 1, got {values[bad][:1].tolist()[0]!r}")
     n_pos = int(y.sum())
     n = y.shape[0]
@@ -157,9 +164,9 @@ def train(
     # balanced class weights: n / (2 * class count)
     w_pos = n / (2.0 * n_pos)
     w_neg = n / (2.0 * (n - n_pos))
+    rows = _row_tuples(x)
     sample_weight = array("d", np.where(y == 1.0, w_pos, w_neg).tobytes())
     labels = array("d", y.tobytes())
-    rows = _row_tuples(x)
 
     l2 = hp.l2
     exp = math.exp
@@ -169,8 +176,8 @@ def train(
     scale = 1.0
     bias = 0.0
     for epoch in range(hp.epochs):
-        lrs = step_sizes[epoch * n : (epoch + 1) * n]
-        for i, lr in zip(rng.permutation(n).tolist(), lrs):
+        lrs = memoryview(step_sizes)[epoch * n : (epoch + 1) * n]
+        for i, lr in zip(memoryview(rng.permutation(n)), lrs):
             cols = rows[i]
             dot = 0.0
             for c in cols:

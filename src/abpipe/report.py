@@ -82,9 +82,10 @@ def run_pipeline_once(
         store = WebStore(config)
         runner = WebStoreRunner(store, batch_size=batch_size)
         engine = PipelineEngine(spec, runner, catalog=store.catalog)
-        if spec.pop_splits:  # the training data and seed are the same for every split
-            features, labels = generate_training_data(config, config.train_samples)
-            model = clf.train(features, labels, clf.Hyperparams(seed=seed))
+        if spec.pop_splits:  # one fit for every split; its training data dies with the call
+            model = clf.train(
+                *generate_training_data(config, config.train_samples), clf.Hyperparams(seed=seed)
+            )
             runner.split_models = {s.split_component.image_name: model for s in spec.pop_splits}
         engine.run()
     except RUN_ERRORS as exc:

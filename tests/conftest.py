@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,6 +11,18 @@ from abpipe.webstore import ScenarioConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
+
+
+def traced_peak(fn):
+    """``(fn(), retained, peak)``: the bytes ``fn`` left allocated and its
+    traced peak, both counted from its entry."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, retained, peak
 
 
 @pytest.fixture(scope="session")

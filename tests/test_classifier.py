@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from abpipe import classifier as clf
 from abpipe.model import ClassCondition, PopulationSplitSpec, SplitComponent, SubPipeline
 from abpipe.webstore import ScenarioConfig, generate_population, generate_training_data
+from conftest import traced_peak
 from reference_interpreter import route_class
 from reference_sgd import dense_sgd
 
@@ -154,14 +155,52 @@ def test_wide_rows_match_dense_reference(n_features):
 
 @pytest.mark.parametrize(
     "value, named",
-    [(0.5, "0.5"), (-1.0, "-1.0"), (2, "2"), (float("nan"), "nan")],
+    [
+        (0.5, "0.5"),
+        (-1.0, "-1.0"),
+        (2, "2"),
+        (float("nan"), "nan"),
+        (float("inf"), "inf"),
+        (True, None),
+        (-0.0, None),
+        # (7, 1) comes first in row-major order, (9, 0) in column-major
+        pytest.param((3.0, 2.0), "3.0", id="first-of-two-named"),
+    ],
 )
 def test_non_binary_features_rejected(value, named):
+    """A value named is rejected and named; None marks a legal 0/1 value,
+    which fits exactly as the float row it stands for."""
     x, y = toy_separable()
-    x = x.astype(np.int64) if isinstance(value, int) else x
-    x[7, 1] = value
+    plain = x.copy()
+    if isinstance(value, bool):
+        x = x.astype(bool)
+    elif isinstance(value, int):
+        x = x.astype(np.int64)
+    cells = ([7, 9], [1, 0]) if isinstance(value, tuple) else (7, 1)
+    x[cells] = value
+    if named is None:
+        plain[cells] = float(value)
+        expected = clf.train(plain, y)
+        model = clf.train(x, y)
+        assert model.weights.tobytes() == expected.weights.tobytes()
+        assert model.bias == expected.bias
+        return
     with pytest.raises(clf.ClassifierError, match=f"features must be 0 or 1, got {named}$"):
         clf.train(x, y)
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 23, 64, 65, 130])
+@pytest.mark.parametrize("dtype", [np.uint8, np.bool_, np.float64])
+def test_row_tuples_match_per_row_reference(width, dtype):
+    """Each row's tuple lists its set columns; equal rows share one tuple
+    object, and rows of every width and 0/1 dtype are keyed apart."""
+    rng = np.random.default_rng(width)
+    distinct = rng.integers(0, 2, (10, width), dtype=np.uint8)
+    distinct[0], distinct[1] = 0, 1  # an all-zero and an all-one row
+    x = distinct[rng.integers(0, 10, 200)].astype(dtype)
+    rows = clf._row_tuples(x)
+    assert rows == [tuple(np.flatnonzero(row).tolist()) for row in x]
+    assert len({id(row) for row in rows}) == len(np.unique(x, axis=0))
 
 
 def test_non_binary_labels_rejected():
@@ -215,6 +254,23 @@ def test_split_model_fit_is_pinned_bitwise(scenario, seed):
     model = clf.train(features, labels, clf.Hyperparams(seed=seed))
     digest = hashlib.sha256(model.weights.tobytes() + repr(model.bias).encode())
     assert digest.hexdigest() == FIT_DIGESTS[seed]
+
+
+def test_fit_holds_no_full_size_temporaries(scenario):
+    """One fit of the shipped 20,000 training rows peaks below 2.0 MB
+    above its entry and keeps only the model. The step-size schedule is
+    warmed first, as the seeds of a comparison share it. With a mask per
+    comparison in the 0/1 check, the packed and nonzero arrays of every
+    row, and each epoch's permutation as a list, it peaked at 2.9 MB."""
+    features, labels = generate_training_data(scenario, scenario.train_samples)
+    assert features.shape[0] == 20_000
+    clf.train(features, labels, clf.Hyperparams(seed=1))
+    model, retained, peak = traced_peak(
+        lambda: clf.train(features, labels, clf.Hyperparams(seed=1))
+    )
+    assert model.n_features == features.shape[1]
+    assert peak < 2.0e6
+    assert retained < 64 * 1024
 
 
 @pytest.mark.parametrize("seed", range(1, 16))

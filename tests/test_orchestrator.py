@@ -6,7 +6,6 @@ import statistics
 import subprocess
 import sys
 import time
-import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -69,6 +68,7 @@ from abpipe.webstore import (
 )
 
 from case_generator import _make_test, _script
+from conftest import traced_peak
 from reference_interpreter import route_class
 from scripted_runner import ScriptedRunner
 
@@ -618,12 +618,9 @@ def test_routing_the_shipped_population_holds_no_feature_rows(par_bundle, par_sp
     store = WebStore(load_scenario(par_bundle.parent / "scenario.json"))
     runner = WebStoreRunner(store, split_models={split.split_component.image_name: model})
     programs = [SimpleNamespace(instance_id=s.subpl_id) for s in split.sub_pipelines]
-    tracemalloc.start()
-    try:
-        table, predict_ms = runner._routing_table(split, programs)
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    (table, predict_ms), retained, peak = traced_peak(
+        lambda: runner._routing_table(split, programs)
+    )
     assert store.population.size == table.shape[0] == 100_000 and len(predict_ms) == 25
     assert peak < 1.5e6
     assert table.nbytes <= retained < table.nbytes + 8_192
@@ -641,6 +638,29 @@ def test_a_split_run_never_reads_the_population_feature_matrix(
     )
     outcome = run_pipeline_once(par_spec, small_scenario, seed=1)
     assert outcome.summary["splits"] and reads == []
+
+
+def test_a_split_run_drops_its_training_set_once_the_fit_returns(
+    par_spec, small_scenario, monkeypatch
+):
+    """Only the fit reads the training set, so no reference to it outlives
+    ``clf.train``: both arrays are gone before routing starts."""
+    training, alive = [], []
+    routing_table = WebStoreRunner._routing_table
+
+    def tracked_draw(config, n):
+        features, labels = generate_training_data(config, n)
+        training.extend((weakref.ref(features), weakref.ref(labels)))
+        return features, labels
+
+    def routing_after_the_fit(runner, split, programs):
+        alive.extend(ref() is not None for ref in training)
+        return routing_table(runner, split, programs)
+
+    monkeypatch.setattr("abpipe.report.generate_training_data", tracked_draw)
+    monkeypatch.setattr(WebStoreRunner, "_routing_table", routing_after_the_fit)
+    outcome = run_pipeline_once(par_spec, small_scenario, seed=1)
+    assert outcome.summary["splits"] and len(training) == 2 and alive == [False, False]
 
 
 NUMPY_MA_GUARD = """

@@ -15,9 +15,13 @@ row as the tuple of its set columns (about 3 of 23 in the shipped
 scenario), so a step adds and updates only those entries of ``v``. Equal
 rows share one tuple (about 5.9k distinct rows of the shipped 20k); the
 temporaries that find them are freed before the loop, which streams its
-shuffles and step sizes through memoryviews. The step-size schedule of
-the last fit is kept, so the seeds of a comparison share it. The weights
-equal those of the textbook dense update up to summation order (~1e-14).
+shuffles and step sizes through memoryviews. Each label is one flag byte,
+and every comparison and arithmetic operation in the loop is float-float,
+which CPython's specializing interpreter (PEP 659) runs on its fast
+paths. The step-size
+schedule of the last fit is kept, so the seeds of a comparison share it.
+The weights equal those of the textbook dense update up to summation
+order (~1e-14).
 
 The runner's routing table (``WebStoreRunner._routing_table``) divides
 the population by the predicted class, one mask per branch, predicting
@@ -135,8 +139,12 @@ def train(
     ``scale`` stays positive and is folded back into ``v`` when it falls
     below 1e-9.
 
-    Beside ``x`` and ``y`` a fit allocates one check mask, the row tuples,
-    and the per-sample arrays; epochs stream their shuffles and step sizes.
+    Beside ``x`` and ``y`` a fit allocates one check mask, the row tuples
+    and one label flag byte per sample; epochs stream their shuffles and
+    step sizes. A step picks its class weight by the flag, and every
+    literal in the loop is a float, since one int operand (``margin >= 0``)
+    takes the interpreter's generic path on every step. Running out of
+    memory after the argument checks raises :class:`ClassifierError`.
     """
     hp = hyperparams
     if hp.seed < 0:
@@ -164,40 +172,46 @@ def train(
     # balanced class weights: n / (2 * class count)
     w_pos = n / (2.0 * n_pos)
     w_neg = n / (2.0 * (n - n_pos))
-    rows = _row_tuples(x)
-    sample_weight = array("d", np.where(y == 1.0, w_pos, w_neg).tobytes())
-    labels = array("d", y.tobytes())
+    try:
+        rows = _row_tuples(x)
+        positive = (y == 1.0).tobytes()
 
-    l2 = hp.l2
-    exp = math.exp
-    rng = np.random.default_rng(hp.seed)
-    step_sizes = _step_sizes(hp.eta0, hp.power_t, n * hp.epochs)
-    v = [0.0] * x.shape[1]
-    scale = 1.0
-    bias = 0.0
-    for epoch in range(hp.epochs):
-        lrs = memoryview(step_sizes)[epoch * n : (epoch + 1) * n]
-        for i, lr in zip(memoryview(rng.permutation(n)), lrs):
-            cols = rows[i]
-            dot = 0.0
-            for c in cols:
-                dot += v[c]
-            margin = scale * dot + bias
-            if margin >= 0:
-                p = 1.0 / (1.0 + exp(-margin))
-            else:
-                e = exp(margin)
-                p = e / (1.0 + e)
-            grad = sample_weight[i] * (p - labels[i])
-            scale *= 1.0 - lr * l2
-            step = lr * grad / scale
-            for c in cols:
-                v[c] -= step
-            bias -= lr * grad
-            if scale < 1e-9:
-                v = [w * scale for w in v]
-                scale = 1.0
-    weights = np.asarray(v, dtype=np.float64) * scale
+        l2 = hp.l2
+        exp = math.exp
+        rng = np.random.default_rng(hp.seed)
+        step_sizes = _step_sizes(hp.eta0, hp.power_t, n * hp.epochs)
+        v = [0.0] * x.shape[1]
+        scale = 1.0
+        bias = 0.0
+        for epoch in range(hp.epochs):
+            lrs = memoryview(step_sizes)[epoch * n : (epoch + 1) * n]
+            for i, lr in zip(memoryview(rng.permutation(n)), lrs):
+                cols = rows[i]
+                dot = 0.0
+                for c in cols:
+                    dot += v[c]
+                margin = scale * dot + bias
+                if margin >= 0.0:
+                    p = 1.0 / (1.0 + exp(-margin))
+                else:
+                    e = exp(margin)
+                    p = e / (1.0 + e)
+                # weight * (p - label): p - 0.0 is p, since p >= +0.0 or NaN
+                grad = w_pos * (p - 1.0) if positive[i] else w_neg * p
+                grad *= lr
+                scale *= 1.0 - lr * l2
+                step = grad / scale
+                for c in cols:
+                    v[c] -= step
+                bias -= grad
+                if scale < 1e-9:
+                    v = [w * scale for w in v]
+                    scale = 1.0
+        weights = np.asarray(v, dtype=np.float64) * scale
+    except MemoryError:
+        raise ClassifierError(
+            f"out of memory fitting the split model on {n} training rows"
+        ) from None
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     if not np.all(np.isfinite(weights)) or not np.isfinite(bias):
         raise ClassifierError("training diverged to non-finite weights")

@@ -155,8 +155,10 @@ def _betacf(a: float, b: float, x: float) -> float:
         d = fpmin
     d = 1.0 / d
     h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
+    m = 0.0  # a float counter keeps every product float-float; 1..300 are exact
+    for _ in range(max_iter):
+        m += 1.0
+        m2 = m + m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
         if abs(d) < fpmin:

@@ -13,7 +13,7 @@ from abpipe.model import ClassCondition, PopulationSplitSpec, SplitComponent, Su
 from abpipe.webstore import ScenarioConfig, generate_population, generate_training_data
 from conftest import traced_peak
 from reference_interpreter import route_class
-from reference_sgd import dense_sgd
+from reference_sgd import dense_sgd, scalar_sgd
 
 
 def toy_separable(n=200, seed=0):
@@ -93,8 +93,8 @@ def test_training_is_bitwise_deterministic():
 
 @st.composite
 def sgd_problems(draw):
-    """Small fits: 0/1 rows of any numeric dtype, a seed and a legal
-    schedule, which the test patches into ``Hyperparams`` for the fit.
+    """Small fits: 0/1 rows and labels of any numeric dtype, a seed and a
+    legal schedule, which the test patches into ``Hyperparams`` for the fit.
 
     The heavy-L2 branch (eta0 * l2 in [0.5, 0.999)) shrinks the weight
     scale below 1e-9 within a few dozen steps, so the fold runs.
@@ -102,10 +102,11 @@ def sgd_problems(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(2, 40))
     n_features = draw(st.integers(1, 6))
-    dtype = draw(st.sampled_from([np.float64, np.uint8, np.int64, np.bool_]))
-    x = rng.integers(0, 2, (n, n_features)).astype(dtype)
-    y = rng.integers(0, 2, n).astype(np.float64)
-    y[:2] = (0.0, 1.0)
+    dtypes = st.sampled_from([np.float64, np.uint8, np.int64, np.bool_])
+    x = rng.integers(0, 2, (n, n_features)).astype(draw(dtypes))
+    y = rng.integers(0, 2, n)
+    y[:2] = (0, 1)
+    y = y.astype(draw(dtypes))
     eta0 = draw(st.floats(0.01, 2.0))
     l2 = draw(
         st.one_of(
@@ -134,6 +135,20 @@ def test_sparse_fit_matches_dense_reference(problem):
     tol = 1e-12 * max(1.0, float(np.max(np.abs(weights))))
     assert np.max(np.abs(model.weights - weights)) <= tol
     assert abs(model.bias - bias) <= tol
+
+
+@given(sgd_problems())
+@settings(max_examples=200, deadline=None)
+def test_fit_is_bitwise_the_scalar_loop(problem):
+    """The float-only loop keeps every IEEE operation of the array form,
+    the fold of a vanishing weight scale included."""
+    x, y, seed, schedule = problem
+    hp = clf.Hyperparams(seed=seed)
+    with mock.patch.multiple(clf.Hyperparams, **schedule):
+        model = clf.train(x, y, hp)
+        weights, bias = scalar_sgd(x, y, hp)
+    assert model.weights.tobytes() == weights.tobytes()
+    assert model.bias.hex() == bias.hex()
 
 
 @pytest.mark.parametrize("n_features", [64, 65, 130])
@@ -258,10 +273,12 @@ def test_split_model_fit_is_pinned_bitwise(scenario, seed):
 
 def test_fit_holds_no_full_size_temporaries(scenario):
     """One fit of the shipped 20,000 training rows peaks below 2.0 MB
-    above its entry and keeps only the model. The step-size schedule is
-    warmed first, as the seeds of a comparison share it. With a mask per
-    comparison in the 0/1 check, the packed and nonzero arrays of every
-    row, and each epoch's permutation as a list, it peaked at 2.9 MB."""
+    above its entry and keeps only the model: it holds one check mask,
+    the row tuples and one label flag byte per sample. The step-size
+    schedule is warmed first, as the seeds of a comparison share it. With
+    a mask per comparison in the 0/1 check, the packed and nonzero arrays
+    of every row, and each epoch's permutation as a list, it peaked at
+    2.9 MB."""
     features, labels = generate_training_data(scenario, scenario.train_samples)
     assert features.shape[0] == 20_000
     clf.train(features, labels, clf.Hyperparams(seed=1))

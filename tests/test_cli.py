@@ -10,7 +10,7 @@ from abpipe.blueprints import parse_blueprints
 from abpipe.cli import EXIT_DOMAIN, main
 from abpipe.orchestrator import SpecInvalidError
 from abpipe.report import compare_pipelines
-from abpipe import webstore
+from abpipe import classifier, webstore
 from abpipe.webstore import save_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -1119,8 +1119,16 @@ def test_untrainable_split_model_fails_cleanly(
         assert json.loads((out / "report.json").read_text())["partial"]
 
 
-def _out_of_memory_drawing(monkeypatch, what):
-    """Make one of a run's draws raise MemoryError, as an allocation would."""
+def _out_of_memory_in(monkeypatch, what):
+    """Make one of a run's draws, or its split model fit, raise MemoryError,
+    as an allocation would."""
+    if what == "fit":
+
+        def row_tuples(x):
+            raise MemoryError
+
+        monkeypatch.setattr(classifier, "_row_tuples", row_tuples)
+        return
     if what == "features":  # a split run draws its training rows, then its population's
         feature_blocks, calls = webstore._feature_blocks, []
 
@@ -1150,14 +1158,15 @@ def _out_of_memory_drawing(monkeypatch, what):
         ("population", "Sequential", "out of memory drawing the population of 20000 users"),
         ("training", "Parallel", "out of memory drawing 4000 training rows"),
         ("features", "Parallel", "out of memory drawing the feature rows of 20000 users"),
+        ("fit", "Parallel", "out of memory fitting the split model on 4000 training rows"),
     ],
-    ids=["population", "training", "features"],
+    ids=["population", "training", "features", "fit"],
 )
 def test_running_out_of_memory_in_a_draw_fails_the_run_in_one_line(
     tmp_path, seq_bundle, par_bundle, small_scenario_file, monkeypatch, capsys,
     command, what, pipeline, error,
 ):
-    _out_of_memory_drawing(monkeypatch, what)
+    _out_of_memory_in(monkeypatch, what)
     out = tmp_path / "out"
     scenario = ["--scenario", str(small_scenario_file), "--out", str(out)]
     if command == "run":
@@ -1173,6 +1182,20 @@ def test_running_out_of_memory_in_a_draw_fails_the_run_in_one_line(
         ]
         report = json.loads((out / "report.json").read_text())
         assert report["partial"] and len(report["failures"]) == 1
+
+
+def test_running_out_of_memory_in_the_fit_fails_training_in_one_line(
+    tmp_path, monkeypatch, capsys
+):
+    _out_of_memory_in(monkeypatch, "fit")
+    csv_path = tmp_path / "train.csv"
+    csv_path.write_text("f0,label\n0,0\n1,1\n0,0\n")
+    out = tmp_path / "model.json"
+    assert main(["train", str(csv_path), "--out", str(out)]) == EXIT_DOMAIN
+    assert capsys.readouterr().err.splitlines() == [
+        "training failed: out of memory fitting the split model on 3 training rows"
+    ]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "compare", "train"])

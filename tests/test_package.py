@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import abpipe
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -95,3 +97,39 @@ def test_failing_property_test_is_reported_under_the_repo_config(tmp_path):
     assert done.returncode == 1, output
     assert "INTERNALERROR" not in output
     assert "1 failed" in output
+
+
+# (module, function, loop depth): the loops at that depth run once per SGD
+# step of a split model fit and once per term of each Welch look's tail
+FLOAT_ONLY_LOOPS = [("classifier.py", "train", 2), ("stats.py", "_betacf", 1)]
+
+
+def _loops_at_depth(node, depth):
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.For) and depth == 1:
+            yield child
+        else:
+            yield from _loops_at_depth(child, depth - isinstance(child, ast.For))
+
+
+@pytest.mark.parametrize("module, function, depth", FLOAT_ONLY_LOOPS)
+def test_hot_loops_hold_no_int_literal(module, function, depth):
+    """CPython specializes a comparison or an arithmetic op only when both
+    operands are floats; one int literal in these loops (``margin >= 0``,
+    ``2 * m``) sends it down the generic path every step."""
+    tree = ast.parse((ROOT / "src" / "abpipe" / module).read_text(encoding="utf-8"))
+    (func,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == function
+    ]
+    loops = list(_loops_at_depth(func, depth))
+    assert loops, f"{function} has no loop at depth {depth}"
+    ints = [
+        f"{module}:{node.lineno}: {node.value!r}"
+        for loop in loops
+        for stmt in loop.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Constant) and type(node.value) is int
+    ]
+    assert not ints, ints

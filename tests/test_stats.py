@@ -351,7 +351,8 @@ def test_incomplete_beta_non_convergence_is_a_stats_error():
 
 
 def frozen_betacf(a, b, x):
-    """``stats._betacf`` in its textbook form, every Lentz guard an ``abs()``."""
+    """``stats._betacf`` in its textbook form, every Lentz guard an ``abs()``
+    and the loop counter an int."""
     max_iter = 300
     eps = 3e-16
     fpmin = 1e-300
@@ -440,6 +441,24 @@ def test_incomplete_beta_is_bitwise_the_abs_guarded_form(a, b, x):
     assert outcome(regularized_incomplete_beta, a, b, x) == outcome(
         frozen_incomplete_beta, a, b, x
     )
+
+
+WELCH_DF = np.geomspace(2.0, 2e5, 31).tolist()
+WELCH_T = [0.0, 1e-9, 1e-4, 0.05, 0.3, 0.9, 1.645, 1.96, 2.5, 3.3, 4.0, 5.0, 6.0]
+NEAR_EDGE_X = [1e-300, 1e-15, 1e-9, 1e-4, 1.0 - 1e-4, 1.0 - 1e-9, 1.0 - 2**-52]
+
+
+def test_float_counter_continued_fraction_equals_the_int_counter_form():
+    """Every Welch look evaluates the continued fraction at a = df / 2,
+    b = 0.5 and x = df / (df + t*t), in one of two orientations. Over df
+    2..2e5 and |t| up to 6, and at x within 1e-4 of 0 and of 1, the float
+    counter returns what the int counter did, or raises the same error."""
+    cases = [(df / 2.0, 0.5, df / (df + t * t)) for df in WELCH_DF for t in WELCH_T]
+    cases += [(df / 2.0, 0.5, x) for df in WELCH_DF for x in NEAR_EDGE_X]
+    assert any(x < 1e-3 for _, _, x in cases) and any(x > 1.0 - 1e-9 for _, _, x in cases)
+    for a, b, x in cases:
+        for args in ((a, b, x), (b, a, 1.0 - x)):
+            assert outcome(_betacf, *args) == outcome(frozen_betacf, *args)
 
 
 def test_t_sf_against_reference():

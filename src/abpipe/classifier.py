@@ -143,8 +143,7 @@ def train(
     and one label flag byte per sample; epochs stream their shuffles and
     step sizes. A step picks its class weight by the flag, and every
     literal in the loop is a float, since one int operand (``margin >= 0``)
-    takes the interpreter's generic path on every step. Running out of
-    memory after the argument checks raises :class:`ClassifierError`.
+    takes the interpreter's generic path on every step.
     """
     hp = hyperparams
     if hp.seed < 0:
@@ -172,46 +171,41 @@ def train(
     # balanced class weights: n / (2 * class count)
     w_pos = n / (2.0 * n_pos)
     w_neg = n / (2.0 * (n - n_pos))
-    try:
-        rows = _row_tuples(x)
-        positive = (y == 1.0).tobytes()
+    rows = _row_tuples(x)
+    positive = (y == 1.0).tobytes()
 
-        l2 = hp.l2
-        exp = math.exp
-        rng = np.random.default_rng(hp.seed)
-        step_sizes = _step_sizes(hp.eta0, hp.power_t, n * hp.epochs)
-        v = [0.0] * x.shape[1]
-        scale = 1.0
-        bias = 0.0
-        for epoch in range(hp.epochs):
-            lrs = memoryview(step_sizes)[epoch * n : (epoch + 1) * n]
-            for i, lr in zip(memoryview(rng.permutation(n)), lrs):
-                cols = rows[i]
-                dot = 0.0
-                for c in cols:
-                    dot += v[c]
-                margin = scale * dot + bias
-                if margin >= 0.0:
-                    p = 1.0 / (1.0 + exp(-margin))
-                else:
-                    e = exp(margin)
-                    p = e / (1.0 + e)
-                # weight * (p - label): p - 0.0 is p, since p >= +0.0 or NaN
-                grad = w_pos * (p - 1.0) if positive[i] else w_neg * p
-                grad *= lr
-                scale *= 1.0 - lr * l2
-                step = grad / scale
-                for c in cols:
-                    v[c] -= step
-                bias -= grad
-                if scale < 1e-9:
-                    v = [w * scale for w in v]
-                    scale = 1.0
-        weights = np.asarray(v, dtype=np.float64) * scale
-    except MemoryError:
-        raise ClassifierError(
-            f"out of memory fitting the split model on {n} training rows"
-        ) from None
+    l2 = hp.l2
+    exp = math.exp
+    rng = np.random.default_rng(hp.seed)
+    step_sizes = _step_sizes(hp.eta0, hp.power_t, n * hp.epochs)
+    v = [0.0] * x.shape[1]
+    scale = 1.0
+    bias = 0.0
+    for epoch in range(hp.epochs):
+        lrs = memoryview(step_sizes)[epoch * n : (epoch + 1) * n]
+        for i, lr in zip(memoryview(rng.permutation(n)), lrs):
+            cols = rows[i]
+            dot = 0.0
+            for c in cols:
+                dot += v[c]
+            margin = scale * dot + bias
+            if margin >= 0.0:
+                p = 1.0 / (1.0 + exp(-margin))
+            else:
+                e = exp(margin)
+                p = e / (1.0 + e)
+            # weight * (p - label): p - 0.0 is p, since p >= +0.0 or NaN
+            grad = w_pos * (p - 1.0) if positive[i] else w_neg * p
+            grad *= lr
+            scale *= 1.0 - lr * l2
+            step = grad / scale
+            for c in cols:
+                v[c] -= step
+            bias -= grad
+            if scale < 1e-9:
+                v = [w * scale for w in v]
+                scale = 1.0
+    weights = np.asarray(v, dtype=np.float64) * scale
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     if not np.all(np.isfinite(weights)) or not np.isfinite(bias):
         raise ClassifierError("training diverged to non-finite weights")

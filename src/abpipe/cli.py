@@ -12,8 +12,9 @@ Subcommands::
 Also run as ``python -m abpipe``. ``train`` fits on the fixed schedule
 of ``classifier.Hyperparams``. Exit codes: 0 success, 1 domain error
 (invalid blueprints, failed runs, bad training data, a negative seed
-for a split model fit), 2 I/O or usage errors. ``ABPIPE_BATCH_SIZE``
-overrides the default monitoring batch of 1000 requests.
+for a split model fit, running out of memory), 2 I/O or usage errors.
+``ABPIPE_BATCH_SIZE`` overrides the default monitoring batch of 1000
+requests.
 """
 
 from __future__ import annotations
@@ -279,3 +280,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_IO
+    except MemoryError:  # a failed run names its sizes; this is everything else
+        print(f"{args.command} failed: out of memory", file=sys.stderr)
+        return EXIT_DOMAIN

@@ -35,7 +35,8 @@ FULL_SCALE_REFERENCE = {
 }
 
 
-# what a run can fail with once its inputs have loaded; anything else is a bug
+# what a run can fail with once its inputs have loaded, beside running out of
+# memory anywhere in it; anything else is a bug
 RUN_ERRORS = (OrchestratorError, WebStoreError, StatsError, clf.ClassifierError)
 
 
@@ -71,10 +72,13 @@ def run_pipeline_once(
     The run seed replaces the scenario seed, so the population, the
     arrival order, every behavioral draw and (for parallel pipelines)
     the classifier training data all derive from it. A run fails one
-    way: a ``RUN_ERRORS`` error of its draws (running out of memory
-    included), the split model fit or the engine raises ``PipelineRunError``
-    with the engine, whose trace holds the events traced before it (none,
-    if the fit failed; no engine, if the population draw did).
+    way: a ``RUN_ERRORS`` error of its draws, the split model fit or the
+    engine, or a ``MemoryError`` from anywhere in the run, its summary
+    included, raises ``PipelineRunError`` with the engine, whose trace
+    holds the events traced before it (none, if the fit failed; no engine,
+    if the population draw did). Running out of memory gives a one-line
+    message naming the scenario's ``population_size``, and
+    ``train_samples`` if the pipeline has a split.
     """
     config = replace(scenario, seed=seed)
     engine = model = None
@@ -88,13 +92,14 @@ def run_pipeline_once(
             )
             runner.split_models = {s.split_component.image_name: model for s in spec.pop_splits}
         engine.run()
+        summary = build_summary(engine, seed, batch_size)
     except RUN_ERRORS as exc:
         raise PipelineRunError(exc, spec, engine) from exc
-    return RunOutcome(
-        engine=engine,
-        summary=build_summary(engine, seed, batch_size),
-        model=model,
-    )
+    except MemoryError as exc:  # its str is empty, or names one allocation
+        training = f" and {config.train_samples} training rows" if spec.pop_splits else ""
+        error = MemoryError(f"out of memory on {config.population_size} users{training}")
+        raise PipelineRunError(error, spec, engine) from exc
+    return RunOutcome(engine=engine, summary=summary, model=model)
 
 
 def build_summary(engine: PipelineEngine, seed: int, batch_size: int) -> dict:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import copy
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 import numpy as np
@@ -196,8 +195,7 @@ class Population:
     def feature_blocks(self):
         """The feature rows as float64 blocks of DRAW_BLOCK rows, drawn into
         one reused buffer: a block is overwritten by the next."""
-        with _drawing(f"the feature rows of {self.size} users"):
-            yield from _feature_blocks(self.config, self.latent, copy.deepcopy(self._rng))
+        return _feature_blocks(self.config, self.latent, copy.deepcopy(self._rng))
 
     @property
     def features(self) -> np.ndarray:
@@ -209,15 +207,6 @@ class Population:
 
 DRAW_BLOCK = 4096  # rows of feature noise drawn, and predicted when routing, per call
 _LATENT_BLOCK = 16_384  # latent uniforms drawn per call
-
-
-@contextmanager
-def _drawing(what: str):
-    """Fail a draw that runs out of memory as a run error naming ``what``."""
-    try:
-        yield
-    except MemoryError:
-        raise WebStoreError(f"out of memory drawing {what}") from None
 
 
 def _draw_latent(config: ScenarioConfig, n: int, stream: str):
@@ -263,8 +252,7 @@ def generate_population(config: ScenarioConfig, n: int) -> Population:
     """Draw n user profiles; deterministic for a given scenario seed."""
     if n < 1:
         raise WebStoreError(f"population size must be >= 1, got {n}")
-    with _drawing(f"the population of {n} users"):
-        latent, rng = _draw_latent(config, n, "population")
+    latent, rng = _draw_latent(config, n, "population")
     latent.flags.writeable = False
     return Population(config, latent, rng)
 
@@ -277,9 +265,8 @@ def generate_training_data(config: ScenarioConfig, n: int) -> tuple[np.ndarray, 
     """
     if n < 2:
         raise WebStoreError(f"training data needs n >= 2, got {n}")
-    with _drawing(f"{n} training rows"):
-        latent, rng = _draw_latent(config, n, "training-data")
-        return _draw_features(config, latent, rng), latent.astype(np.int64)
+    latent, rng = _draw_latent(config, n, "training-data")
+    return _draw_features(config, latent, rng), latent.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +312,15 @@ def _success_table(config: ScenarioConfig, metric: str) -> np.ndarray:
 
 
 class _ActiveTest:
-    def __init__(
-        self, spec: ABTestSpec, components: tuple[str, str], config: ScenarioConfig, epoch: int
-    ):
+    def __init__(self, spec: ABTestSpec, components: tuple[str, str], config: ScenarioConfig):
         self.spec = spec
         self.components = components
         self.requests = 0
         metric = spec.hypothesis.metric
         self.success = _success_table(config, metric)
-        self.assign_key = prf.stream_key(config.seed, "assign", spec.name, epoch)
-        self.draw_key = prf.stream_key(config.seed, "draw", spec.name, metric, epoch)
+        # the trailing 0 is part of each stream's label: without it every draw changes
+        self.assign_key = prf.stream_key(config.seed, "assign", spec.name, 0)
+        self.draw_key = prf.stream_key(config.seed, "draw", spec.name, metric, 0)
 
 
 class ArrivalStream:
@@ -372,7 +358,6 @@ class WebStore:
         self.population = generate_population(config, config.population_size)
         self.arrivals = ArrivalStream(config, self.population.size)
         self._active: dict[str, _ActiveTest] = {}  # the deployed tests
-        self._epochs: dict[str, int] = {}  # deployments so far, per test
 
     # -- deployment ---------------------------------------------------------
 
@@ -386,9 +371,7 @@ class WebStore:
                     raise DeploymentConflictError(
                         f"component {comp!r} already held by {record.spec.name!r}"
                     )
-        epoch = self._epochs.get(spec.name, 0)
-        self._active[spec.name] = _ActiveTest(spec, components, self.config, epoch)
-        self._epochs[spec.name] = epoch + 1
+        self._active[spec.name] = _ActiveTest(spec, components, self.config)
 
     def restore_initial(self, test_name: str) -> None:
         if self._active.pop(test_name, None) is None:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import shutil
@@ -6,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
+import abpipe.report
 from abpipe.blueprints import parse_blueprints
 from abpipe.cli import EXIT_DOMAIN, main
-from abpipe.orchestrator import SpecInvalidError
+from abpipe.orchestrator import SpecInvalidError, WebStoreRunner
 from abpipe.report import compare_pipelines
 from abpipe import classifier, webstore
 from abpipe.webstore import save_scenario
@@ -1120,65 +1122,78 @@ def test_untrainable_split_model_fails_cleanly(
 
 
 def _out_of_memory_in(monkeypatch, what):
-    """Make one of a run's draws, or its split model fit, raise MemoryError,
-    as an allocation would."""
-    if what == "fit":
+    """Make one of a run's draws, its split model fit, its routing table,
+    its serving or its summary raise MemoryError, as an allocation would."""
+    if what in ("population", "training"):
+        draw_latent = webstore._draw_latent
+        stream = {"population": "population", "training": "training-data"}[what]
 
-        def row_tuples(x):
-            raise MemoryError
-
-        monkeypatch.setattr(classifier, "_row_tuples", row_tuples)
-        return
-    if what == "features":  # a split run draws its training rows, then its population's
-        feature_blocks, calls = webstore._feature_blocks, []
-
-        def blocks(*args):
-            calls.append(args)
-            if len(calls) == 2:
+        def draw(config, n, name):
+            if name == stream:
                 raise MemoryError
-            return feature_blocks(*args)
+            return draw_latent(config, n, name)
 
-        monkeypatch.setattr(webstore, "_feature_blocks", blocks)
+        monkeypatch.setattr(webstore, "_draw_latent", draw)
         return
-    draw_latent = webstore._draw_latent
-    stream = {"population": "population", "training": "training-data"}[what]
+    # a split run draws its training rows, then its population's; a run
+    # has started, and served two blocks, by its third serve
+    owner, name, fail_at = {
+        "fit": (classifier, "_row_tuples", 1),
+        "features": (webstore, "_feature_blocks", 2),
+        "routing": (WebStoreRunner, "_routing_table", 1),
+        "serving": (webstore.WebStore, "serve_chunk", 3),
+        "summary": (abpipe.report, "build_summary", 1),
+    }[what]
+    original, calls = getattr(owner, name), itertools.count(1)
 
-    def draw(config, n, name):
-        if name == stream:
+    def failing(*args):
+        if next(calls) == fail_at:
             raise MemoryError
-        return draw_latent(config, n, name)
+        return original(*args)
 
-    monkeypatch.setattr(webstore, "_draw_latent", draw)
+    monkeypatch.setattr(owner, name, failing)
+
+
+# the small scenario's sizes, as a failed run names them
+OUT_OF_MEMORY = {
+    "Sequential": "out of memory on 20000 users",
+    "Parallel": "out of memory on 20000 users and 4000 training rows",
+}
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
 @pytest.mark.parametrize(
-    "what, pipeline, error",
+    "what, pipeline, started",
     [
-        ("population", "Sequential", "out of memory drawing the population of 20000 users"),
-        ("training", "Parallel", "out of memory drawing 4000 training rows"),
-        ("features", "Parallel", "out of memory drawing the feature rows of 20000 users"),
-        ("fit", "Parallel", "out of memory fitting the split model on 4000 training rows"),
+        ("population", "Sequential", False),
+        ("training", "Parallel", False),
+        ("features", "Parallel", True),
+        ("fit", "Parallel", False),
+        ("routing", "Parallel", True),
+        ("serving", "Sequential", True),
+        ("summary", "Sequential", True),
     ],
-    ids=["population", "training", "features", "fit"],
+    ids=["population", "training", "features", "fit", "routing", "serving", "summary"],
 )
 def test_running_out_of_memory_in_a_draw_fails_the_run_in_one_line(
     tmp_path, seq_bundle, par_bundle, small_scenario_file, monkeypatch, capsys,
-    command, what, pipeline, error,
+    command, what, pipeline, started,
 ):
     _out_of_memory_in(monkeypatch, what)
     out = tmp_path / "out"
     scenario = ["--scenario", str(small_scenario_file), "--out", str(out)]
     if command == "run":
         assert main(["run", str(par_bundle), *scenario]) == EXIT_DOMAIN
-        assert capsys.readouterr().err.splitlines() == [f"run failed: {error}"]
-        # the population is drawn before the run starts, the feature rows at its split
-        assert (out / "trace.jsonl").exists() == (what == "features")
-    else:
+        assert capsys.readouterr().err.splitlines() == [
+            f"run failed: {OUT_OF_MEMORY['Parallel']}"
+        ]
+        # the population, training rows and fit come before the run starts
+        assert (out / "trace.jsonl").exists() == started
+    else:  # compare runs a seed's sequential pipeline first
         argv = ["compare", str(seq_bundle), str(par_bundle), *scenario, "--runs", "1"]
         assert main(argv) == EXIT_DOMAIN
         assert capsys.readouterr().err.splitlines() == [
-            f"failed run: seed 1 {pipeline}-evaluation-pipeline: {error}"
+            f"failed run: seed 1 {pipeline}-evaluation-pipeline: {OUT_OF_MEMORY[pipeline]}"
         ]
         report = json.loads((out / "report.json").read_text())
         assert report["partial"] and len(report["failures"]) == 1
@@ -1192,9 +1207,35 @@ def test_running_out_of_memory_in_the_fit_fails_training_in_one_line(
     csv_path.write_text("f0,label\n0,0\n1,1\n0,0\n")
     out = tmp_path / "model.json"
     assert main(["train", str(csv_path), "--out", str(out)]) == EXIT_DOMAIN
-    assert capsys.readouterr().err.splitlines() == [
-        "training failed: out of memory fitting the split model on 3 training rows"
-    ]
+    assert capsys.readouterr().err.splitlines() == ["train failed: out of memory"]
+    assert not out.exists()
+
+
+def test_running_out_of_memory_loading_training_data_fails_in_one_line(
+    tmp_path, monkeypatch, capsys
+):
+    def load_training_csv(path):
+        raise MemoryError
+
+    monkeypatch.setattr(classifier, "load_training_csv", load_training_csv)
+    csv_path = tmp_path / "train.csv"
+    csv_path.write_text("f0,label\n0,0\n1,1\n")
+    out = tmp_path / "model.json"
+    assert main(["train", str(csv_path), "--out", str(out)]) == EXIT_DOMAIN
+    assert capsys.readouterr().err.splitlines() == ["train failed: out of memory"]
+    assert not out.exists()
+
+
+def test_running_out_of_memory_generating_data_fails_in_one_line(
+    tmp_path, monkeypatch, capsys
+):
+    def draw_latent(config, n, stream):
+        raise MemoryError
+
+    monkeypatch.setattr(webstore, "_draw_latent", draw_latent)
+    out = tmp_path / "train.csv"
+    assert main(["gen-data", "--n", "100", "--out", str(out)]) == EXIT_DOMAIN
+    assert capsys.readouterr().err.splitlines() == ["gen-data failed: out of memory"]
     assert not out.exists()
 
 

@@ -257,7 +257,7 @@ def load_training_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
             raise ClassifierError(f"{path}: empty training file") from None
         if not header or header[-1] != "label":
             raise ClassifierError(f"{path}: last column must be 'label'")
-        rows = []
+        values = array("d")  # all rows' floats, flat: 8 bytes a value, no object per value
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ClassifierError(
@@ -265,12 +265,12 @@ def load_training_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
                     f" expected {len(header)}"
                 )
             try:
-                rows.append([float(v) for v in row])
+                values.extend(map(float, row))
             except ValueError as exc:
                 raise ClassifierError(f"{path}: line {lineno}: {exc}") from None
-    if not rows:
+    if not values:
         raise ClassifierError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=np.float64)
+    data = np.frombuffer(values, dtype=np.float64).reshape(-1, len(header))
     return data[:, :-1], data[:, -1]
 
 

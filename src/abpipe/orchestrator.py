@@ -6,10 +6,11 @@ apply the first matching transition rule (declaration order, implicit
 default to End), restore the deployment, continue. One state machine,
 :class:`Program`, runs that loop: the root's tests between population
 splits run as one program, and each sub-pipeline of a split as another.
-The knowledge repository holds the id of each live (sub-)pipeline: the
-root's from set-up to End, and one per sub-pipeline of a population
-split from its entry to its exit. Sub-pipelines run over disjoint user
-segments and rejoin at the split exit once all of them have ended.
+The engine's knowledge, a plain set, holds the id of each live
+(sub-)pipeline: the root's from set-up to End, and one per sub-pipeline
+of a population split from its entry to its exit; validation keeps
+these ids distinct. Sub-pipelines run over disjoint user segments and
+rejoin at the split exit once all of them have ended.
 
 :class:`WebStoreRunner` drives the simulated store, with one serving
 loop for root segments and split branches alike. It draws the shared
@@ -86,10 +87,6 @@ class UntrainedModelError(OrchestratorError):
     pass
 
 
-class InstanceCollisionError(OrchestratorError):
-    pass
-
-
 class AlreadyRunningError(OrchestratorError):
     pass
 
@@ -103,7 +100,7 @@ class WriteOnceError(OrchestratorError):
 
 
 # ---------------------------------------------------------------------------
-# trace & knowledge
+# trace
 
 
 @dataclass(frozen=True)
@@ -131,32 +128,6 @@ class ExecutionTrace:
         with open(path, "w", encoding="utf-8") as handle:
             for event in self.events:
                 handle.write(event.to_json() + "\n")
-
-
-class KnowledgeRepository:
-    """Ids of the live (sub-)pipeline instances; an id is unique while live."""
-
-    def __init__(self):
-        self._live: set[str] = set()
-
-    def add_instances(self, instance_ids: list[str]) -> None:
-        """Add every id or, if one is already live, none of them."""
-        taken = self._live.intersection(instance_ids)
-        if taken:
-            raise InstanceCollisionError(
-                f"knowledge instance(s) {sorted(taken)} already live"
-            )
-        self._live.update(instance_ids)
-
-    def remove_instance(self, instance_id: str) -> None:
-        self._live.discard(instance_id)
-
-    def has(self, instance_id: str) -> bool:
-        return instance_id in self._live
-
-    @property
-    def live_count(self) -> int:
-        return len(self._live)
 
 
 # ---------------------------------------------------------------------------
@@ -531,13 +502,12 @@ class PipelineEngine:
         self,
         spec: PipelineSpec,
         runner,
-        knowledge: KnowledgeRepository | None = None,
         catalog: dict[str, str] | None = None,
-        observer: Callable[[TraceEvent, KnowledgeRepository], None] | None = None,
+        observer: Callable[[TraceEvent, set[str]], None] | None = None,
     ):
         self.spec = spec
         self.runner = runner
-        self.knowledge = knowledge if knowledge is not None else KnowledgeRepository()
+        self.knowledge: set[str] = set()  # ids of the live (sub-)pipelines
         self.catalog = catalog
         self.observer = observer
         self.trace = ExecutionTrace()
@@ -568,7 +538,7 @@ class PipelineEngine:
         if not report.ok:
             raise SpecInvalidError(str(report))
         self.runner.check_deployable(self.spec)
-        self.knowledge.add_instances([root_id])
+        self.knowledge.add(root_id)
         self._trace(root_id, EVENT_START, {"element": self.spec.start})
         current = self.spec.start
         while not is_end(current):
@@ -581,13 +551,13 @@ class PipelineEngine:
                 self.runner.run_test(program)
                 current = program.next
         self._trace(root_id, EVENT_END, {"notified": True})
-        self.knowledge.remove_instance(root_id)
+        self.knowledge.discard(root_id)
         return self.trace, dict(self.results)
 
     def _run_split(self, split: PopulationSplitSpec) -> None:
         """Add the sub-pipelines' instances, run them all to End, remove them."""
         sub_ids = [sub.subpl_id for sub in split.sub_pipelines]
-        self.knowledge.add_instances(sub_ids)
+        self.knowledge.update(sub_ids)
         self._trace(
             self.spec.name,
             EVENT_SPLIT_ENTRY,
@@ -603,8 +573,7 @@ class PipelineEngine:
             raise ContractViolationError(
                 f"split {split.name!r} exited with live sub-pipelines: {live}"
             )
-        for sub_id in sub_ids:
-            self.knowledge.remove_instance(sub_id)
+        self.knowledge.difference_update(sub_ids)
         self._trace(
             self.spec.name,
             EVENT_SPLIT_EXIT,

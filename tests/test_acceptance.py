@@ -328,9 +328,9 @@ def test_criterion_5_split_semantics(par_spec, small_scenario):
         elif event.event == "split_exit":
             state["subs"] = 0
         expected = 1 + state["subs"]
-        if knowledge.live_count != expected:
+        if len(knowledge) != expected:
             violations.append(
-                f"{event.event}: live={knowledge.live_count}, expected={expected}"
+                f"{event.event}: live={len(knowledge)}, expected={expected}"
             )
 
     from dataclasses import replace
@@ -392,7 +392,7 @@ def test_criterion_5_split_semantics(par_spec, small_scenario):
         and disjoint
         and routed_by_class
         and order_free
-        and engine.knowledge.live_count == 0
+        and engine.knowledge == set()
     )
     verdict(
         5,
@@ -405,7 +405,7 @@ def test_criterion_5_split_semantics(par_spec, small_scenario):
     assert disjoint
     assert routed_by_class
     assert order_free
-    assert engine.knowledge.live_count == 0
+    assert engine.knowledge == set()
 
 
 # ---------------------------------------------------------------------------

@@ -408,6 +408,17 @@ def test_training_csv_round_trip(tmp_path):
     assert np.array_equal(back_y, labels)
 
 
+def test_training_csv_loads_near_the_size_of_its_arrays(tmp_path):
+    # what `abpipe gen-data --n 20000` writes; loading holds no Python object per value
+    features, labels = generate_training_data(ScenarioConfig(), 20_000)
+    path = tmp_path / "train.csv"
+    clf.save_training_csv(path, features, labels)
+    (back_x, back_y), _, peak = traced_peak(lambda: clf.load_training_csv(path))
+    assert back_x.dtype == back_y.dtype == np.float64
+    assert np.array_equal(back_x, features) and np.array_equal(back_y, labels)
+    assert peak <= 1.5 * (back_x.nbytes + back_y.nbytes)
+
+
 def test_empty_csv_rejected(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")

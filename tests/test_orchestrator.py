@@ -29,8 +29,6 @@ from abpipe.model import (
 from abpipe.orchestrator import (
     AlreadyRunningError,
     ContractViolationError,
-    InstanceCollisionError,
-    KnowledgeRepository,
     OrchestratorError,
     PipelineEngine,
     Program,
@@ -179,10 +177,30 @@ def test_root_end_event_carries_notification():
     assert trace.events[-1].detail == {"notified": True}
 
 
-def test_invalid_spec_rejected_before_running():
-    spec = PipelineSpec("Bad", (), (), (), "missing")
-    with pytest.raises(SpecInvalidError):
-        PipelineEngine(spec, ScriptedRunner({})).run()
+def split_spec_with_sub_id(subpl_id):
+    """``split_spec()`` with its second sub-pipeline renamed ``subpl_id``."""
+    spec, _ = split_spec()
+    split = spec.pop_splits[0]
+    seg_a, seg_b = split.sub_pipelines
+    subs = (seg_a, replace(seg_b, subpl_id=subpl_id))
+    return replace(spec, pop_splits=(replace(split, sub_pipelines=subs),))
+
+
+# validation, not the engine, keeps two live instance ids from ever colliding
+@pytest.mark.parametrize(
+    "make_spec, code",
+    [
+        (lambda: PipelineSpec("Bad", (), (), (), "missing"), "unresolved-reference"),
+        (lambda: split_spec_with_sub_id("Split"), "duplicate-name"),
+        (lambda: split_spec_with_sub_id("Seg-A"), "duplicate-name"),
+    ],
+    ids=["unresolved-start", "sub-pipeline-named-as-root", "sub-pipelines-share-an-id"],
+)
+def test_invalid_spec_rejected_before_running(make_spec, code):
+    engine = PipelineEngine(make_spec(), ScriptedRunner({}))
+    with pytest.raises(SpecInvalidError, match=rf"\[{code}\]"):
+        engine.run()
+    assert engine.trace.events == [] and engine.knowledge == set()
 
 
 def test_write_once_results():
@@ -198,20 +216,13 @@ def test_write_once_results():
 
 def test_duplicate_initiation_rejected():
     spec, scripts = single_test_spec()
-    knowledge = KnowledgeRepository()
-    knowledge.add_instances([spec.name])  # another engine's live root
-    second = PipelineEngine(spec, ScriptedRunner(scripts), knowledge=knowledge)
-    with pytest.raises(InstanceCollisionError):
-        second.run()
-    assert second.trace.events == [] and knowledge.live_count == 1
-
     first = PipelineEngine(spec, ScriptedRunner(scripts))
     trace, results = first.run()
     events = list(trace)
     with pytest.raises(AlreadyRunningError):
         first.run()
     assert trace.events == events and first.results == results
-    assert first.knowledge.live_count == 0
+    assert first.knowledge == set()
 
 
 # ---------------------------------------------------------------------------
@@ -252,15 +263,13 @@ def test_split_creates_one_instance_per_sub_pipeline():
 
     def observer(event, knowledge):
         if event.event in ("split_entry", "split_exit"):
-            live[event.event] = (
-                knowledge.has("Seg-A"), knowledge.has("Seg-B"), knowledge.live_count
-            )
+            live[event.event] = ("Seg-A" in knowledge, "Seg-B" in knowledge, len(knowledge))
 
     engine = PipelineEngine(spec, ScriptedRunner(scripts), observer=observer)
     engine.run()
     assert live["split_entry"] == (True, True, 3)  # root + two sub-pipelines
     assert live["split_exit"] == (False, False, 1)
-    assert engine.knowledge.live_count == 0
+    assert engine.knowledge == set()
 
 
 def test_split_exit_with_a_live_sub_pipeline_is_a_contract_violation():
@@ -272,19 +281,8 @@ def test_split_exit_with_a_live_sub_pipeline_is_a_contract_violation():
     engine = PipelineEngine(spec, FirstOnlyRunner(scripts))
     with pytest.raises(ContractViolationError, match="Seg-B"):
         engine.run()
-    assert engine.knowledge.has("Seg-B")
+    assert "Seg-B" in engine.knowledge
     assert "split_exit" not in [e.event for e in engine.trace]
-
-
-def test_colliding_split_entry_adds_no_instance():
-    spec, scripts = split_spec()
-    knowledge = KnowledgeRepository()
-    knowledge.add_instances(["Seg-B"])  # Seg-A is free, Seg-B collides
-    engine = PipelineEngine(spec, ScriptedRunner(scripts), knowledge=knowledge)
-    with pytest.raises(InstanceCollisionError):
-        engine.run()
-    assert knowledge.live_count == 2 and not knowledge.has("Seg-A")
-    assert [e.event for e in engine.trace] == ["start"]
 
 
 def test_split_exit_copies_namespaced_results_and_clears_instances():
@@ -336,7 +334,7 @@ def test_missing_variant_fails_before_any_deployment(small_scenario):
     with pytest.raises(UnknownVariantError):
         engine.run()
     assert store.active_tests == []
-    assert engine.knowledge.live_count == 0 and engine.trace.events == []
+    assert engine.knowledge == set() and engine.trace.events == []
 
 
 def test_untrained_split_model_rejected(par_spec, small_scenario):
@@ -346,7 +344,7 @@ def test_untrained_split_model_rejected(par_spec, small_scenario):
     with pytest.raises(UntrainedModelError, match="'ml-purchase-filter'"):
         engine.run()
     assert engine.trace.events == [] and store.active_tests == []
-    assert engine.knowledge.live_count == 0
+    assert engine.knowledge == set()
 
 
 class _ThreeWayStub:
@@ -408,7 +406,7 @@ def test_three_sub_pipelines_get_disjoint_user_sets(small_scenario):
     runner = WebStoreRunner(store, split_models={"k-way": stub})
     engine = PipelineEngine(spec, runner, catalog=catalog)
     engine.run()
-    assert engine.knowledge.live_count == 0
+    assert engine.knowledge == set()
     sets = [served[f"T{i}"] for i in range(3)]
     assert all(sets)
     for i in range(3):
